@@ -1,9 +1,9 @@
 """Norm geometries and their steepest-descent directions.
 
-Walks through the matrix norms the library supports, the Jacobi SVD that
-backs the Schatten family, and the unit-norm update directions that turn
-into SignSGD, Normalized-SGD, and the spectral/Muon update depending on
-the chosen geometry.
+Walks through the matrix norms the library supports, the SVD (LAPACK,
+under a fixed sign convention) that backs the Schatten family, and the
+unit-norm update directions that turn into SignSGD, Normalized-SGD, and
+the spectral/Muon update depending on the chosen geometry.
 """
 
 import math

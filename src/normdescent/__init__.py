@@ -6,7 +6,6 @@ from .linalg import (
     SCHATTEN,
     NormSpec,
     Svd,
-    SvdConvergenceError,
     dual_norm,
     entrywise_norm,
     frobenius_cosine,

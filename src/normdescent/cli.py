@@ -10,9 +10,11 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .data import GaussianSpec, SeparabilityError, SkewedSpec, gen_gaussian, gen_skewed
 from .harness import ConfigError, fit_rate, persample_cmd, sweep_cmd, train_cmd
-from .linalg import NormSpec, SvdConvergenceError
+from .linalg import NormSpec
 from .model import LossOverflowError, load_dataset, save_dataset, save_matrix
 from .optimizer import TrainingError
 from .reference import MaxMarginNonConvergence, max_margin
@@ -154,12 +156,13 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (MaxMarginNonConvergence, SvdConvergenceError, SeparabilityError) as exc:
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (MaxMarginNonConvergence, np.linalg.LinAlgError, SeparabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except (ConfigError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (TrainingError, LossOverflowError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

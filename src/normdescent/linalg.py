@@ -1,10 +1,10 @@
 """Dense matrix norms, SVD, and polar factors.
 
 Everything in this module is a pure function of float64 numpy arrays. The
-SVD is a one-sided (Hestenes) Jacobi iteration with a fixed cyclic sweep
-order, so repeated calls on the same input are bit-identical; that
-determinism is relied on by the training loop and the reproducibility
-contract of the experiment harness.
+SVD is LAPACK's (``np.linalg.svd``) under a fixed sign convention, so the
+same input gives the same bytes given the same numpy version, BLAS/LAPACK
+build and thread count; the training loop and the reproducibility contract
+of the experiment harness rely on exactly that.
 """
 
 from __future__ import annotations
@@ -23,22 +23,6 @@ _FAMILY_SHORT = {ENTRYWISE: "ew", SCHATTEN: "sch"}
 # Singular values below RANK_CUTOFF * sigma_max count as zero for rank
 # decisions (rank-1 per-sample gradients need a stable cut).
 RANK_CUTOFF = 1e-12
-
-MAX_JACOBI_DIM = 512
-_JACOBI_SWEEPS = 60
-_JACOBI_REL_TOL = 1e-14
-
-
-class SvdConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted; carries the remaining off-diagonal residual."""
-
-    def __init__(self, residual: float, sweeps: int):
-        super().__init__(
-            f"jacobi_svd did not converge after {sweeps} sweeps "
-            f"(off-diagonal residual {residual:.3e})"
-        )
-        self.residual = residual
-        self.sweeps = sweeps
 
 
 @dataclass(frozen=True)
@@ -90,9 +74,9 @@ class NormSpec:
 class Svd:
     """Thin SVD A = U diag(sigma) V^T with r = min(rows, cols) columns.
 
-    sigma is nonincreasing, U and V have orthonormal columns (zero singular
-    values get deterministically completed basis vectors), and the
-    largest-magnitude entry of each U column is nonnegative.
+    sigma is nonincreasing, U and V have orthonormal columns (also for zero
+    singular values), and the largest-magnitude entry of each U column is
+    nonnegative.
     """
 
     u: np.ndarray
@@ -150,98 +134,20 @@ def _vector_pnorm(v: np.ndarray, p: float) -> float:
     return top * float(np.sum((v / top) ** p)) ** (1.0 / p)
 
 
-def jacobi_svd(a, max_sweeps: int = _JACOBI_SWEEPS) -> Svd:
-    """One-sided Jacobi SVD with cyclic column-pair ordering.
+def jacobi_svd(a) -> Svd:
+    """Thin SVD through LAPACK (``np.linalg.svd``) with a fixed sign convention.
 
-    Deterministic for a given input: pairs (i, j), i < j, are visited in a
-    fixed order each sweep and rotations are applied immediately. Converges
-    when the largest off-diagonal Gram entry drops below
-    1e-14 * ||A||_F^2; raises SvdConvergenceError after ``max_sweeps``.
+    Each (u_j, v_j) pair is signed so that the largest-magnitude entry of
+    u_j is nonnegative (the first such entry on ties), which removes the sign
+    freedom of the factorisation. Raises ``np.linalg.LinAlgError`` when
+    LAPACK does not converge. The name is kept as public API.
     """
-    m0 = as_matrix(a)
-    rows, cols = m0.shape
-    if min(rows, cols) > MAX_JACOBI_DIM:
-        raise ValueError(f"min(rows, cols) must be <= {MAX_JACOBI_DIM} for jacobi_svd")
-    transposed = rows < cols
-    b = np.array(m0.T if transposed else m0, dtype=np.float64, order="F")
-    nwork = b.shape[1]
-    v = np.eye(nwork, order="F")
-    thresh = _JACOBI_REL_TOL * float(np.sum(m0 * m0))
-
-    converged = False
-    off = 0.0
-    for _ in range(max_sweeps):
-        off = 0.0
-        for i in range(nwork - 1):
-            for j in range(i + 1, nwork):
-                bi = b[:, i]
-                bj = b[:, j]
-                gram = float(bi @ bj)
-                mag = abs(gram)
-                if mag > off:
-                    off = mag
-                if mag <= thresh:
-                    continue
-                alpha = float(bi @ bi)
-                beta = float(bj @ bj)
-                zeta = (beta - alpha) / (2.0 * gram)
-                if zeta == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                cs = 1.0 / math.hypot(1.0, t)
-                sn = cs * t
-                new_i = cs * bi - sn * bj
-                new_j = sn * bi + cs * bj
-                b[:, i] = new_i
-                b[:, j] = new_j
-                vi = cs * v[:, i] - sn * v[:, j]
-                vj = sn * v[:, i] + cs * v[:, j]
-                v[:, i] = vi
-                v[:, j] = vj
-        if off <= thresh:
-            converged = True
-            break
-    if not converged:
-        raise SvdConvergenceError(off, max_sweeps)
-
-    sigma = np.sqrt(np.sum(b * b, axis=0))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    b = b[:, order]
-    v = v[:, order]
-
-    u = np.zeros_like(b)
-    cutoff = RANK_CUTOFF * (float(sigma[0]) if sigma.size else 0.0)
-    small = []
-    for j in range(nwork):
-        if sigma[j] > cutoff:
-            u[:, j] = b[:, j] / sigma[j]
-        else:
-            small.append(j)
-    # complete an orthonormal basis in the (near) null columns: project
-    # standard basis vectors against the columns built so far
-    for j in small:
-        for e in range(b.shape[0]):
-            cand = np.zeros(b.shape[0])
-            cand[e] = 1.0
-            cand -= u @ (u.T @ cand)
-            nc = float(np.linalg.norm(cand))
-            if nc > 0.5:
-                u[:, j] = cand / nc
-                break
-
-    if transposed:
-        u, v = v, u
-
-    # sign convention: largest-magnitude entry of each U column nonnegative
-    for j in range(u.shape[1]):
-        lead = int(np.argmax(np.abs(u[:, j])))
-        if u[lead, j] < 0.0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-
-    return Svd(u=np.ascontiguousarray(u), sigma=sigma, v=np.ascontiguousarray(v))
+    u, sigma, vt = np.linalg.svd(as_matrix(a), full_matrices=False)
+    if u.size:  # a zero-size matrix has no entry to sign by
+        lead = np.argmax(np.abs(u), axis=0)
+        sign = np.where(u[lead, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
+        u, vt = u * sign, vt * sign[:, None]
+    return Svd(u=u, sigma=sigma, v=np.ascontiguousarray(vt.T))
 
 
 def singular_values(a) -> np.ndarray:

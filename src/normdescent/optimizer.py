@@ -17,10 +17,13 @@ every epoch (including epoch 0). The momentum buffer is never reset across
 epochs. A zero signal skips the weight update but still advances the step
 counter so the learning-rate schedule stays aligned.
 
-Reproducibility: the PRNG is numpy's PCG64, seeded from the config, and the
-reshuffle consumes it in a fixed documented order (one ``integers(0, i+1)``
-call per Fisher-Yates swap, i = n-1 down to 1). Identical configs therefore
-produce bit-identical trajectories.
+Reproducibility: the PRNG is numpy's PCG64, seeded from the config. Each
+reshuffle draws its n-1 Fisher-Yates swap indices in one
+``integers(0, [n, n-1, ..., 2])`` call, which yields the same values and
+leaves the generator in the same state as one scalar ``integers(0, i+1)``
+call per swap, i = n-1 down to 1 (the tests pin both, plus golden
+permutations). Identical configs therefore produce bit-identical
+trajectories given the same numpy version, BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -128,16 +131,17 @@ def init_state(cfg: OptimizerConfig, ds: Dataset, w0) -> TrainState:
 def reshuffle(state: TrainState, n: int, b: int) -> list[np.ndarray]:
     """Fisher-Yates permutation of [0, n) chunked into n/b batches.
 
-    Consumes exactly one ``integers(0, i+1)`` draw per swap, for
-    i = n-1, ..., 1, so the stream position after a reshuffle is
-    platform-independent.
+    Draws the swap index j_i in [0, i] for every i = n-1, ..., 1 in one
+    vectorised call (the stream of one scalar draw per swap), then applies
+    the swaps in that order.
     """
     if n % b != 0:
         raise ValueError(f"batch size {b} must divide n = {n}")
-    perm = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = int(state.rng.integers(0, i + 1))
-        perm[i], perm[j] = perm[j], perm[i]
+    swaps = state.rng.integers(0, np.arange(n, 1, -1)).tolist()
+    order = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), swaps):
+        order[i], order[j] = order[j], order[i]
+    perm = np.array(order)
     m = n // b
     return [perm[j * b : (j + 1) * b] for j in range(m)]
 

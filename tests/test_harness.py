@@ -310,6 +310,19 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["train", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("case", ["missing_dataset", "unwritable_out"])
+    def test_os_errors_exit_config(self, tmp_path, capsys, case):
+        data = toy_dataset_file(tmp_path)
+        out = str(tmp_path / "w.txt")
+        if case == "missing_dataset":
+            data = str(tmp_path / "absent.txt")
+        else:
+            out = str(tmp_path)  # a directory cannot be opened for writing
+        rc = cli_main(["margin", "--dataset", data, "--norm", "ew:2", "--out", out, "--tol", "0.05"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("error: ")
+
     def test_bad_flags_exit_config(self):
         assert cli_main(["train"]) == EXIT_CONFIG
 

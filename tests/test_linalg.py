@@ -6,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normdescent import (
+    Dataset,
     NormSpec,
-    SvdConvergenceError,
     dual_norm,
     entrywise_norm,
     frobenius_cosine,
     jacobi_svd,
     matrix_norm,
     newton_schulz_polar,
+    save_dataset,
     schatten_norm,
 )
+from normdescent.cli import EXIT_NONCONVERGENCE, main as cli_main
 
 ALL_SPECS = [
     NormSpec("entrywise", 1.0),
@@ -103,15 +105,36 @@ class TestJacobiSvd:
         assert np.all(svd.sigma == 0)
         assert np.abs(svd.u.T @ svd.u - np.eye(3)).max() <= 1e-12
 
-    def test_desk_scale_guard(self):
-        with pytest.raises(ValueError):
-            jacobi_svd(np.zeros((600, 600)))
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_zero_size_matrix(self, shape):
+        svd = jacobi_svd(np.zeros(shape))
+        assert svd.u.shape == (shape[0], 0) and svd.v.shape == (shape[1], 0)
+        assert svd.rank() == 0
 
-    def test_nonconvergence_carries_residual(self, rng):
-        a = rng.standard_normal((8, 8))
-        with pytest.raises(SvdConvergenceError) as err:
-            jacobi_svd(a, max_sweeps=1)
-        assert err.value.residual > 0
+    def test_600x600_input(self, rng):
+        a = rng.standard_normal((600, 600))
+        svd = jacobi_svd(a)
+        scale = max(1.0, float(np.linalg.norm(a)))
+        assert np.linalg.norm(svd.u @ np.diag(svd.sigma) @ svd.v.T - a) <= 1e-10 * scale
+        assert np.abs(svd.u.T @ svd.u - np.eye(600)).max() <= 1e-10
+        assert np.abs(svd.v.T @ svd.v - np.eye(600)).max() <= 1e-10
+
+    def test_lapack_failure_propagates(self, rng, monkeypatch, tmp_path, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(np.linalg.LinAlgError):
+            jacobi_svd(rng.standard_normal((8, 8)))
+
+        # through the CLI: non-convergence exit code, one error line, no traceback
+        data = tmp_path / "d.txt"
+        save_dataset(Dataset.from_arrays(np.array([[1.0, -1.0], [0.5, 0.2]]), np.array([0, 1]), 2), data)
+        rc = cli_main(["margin", "--dataset", str(data), "--norm", "sch:inf", "--out", str(tmp_path / "w.txt")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_NONCONVERGENCE
+        assert err.startswith("error: SVD did not converge")
+        assert "Traceback" not in err
 
 
 class TestSchattenNorm:

@@ -77,6 +77,42 @@ class TestReshuffle:
             assert sorted(union.tolist()) == list(range(6))
 
 
+def scalar_reshuffle(rng, n):
+    """Reference: one scalar integers(0, i+1) draw per Fisher-Yates swap."""
+    perm = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def seeded_state(seed):
+    ds = Dataset.from_arrays(np.eye(2), np.array([0, 1]), 2)
+    return init_state(make_cfg(ds, 2, seed=seed), ds, np.zeros((2, 2)))
+
+
+class TestReshuffleStream:
+    @pytest.mark.parametrize("n", [1, 2, 15, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_matches_scalar_per_swap_stream(self, n, seed):
+        state = seeded_state(seed)
+        ref_rng = np.random.Generator(np.random.PCG64(seed))
+        for _ in range(3):  # consecutive epochs share one stream
+            (perm,) = reshuffle(state, n, n)
+            assert np.array_equal(perm, scalar_reshuffle(ref_rng, n))
+        assert state.rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_golden_permutations(self):
+        # pins numpy's PCG64 integers stream; a numpy release that changes it
+        # changes every training trajectory and must fail here first
+        (perm15,) = reshuffle(seeded_state(0), 15, 15)
+        assert perm15.tolist() == [7, 2, 14, 5, 10, 4, 1, 13, 9, 0, 11, 3, 6, 8, 12]
+        (perm200,) = reshuffle(seeded_state(0), 200, 200)
+        assert perm200[:20].tolist() == [
+            174, 34, 87, 100, 32, 175, 27, 107, 189, 181, 164, 193, 11, 190, 41, 66, 47, 187, 17, 110
+        ]
+
+
 class TestStep:
     def test_full_batch_sign_step(self, rng):
         ds = divisible_dataset(rng, k=3, d=2, n=6)
