@@ -47,7 +47,7 @@ print(f"{'step':>6} {'loss':>10} {'norm margin':>12} {'gap to gamma':>13} {'cos(
 checkpoints = {int(v) for v in np.geomspace(10, STEPS, 12).round()}
 
 
-def hook(t, w, h, eta):
+def hook(t, w, h, eta, delta):
     if t in checkpoints:
         rep = margin_report(w, ds, norm)
         print(

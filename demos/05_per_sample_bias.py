@@ -52,7 +52,7 @@ for text, kind in [("ew:inf", BIAS_SIGN), ("ew:2", BIAS_NORMALIZED)]:
     print(f"per-sample training under {text} ({'SignSGD' if kind == BIAS_SIGN else 'Normalized-SGD'}):")
     checkpoints = {int(v) for v in np.geomspace(ds.n, 2_000 * ds.n, 8).round()}
 
-    def hook(t, w, h, eta):
+    def hook(t, w, h, eta, delta):
         if t in checkpoints:
             print(
                 f"  t = {t:>6}: loss = {loss(w, ds):9.2e}  "

@@ -14,16 +14,20 @@ plus the optional harness keys
     log_every    metric cadence in steps (default 10)
     margin_tol / margin_iters   solver settings when gamma is not supplied
 
-Unknown keys are rejected. The CSV schema is fixed:
+Unknown keys are rejected, and values must have their JSON type: booleans
+for momentum and vr, integers for batch_size, epochs, seed, log_every and
+margin_iters, numbers for the other numeric keys. The CSV schema is fixed:
 
     t,epoch,eta,loss,proxy_g,min_margin,weight_norm,norm_margin,gap_to_gamma,cos_wstar,cos_wbar,dualnorm_signal
 
-The gap column is measured against the run's stored target: the solver's
-gamma for variance-reduced and full-batch runs, and the effective margin
-(rho_nomom or rho_mom) for mini-batch runs, matching the distinct targets
-of the large-batch and momentum regimes. Optional fields serialize as
-empty strings. Floats are written with repr(), so reruns of the same
-config are byte-identical.
+``train`` and ``persample`` share one run driver, which logs a row every
+log_every steps. The gap column is measured against the command's target:
+for ``train`` the solver's gamma for variance-reduced and full-batch runs,
+and the effective margin (rho_nomom or rho_mom) for mini-batch runs,
+matching the distinct targets of the large-batch and momentum regimes; for
+``persample`` gamma, plus a per-step check of the applied direction.
+Optional fields serialize as empty strings. Floats are written with
+repr(), so reruns of the same config are byte-identical.
 
 Runs are fully independent (each owns its state and output file); the
 sweep executes them one after another and a per-config failure is recorded
@@ -32,6 +36,7 @@ in the summary without touching the other runs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -58,7 +63,7 @@ from .reference import (
     canonical_update_matrix,
     max_margin,
 )
-from .steepest import steepest_map
+from .steepest import steepest_map  # unused here; kept as a binding the perfbench tracer wraps
 
 CSV_HEADER = (
     "t,epoch,eta,loss,proxy_g,min_margin,weight_norm,norm_margin,"
@@ -82,6 +87,14 @@ _REQUIRED_KEYS = {
     "out_csv",
 }
 _OPTIONAL_KEYS = {"gamma", "wstar_path", "wbar_kind", "log_every", "margin_tol", "margin_iters"}
+
+# accepted JSON value types per key, matched with type(), so a bool is not an int
+_KEY_TYPES = {
+    **dict.fromkeys(("momentum", "vr"), ((bool,), "a JSON boolean")),
+    **dict.fromkeys(("batch_size", "epochs", "seed", "log_every", "margin_iters"), ((int,), "a JSON integer")),
+    **dict.fromkeys(("beta1", "c", "a", "eta0", "margin_tol"), ((int, float), "a JSON number")),
+    "gamma": ((int, float, type(None)), "a JSON number or null"),
+}
 
 _LOSS_ALIASES = {
     "cross_entropy": CROSS_ENTROPY,
@@ -145,7 +158,7 @@ class RunConfig:
     """Validated run description, plus the resolved dataset and references."""
 
     opt: OptimizerConfig
-    dataset_path: str
+    dataset: Dataset
     w0: np.ndarray
     out_csv: str
     log_every: int
@@ -171,19 +184,22 @@ def load_config(path: str) -> RunConfig:
     missing = _REQUIRED_KEYS - keys
     if missing:
         raise ConfigError(f"{path}: missing config keys {sorted(missing)}")
+    for key, (types, what) in _KEY_TYPES.items():
+        if key in raw and type(raw[key]) not in types:
+            raise ConfigError(f"{path}: {key} must be {what}, got {raw[key]!r}")
 
     try:
         norm = NormSpec.parse(str(raw["norm"]))
         loss_kind = _LOSS_ALIASES[str(raw["loss"]).lower()]
         schedule = Schedule(c=float(raw["c"]), a=float(raw["a"]), eta0=float(raw["eta0"]))
         opt = OptimizerConfig(
-            batch_size=int(raw["batch_size"]),
-            momentum_on=bool(raw["momentum"]),
+            batch_size=raw["batch_size"],
+            momentum_on=raw["momentum"],
             beta1=float(raw["beta1"]),
-            vr_on=bool(raw["vr"]),
+            vr_on=raw["vr"],
             schedule=schedule,
-            epochs=int(raw["epochs"]),
-            seed=int(raw["seed"]),
+            epochs=raw["epochs"],
+            seed=raw["seed"],
             norm=norm,
             loss=loss_kind,
         )
@@ -210,13 +226,13 @@ def load_config(path: str) -> RunConfig:
     if wstar_path is not None and not os.path.exists(str(wstar_path)):
         raise ConfigError(f"{path}: wstar_path {wstar_path!r} does not exist")
 
-    log_every = int(raw.get("log_every", 10))
+    log_every = raw.get("log_every", 10)
     if log_every < 1:
         raise ConfigError(f"{path}: log_every must be >= 1")
 
     return RunConfig(
         opt=opt,
-        dataset_path=dataset_path,
+        dataset=ds,
         w0=w0,
         out_csv=str(raw["out_csv"]),
         log_every=log_every,
@@ -224,26 +240,27 @@ def load_config(path: str) -> RunConfig:
         wstar_path=None if wstar_path is None else str(wstar_path),
         wbar_kind=wbar_kind,
         margin_tol=float(raw.get("margin_tol", 1e-3)),
-        margin_iters=int(raw.get("margin_iters", 120_000)),
+        margin_iters=raw.get("margin_iters", 120_000),
     )
 
 
-def _resolve_references(cfg: RunConfig, ds: Dataset):
+def _resolve_references(cfg: RunConfig):
     """Reference margin gamma, max-margin direction, and optional bias matrix."""
     wstar = load_matrix(cfg.wstar_path) if cfg.wstar_path else None
     if cfg.gamma is not None:
         gamma = cfg.gamma
     else:
-        sol = max_margin(ds, cfg.opt.norm, tol=cfg.margin_tol, max_iters=cfg.margin_iters)
+        sol = max_margin(cfg.dataset, cfg.opt.norm, tol=cfg.margin_tol, max_iters=cfg.margin_iters)
         gamma = sol.gamma
         if wstar is None:
             wstar = sol.w_star
-    wbar = bias_matrix(ds, cfg.wbar_kind).w_bar if cfg.wbar_kind else None
+    wbar = bias_matrix(cfg.dataset, cfg.wbar_kind).w_bar if cfg.wbar_kind else None
     return gamma, wstar, wbar
 
 
-def _gap_target(cfg: RunConfig, ds: Dataset, gamma: float) -> float:
+def _gap_target(cfg: RunConfig, gamma: float) -> float:
     """Margin-gap target: gamma for VR/full-batch, effective margin otherwise."""
+    ds = cfg.dataset
     if cfg.opt.vr_on or cfg.opt.batch_size == ds.n:
         return gamma
     thr = effective_margin_thresholds(
@@ -252,16 +269,20 @@ def _gap_target(cfg: RunConfig, ds: Dataset, gamma: float) -> float:
     return thr.rho_mom if cfg.opt.momentum_on else thr.rho_nomom
 
 
-def train_cmd(config_path: str) -> str:
-    """Run one config and write its metric CSV; returns the CSV path."""
-    cfg = load_config(config_path)
-    ds = load_dataset(cfg.dataset_path)
-    gamma, wstar, wbar = _resolve_references(cfg, ds)
-    target = _gap_target(cfg, ds, gamma)
+def _drive(cfg: RunConfig, target: float, wstar, wbar, check=None):
+    """Run the configured optimizer, log a metric row every log_every steps,
+    and write the CSV; returns the final TrainState.
+
+    ``check(h, delta)``, if given, sees every step's signal and the
+    direction the step applied.
+    """
+    ds = cfg.dataset
     m = ds.n // cfg.opt.batch_size
     rows: list[MetricRow] = []
 
-    def hook(t, w, h, eta):
+    def hook(t, w, h, eta, delta):
+        if check is not None:
+            check(h, delta)
         if t % cfg.log_every != 0:
             return
         rep = margin_report(w, ds, cfg.opt.norm)
@@ -282,8 +303,16 @@ def train_cmd(config_path: str) -> str:
             )
         )
 
-    run(cfg.opt, ds, cfg.w0, metrics_hook=hook)
+    state = run(cfg.opt, ds, cfg.w0, metrics_hook=hook)
     _write_csv(cfg.out_csv, rows)
+    return state
+
+
+def train_cmd(config_path: str) -> str:
+    """Run one config and write its metric CSV; returns the CSV path."""
+    cfg = load_config(config_path)
+    gamma, wstar, wbar = _resolve_references(cfg)
+    _drive(cfg, _gap_target(cfg, gamma), wstar, wbar)
     return cfg.out_csv
 
 
@@ -404,50 +433,26 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
         raise ConfigError(f"persample norm must be one of {sorted(_PERSAMPLE_NORMS)}")
     if np.any(cfg.w0):
         raise ConfigError("persample protocol requires w0 = zeros")
-    ds = load_dataset(cfg.dataset_path)
+    ds = cfg.dataset
     _check_scale_skewed(ds)
 
     kind = BIAS_SIGN if str(cfg.opt.norm) == "ew:inf" else BIAS_NORMALIZED
-    wbar = bias_matrix(ds, kind).w_bar
-    canonical = [canonical_update_matrix(ds, i, kind) for i in range(ds.n)]
-    gamma, wstar, _ = _resolve_references(cfg, ds)
-
-    m = ds.n  # b = 1
-    rows: list[MetricRow] = []
+    gamma, wstar, wbar = _resolve_references(dataclasses.replace(cfg, wbar_kind=kind))
+    # every sample of a class has the same closed-form update; keep the first's
+    expect_of_class = [
+        canonical_update_matrix(ds, int(np.nonzero(ds.y == c)[0][0]), kind) for c in range(ds.k)
+    ]
     invariant_ok = True
-    first_sample_of_class = {int(c): int(np.nonzero(ds.y == c)[0][0]) for c in range(ds.k)}
 
-    def hook(t, w, h, eta):
+    def check(h, delta):
         nonlocal invariant_ok
         if np.any(h):
             # h is the per-sample gradient; its support column identifies the class
-            col = int(np.argmax(np.abs(h).sum(axis=0)))
-            expect = canonical[first_sample_of_class[col]]
-            delta = steepest_map(h, cfg.opt.norm)
+            expect = expect_of_class[int(np.argmax(np.abs(h).sum(axis=0)))]
             if float(np.abs(delta + expect).max()) > 1e-9 * (1.0 + float(np.abs(expect).max())):
                 invariant_ok = False
-        if t % cfg.log_every != 0:
-            return
-        rep = margin_report(w, ds, cfg.opt.norm)
-        rows.append(
-            MetricRow(
-                t=t,
-                epoch=(t - 1) // m,
-                eta=eta,
-                loss=loss_fn(w, ds, cfg.opt.loss),
-                proxy_g=proxy_g(w, ds, cfg.opt.loss),
-                min_margin=rep.unnormalized_min,
-                weight_norm=rep.weight_norm,
-                norm_margin=rep.normalized,
-                gap_to_gamma=gamma - rep.normalized,
-                cos_wstar=None if wstar is None else frobenius_cosine(w, wstar),
-                cos_wbar=frobenius_cosine(w, wbar),
-                dualnorm_signal=dual_norm(h, cfg.opt.norm),
-            )
-        )
 
-    state = run(cfg.opt, ds, cfg.w0, metrics_hook=hook)
-    _write_csv(cfg.out_csv, rows)
+    state = _drive(cfg, gamma, wstar, wbar, check)
     verdict = {
         "final_loss": loss_fn(state.w, ds, cfg.opt.loss),
         "final_cos_wbar": frobenius_cosine(state.w, wbar),

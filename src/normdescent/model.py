@@ -145,14 +145,11 @@ def loss(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
     """
     _check_kind(kind)
     wm = as_matrix(w)
-    z = wm @ ds.x
     cols = np.arange(ds.n)
-    zy = z[ds.y, cols]
     if kind == EXPONENTIAL:
-        arg = z - zy[None, :]
-        arg[ds.y, cols] = -np.inf
-        _guard_exp(arg, cols)
-        return float(np.exp(arg).sum() / ds.n)
+        return float(_exp_weights(wm, ds, cols).sum() / ds.n)
+    z = wm @ ds.x
+    zy = z[ds.y, cols]
     zmax = z.max(axis=0)
     rel = np.exp(z - zmax[None, :])
     rel[ds.y, cols] = 0.0
@@ -191,6 +188,16 @@ def proxy_g(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
     return float(p.sum() / ds.n)
 
 
+def pair_gaps(w: np.ndarray, ds: Dataset) -> np.ndarray:
+    """Pairwise logit gaps gaps[c, i] = z_y - z_c of z = W x_i, with +inf
+    on the target row (c = y_i), shape (k, n)."""
+    z = w @ ds.x
+    cols = np.arange(ds.n)
+    gaps = z[ds.y, cols][None, :] - z
+    gaps[ds.y, cols] = np.inf
+    return gaps
+
+
 @dataclass(frozen=True)
 class MarginReport:
     """Exact minimum pairwise logit gap and its norm-scaled version."""
@@ -209,11 +216,7 @@ def margin_report(w, ds: Dataset, spec: NormSpec) -> MarginReport:
     ``w`` is zero the normalized margin is reported as -inf.
     """
     wm = as_matrix(w)
-    z = wm @ ds.x
-    cols = np.arange(ds.n)
-    gaps = z[ds.y, cols][None, :] - z  # (k, n): gap[c, i] = z_y - z_c
-    gaps[ds.y, cols] = np.inf
-    flat = gaps.T.reshape(-1)  # sample-major so argmin tie-break is (i, c)
+    flat = pair_gaps(wm, ds).T.reshape(-1)  # sample-major so argmin tie-break is (i, c)
     pos = int(np.argmin(flat))
     i, c = divmod(pos, ds.k)
     unnorm = float(flat[pos])
@@ -248,6 +251,8 @@ def gradient_noise_bound_check(w, ds: Dataset, batch) -> tuple[float, float]:
 # Dataset files: first line "d n k", then n lines "label v1 ... vd".
 # Matrix files: first line "rows cols", then one line per row.
 # Values are written with repr(), which round-trips float64 exactly.
+# Loaders reject a line with the wrong field count, a non-finite value, and
+# anything but blank lines after the last expected line.
 
 
 def _fmt(v: float) -> str:
@@ -262,20 +267,28 @@ def save_dataset(ds: Dataset, path):
             fh.write(f"{int(ds.y[i])} {vals}\n")
 
 
+def _fields(fh, path, what: str, count: int) -> list[str]:
+    parts = fh.readline().split()
+    if len(parts) != count:
+        raise ValueError(f"{path}: {what} has {len(parts)} fields, expected {count}")
+    return parts
+
+
+def _no_trailing(fh, path):
+    if fh.read().strip():
+        raise ValueError(f"{path}: unexpected content after the last expected line")
+
+
 def load_dataset(path) -> Dataset:
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: expected header 'd n k'")
-        d, n, k = (int(t) for t in header)
+        d, n, k = (int(t) for t in _fields(fh, path, "header 'd n k'", 3))
         x = np.zeros((d, n))
         y = np.zeros(n, dtype=np.int64)
         for i in range(n):
-            parts = fh.readline().split()
-            if len(parts) != d + 1:
-                raise ValueError(f"{path}: sample line {i} has {len(parts)} fields, expected {d + 1}")
+            parts = _fields(fh, path, f"sample line {i}", d + 1)
             y[i] = int(parts[0])
             x[:, i] = [float(t) for t in parts[1:]]
+        _no_trailing(fh, path)
     return Dataset.from_arrays(x, y, k)
 
 
@@ -289,8 +302,11 @@ def save_matrix(w, path):
 
 def load_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
-        rows, cols = (int(t) for t in fh.readline().split())
+        rows, cols = (int(t) for t in _fields(fh, path, "header 'rows cols'", 2))
         out = np.zeros((rows, cols))
         for r in range(rows):
-            out[r] = [float(t) for t in fh.readline().split()]
+            out[r] = [float(t) for t in _fields(fh, path, f"row {r}", cols)]
+        _no_trailing(fh, path)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{path}: non-finite value")
     return out

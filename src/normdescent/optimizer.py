@@ -110,6 +110,7 @@ class TrainState:
     t: int
     epoch: int
     rng: np.random.Generator
+    direction: np.ndarray | None = None  # unit-norm direction of the last step
 
 
 def init_state(cfg: OptimizerConfig, ds: Dataset, w0) -> TrainState:
@@ -159,7 +160,7 @@ def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> TrainSt
         h = g
     state.momentum = h
     eta = cfg.schedule.eta(state.t)
-    delta = steepest_map(h, cfg.norm)
+    state.direction = delta = steepest_map(h, cfg.norm)
     if np.any(delta):
         state.w = state.w - eta * delta
     state.t += 1
@@ -175,9 +176,11 @@ def snapshot_epoch(state: TrainState, cfg: OptimizerConfig, ds: Dataset):
 def run(cfg: OptimizerConfig, ds: Dataset, w0, metrics_hook=None) -> TrainState:
     """Execute ``cfg.epochs`` epochs of m = n/b steps each.
 
-    ``metrics_hook(t, w, h, eta)`` is invoked synchronously after every
-    step with the number of completed steps, the updated weights, the
-    momentum/signal matrix H_t, and the step size that was applied.
+    ``metrics_hook(t, w, h, eta, delta)`` is invoked synchronously after
+    every step with the number of completed steps, the updated weights, the
+    momentum/signal matrix H_t, the step size that was applied, and the
+    unit-norm direction ``steepest_map(H_t)`` the step moved against
+    (W <- W - eta * delta; zero when the signal was zero).
     Fully deterministic given (cfg.seed, w0, ds).
     """
     state = init_state(cfg, ds, w0)
@@ -193,7 +196,7 @@ def run(cfg: OptimizerConfig, ds: Dataset, w0, metrics_hook=None) -> TrainState:
             except (LossOverflowError, FloatingPointError) as exc:
                 raise TrainingError(state.t, exc) from exc
             if metrics_hook is not None:
-                metrics_hook(state.t, state.w, state.momentum, eta)
+                metrics_hook(state.t, state.w, state.momentum, eta, state.direction)
     return state
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NormSpec, as_matrix, matrix_norm
-from .model import Dataset, margin_report
+from .model import Dataset, margin_report, pair_gaps
 from .steepest import steepest_map
 
 BIAS_SIGN = "sign"
@@ -52,19 +52,9 @@ class MaxMarginSolution:
     stage_margins: tuple[float, ...]
 
 
-def _pair_margins(w: np.ndarray, ds: Dataset) -> np.ndarray:
-    """gaps[c, i] = z_y - z_c with +inf at the target row."""
-    z = w @ ds.x
-    cols = np.arange(ds.n)
-    gaps = z[ds.y, cols][None, :] - z
-    gaps[ds.y, cols] = np.inf
-    return gaps
-
-
 def _softmin_value_grad(w: np.ndarray, ds: Dataset, tau: float):
     """Value and gradient of f(W) = -tau log sum exp(-margin_pair / tau)."""
-    gaps = _pair_margins(w, ds)
-    a = -gaps / tau
+    a = -pair_gaps(w, ds) / tau
     amax = float(a[np.isfinite(a)].max())
     p = np.where(np.isfinite(a), np.exp(a - amax), 0.0)
     total = float(p.sum())
@@ -82,8 +72,7 @@ def _exact_normalized_margin(w: np.ndarray, ds: Dataset, spec: NormSpec) -> floa
     nw = matrix_norm(w, spec)
     if nw == 0.0:
         return -math.inf
-    gaps = _pair_margins(w, ds)
-    return float(gaps.min()) / nw
+    return float(pair_gaps(w, ds).min()) / nw
 
 
 def max_margin(ds: Dataset, spec: NormSpec, tol: float = 1e-3, max_iters: int = 120_000) -> MaxMarginSolution:
@@ -173,34 +162,25 @@ def bias_matrix(ds: Dataset, kind: str) -> BiasMatrix:
 
     sign:       sum_i (2 e_(y_i) - 1) sign(x_i)^T
     normalized: sum_i (e_(y_i) - 1/k) / ||e_(y_i) - 1/k||_2 * x_i^T / ||x_i||_2
+
+    The terms are ``canonical_update_matrix(ds, i, kind)``, added in sample
+    order.
     """
-    if kind not in (BIAS_SIGN, BIAS_NORMALIZED):
-        raise ValueError(f"unknown bias kind {kind!r}")
-    k = ds.k
-    w_bar = np.zeros((k, ds.d))
-    ones = np.ones(k)
+    w_bar = np.zeros((ds.k, ds.d))
     for i in range(ds.n):
-        e = np.zeros(k)
-        e[ds.y[i]] = 1.0
-        xi = ds.x[:, i]
-        if kind == BIAS_SIGN:
-            w_bar += np.outer(2.0 * e - ones, np.sign(xi))
-        else:
-            nx = float(np.linalg.norm(xi))
-            if nx == 0.0:
-                raise ValueError(f"sample {i} is zero; normalized bias matrix undefined")
-            u = e - ones / k
-            w_bar += np.outer(u / float(np.linalg.norm(u)), xi / nx)
+        if kind == BIAS_NORMALIZED and float(np.linalg.norm(ds.x[:, i])) == 0.0:
+            raise ValueError(f"sample {i} is zero; normalized bias matrix undefined")
+        w_bar += canonical_update_matrix(ds, i, kind)
     return BiasMatrix(w_bar=w_bar, kind=kind)
 
 
 def canonical_update_matrix(ds: Dataset, sample: int, kind: str) -> np.ndarray:
-    """Closed-form per-sample update direction on orthogonal scale-skewed data.
+    """Per-sample term of the bias matrix, a closed-form update direction.
 
-    For x_i = alpha e_(y_i), per-sample SignSGD moves along
-    (2 e_y - 1) sign(x_i)^T and per-sample Normalized-SGD along
-    (e_y - 1/k) / ||e_y - 1/k||_2 * e_y^T, independent of alpha and of the
-    current weights (from a zero start).
+    On orthogonal scale-skewed data, x_i = alpha e_(y_i), per-sample
+    SignSGD moves along (2 e_y - 1) sign(x_i)^T and per-sample
+    Normalized-SGD along (e_y - 1/k) / ||e_y - 1/k||_2 * e_y^T, independent
+    of alpha and of the current weights (from a zero start).
     """
     if kind not in (BIAS_SIGN, BIAS_NORMALIZED):
         raise ValueError(f"unknown bias kind {kind!r}")

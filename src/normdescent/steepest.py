@@ -28,13 +28,9 @@ from .linalg import (
     as_matrix,
     entrywise_norm,
     jacobi_svd,
-    newton_schulz_polar,
 )
 
 __all__ = ["NormSpec", "steepest_map", "single_sample_spectral_equals_frobenius"]
-
-POLAR_SVD = "svd"
-POLAR_NEWTON_SCHULZ = "newton-schulz"
 
 
 def _entrywise_map(g: np.ndarray, p: float) -> np.ndarray:
@@ -50,9 +46,7 @@ def _entrywise_map(g: np.ndarray, p: float) -> np.ndarray:
     return np.sign(g) * (np.abs(g) / dual) ** (q - 1.0)
 
 
-def _schatten_map(g: np.ndarray, p: float, polar_method: str) -> np.ndarray:
-    if math.isinf(p) and polar_method == POLAR_NEWTON_SCHULZ:
-        return newton_schulz_polar(g)
+def _schatten_map(g: np.ndarray, p: float) -> np.ndarray:
     svd = jacobi_svd(g)
     rank = svd.rank()
     u = svd.u[:, :rank]
@@ -69,20 +63,17 @@ def _schatten_map(g: np.ndarray, p: float, polar_method: str) -> np.ndarray:
     return (u * w) @ v.T
 
 
-def steepest_map(g, spec: NormSpec, polar_method: str = POLAR_SVD) -> np.ndarray:
+def steepest_map(g, spec: NormSpec) -> np.ndarray:
     """Unit-norm direction maximizing <g, .> over the unit ball of ``spec``.
 
-    Returns the zero matrix when ``g`` is zero. ``polar_method`` selects the
-    Schatten-inf path: exact SVD (default) or the Newton-Schulz iteration.
+    Returns the zero matrix when ``g`` is zero.
     """
     m = as_matrix(g)
-    if polar_method not in (POLAR_SVD, POLAR_NEWTON_SCHULZ):
-        raise ValueError(f"unknown polar method {polar_method!r}")
     if not np.any(m):
         return np.zeros_like(m)
     if spec.family == ENTRYWISE:
         return _entrywise_map(m, spec.p)
-    return _schatten_map(m, spec.p, polar_method)
+    return _schatten_map(m, spec.p)
 
 
 def single_sample_spectral_equals_frobenius(w, ds, i: int):

@@ -455,11 +455,11 @@ class TestCriterion09BatchSizeOneBias:
             )
 
         traj = []
-        run(mk(EW2), ds, np.zeros((5, 5)), metrics_hook=lambda t, w, h, eta: traj.append(w.copy()))
+        run(mk(EW2), ds, np.zeros((5, 5)), metrics_hook=lambda t, w, h, eta, delta: traj.append(w.copy()))
         worst = 0.0
         idx = 0
 
-        def compare(t, w, h, eta):
+        def compare(t, w, h, eta, delta):
             nonlocal worst, idx
             worst = max(worst, float(np.abs(w - traj[idx]).max()))
             idx += 1

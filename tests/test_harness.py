@@ -85,6 +85,41 @@ class TestTrainCmd:
         with pytest.raises(ConfigError):
             train_cmd(str(path))
 
+    @pytest.mark.parametrize(
+        "key,value,ok",
+        [
+            ("momentum", "false", False),
+            ("momentum", 0, False),
+            ("vr", "true", False),
+            ("vr", None, False),
+            ("batch_size", 1.9, False),
+            ("batch_size", 4.0, False),
+            ("batch_size", True, False),
+            ("epochs", "30", False),
+            ("seed", 4.0, False),
+            ("log_every", 5.0, False),
+            ("margin_iters", 2e4, False),
+            ("c", "0.5", False),
+            ("beta1", False, False),
+            ("gamma", "0.3", False),
+            ("c", 1, True),
+            ("beta1", 0, True),
+            ("gamma", 1, True),
+            ("gamma", None, True),
+        ],
+    )
+    def test_config_value_types(self, tmp_path, capsys, key, value, ok):
+        cfg = write_config(tmp_path, **{"epochs": 2, key: value})
+        rc = cli_main(["train", "--config", cfg])
+        err = capsys.readouterr().err
+        if ok:
+            assert rc == EXIT_OK
+        else:
+            assert rc == EXIT_CONFIG
+            assert err.startswith("error: ") and key in err
+            with pytest.raises(ConfigError):
+                train_cmd(cfg)
+
     def test_gap_column_consistent_with_target(self, tmp_path):
         # full-batch run: the stored target is gamma itself
         out = train_cmd(write_config(tmp_path))
@@ -322,6 +357,46 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text,ok",
+        [
+            ("2 2\n1.5\n1 2\n", False),  # short row
+            ("2 2\n1 2 3\n1 2\n", False),  # long row
+            ("2 2\n1 2\n", False),  # missing row
+            ("2 2\nnan 1\n1 2\n", False),
+            ("2 2\n1 inf\n1 2\n", False),
+            ("2 2\n1 2\n3 4\n5 6\n", False),  # trailing row
+            ("2\n1 2\n3 4\n", False),  # short header
+            ("2 2\n1 2\n3 4\n\n  \n", True),  # trailing blank lines
+        ],
+    )
+    def test_malformed_matrix_file(self, tmp_path, capsys, text, ok):
+        w0 = tmp_path / "w0.txt"
+        w0.write_text(text)
+        cfg = write_config(tmp_path, epochs=2, gamma=0.5, w0=str(w0))
+        rc = cli_main(["train", "--config", cfg])
+        err = capsys.readouterr().err
+        assert rc == (EXIT_OK if ok else EXIT_CONFIG)
+        assert ok or err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text,ok",
+        [
+            ("2 2 2\n0 1.0 0.2\n1 -1.0 0.1\n\n  \n", True),  # trailing blank lines
+            ("2 2 2\n0 1.0 0.2\n1 -1.0 0.1\n0 1.0 0.5\n", False),  # trailing sample
+            ("2 2 2\n0 1.0 0.2\n1 -1.0 0.1\njunk\n", False),
+            ("2 2 2\n0 1.0 nan\n1 -1.0 0.1\n", False),
+        ],
+    )
+    def test_malformed_dataset_file(self, tmp_path, capsys, text, ok):
+        data = tmp_path / "data.txt"
+        data.write_text(text)
+        rc = cli_main(["margin", "--dataset", str(data), "--norm", "ew:2", "--out", str(tmp_path / "w.txt"),
+                       "--tol", "0.05", "--max-iters", "6000"])
+        err = capsys.readouterr().err
+        assert rc == (EXIT_OK if ok else EXIT_CONFIG)
+        assert ok or err.startswith("error: ")
 
     def test_bad_flags_exit_config(self):
         assert cli_main(["train"]) == EXIT_CONFIG

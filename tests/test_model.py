@@ -331,6 +331,12 @@ class TestSerialization:
         save_matrix(w, path)
         assert np.array_equal(load_matrix(path), w)
 
+    def test_non_finite_matrix_rejected(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("2 2\nnan 1\n1 2\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            load_matrix(path)
+
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
             Dataset.from_arrays(np.eye(2), np.array([0, 0]), 2)

@@ -190,17 +190,29 @@ class TestRun:
         ds = divisible_dataset(rng, k=2, d=2, n=8)
         cfg = make_cfg(ds, 2, epochs=3)
         seen = []
-        run(cfg, ds, np.zeros((2, 2)), metrics_hook=lambda t, w, h, eta: seen.append((t, eta)))
+        run(cfg, ds, np.zeros((2, 2)), metrics_hook=lambda t, w, h, eta, delta: seen.append((t, eta)))
         assert [t for t, _ in seen] == list(range(1, 13))
         assert seen[0][1] == cfg.schedule.eta0  # step at t=0 used eta0
+
+    def test_hook_receives_applied_direction(self, rng):
+        ds = divisible_dataset(rng, k=3, d=4, n=8)
+        cfg = make_cfg(ds, 2, epochs=3, momentum=True, beta1=0.5)
+        prev = {"w": np.zeros((3, 4))}
+
+        def hook(t, w, h, eta, delta):
+            assert np.array_equal(delta, steepest_map(h, cfg.norm))
+            assert np.array_equal(w, prev["w"] - eta * delta)
+            prev["w"] = w.copy()
+
+        run(cfg, ds, prev["w"].copy(), metrics_hook=hook)
 
     def test_vr_full_batch_matches_plain_full_batch_bitwise(self, rng):
         ds = divisible_dataset(rng, k=3, d=4, n=10)
         traj_plain, traj_vr = [], []
         run(make_cfg(ds, 10, epochs=40, vr=False, seed=3), ds, np.zeros((3, 4)),
-            metrics_hook=lambda t, w, h, eta: traj_plain.append(w.copy()))
+            metrics_hook=lambda t, w, h, eta, delta: traj_plain.append(w.copy()))
         run(make_cfg(ds, 10, epochs=40, vr=True, seed=3), ds, np.zeros((3, 4)),
-            metrics_hook=lambda t, w, h, eta: traj_vr.append(w.copy()))
+            metrics_hook=lambda t, w, h, eta, delta: traj_vr.append(w.copy()))
         for wa, wb in zip(traj_plain, traj_vr):
             assert np.array_equal(wa, wb)
 
@@ -225,7 +237,7 @@ class TestRun:
         prev = {"w": np.zeros((3, 3)), "t": 0}
         etas = []
 
-        def hook(t, w, h, eta):
+        def hook(t, w, h, eta, delta):
             moved = matrix_norm(w - prev["w"], cfg.norm)
             assert moved <= eta * (1 + 1e-12)
             prev["w"] = w.copy()

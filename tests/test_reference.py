@@ -226,11 +226,11 @@ class TestPerSampleInvariance:
         )
         canon = {c: canonical_update_matrix(ds, int(np.nonzero(ds.y == c)[0][0]), BIAS_NORMALIZED) for c in range(3)}
 
-        def hook(t, w, h, eta):
+        def hook(t, w, h, eta, delta):
             assert check_column_symmetry(w)
+            assert np.array_equal(delta, steepest_map(h, EW2))
             if np.any(h):
                 col = int(np.argmax(np.abs(h).sum(axis=0)))
-                delta = steepest_map(h, EW2)
                 assert np.abs(delta + canon[col]).max() <= 1e-9
 
         run(cfg, ds, np.zeros((3, 3)), metrics_hook=hook)

@@ -8,6 +8,7 @@ from normdescent import (
     NormSpec,
     dual_norm,
     matrix_norm,
+    newton_schulz_polar,
     single_sample_spectral_equals_frobenius,
     steepest_map,
 )
@@ -79,12 +80,8 @@ class TestDualityAttainment:
         for _ in range(5):
             g = rng.standard_normal((4, 6))
             a = steepest_map(g, spec)
-            b = steepest_map(g, spec, polar_method="newton-schulz")
+            b = newton_schulz_polar(g)
             assert np.linalg.norm(a - b) <= 1e-6
-
-    def test_unknown_polar_method_rejected(self):
-        with pytest.raises(ValueError):
-            steepest_map(np.eye(2), NormSpec("schatten", math.inf), polar_method="qr")
 
 
 class TestSingleSampleEquivalence:
