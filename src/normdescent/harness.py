@@ -16,7 +16,8 @@ plus the optional harness keys
 
 Unknown keys are rejected, and values must have their JSON type: booleans
 for momentum and vr, integers for batch_size, epochs, seed, log_every and
-margin_iters, numbers for the other numeric keys. The CSV schema is fixed:
+margin_iters, numbers for the other numeric keys, strings for the others
+(wstar_path and wbar_kind may also be null). The CSV schema is fixed:
 
     t,epoch,eta,loss,proxy_g,min_margin,weight_norm,norm_margin,gap_to_gamma,cos_wstar,cos_wbar,dualnorm_signal
 
@@ -94,6 +95,8 @@ _KEY_TYPES = {
     **dict.fromkeys(("batch_size", "epochs", "seed", "log_every", "margin_iters"), ((int,), "a JSON integer")),
     **dict.fromkeys(("beta1", "c", "a", "eta0", "margin_tol"), ((int, float), "a JSON number")),
     "gamma": ((int, float, type(None)), "a JSON number or null"),
+    **dict.fromkeys(("norm", "loss", "dataset_path", "w0", "out_csv"), ((str,), "a JSON string")),
+    **dict.fromkeys(("wstar_path", "wbar_kind"), ((str, type(None)), "a JSON string or null")),
 }
 
 _LOSS_ALIASES = {
@@ -189,8 +192,8 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"{path}: {key} must be {what}, got {raw[key]!r}")
 
     try:
-        norm = NormSpec.parse(str(raw["norm"]))
-        loss_kind = _LOSS_ALIASES[str(raw["loss"]).lower()]
+        norm = NormSpec.parse(raw["norm"])
+        loss_kind = _LOSS_ALIASES[raw["loss"].lower()]
         schedule = Schedule(c=float(raw["c"]), a=float(raw["a"]), eta0=float(raw["eta0"]))
         opt = OptimizerConfig(
             batch_size=raw["batch_size"],
@@ -206,7 +209,7 @@ def load_config(path: str) -> RunConfig:
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    dataset_path = str(raw["dataset_path"])
+    dataset_path = raw["dataset_path"]
     if not os.path.exists(dataset_path):
         raise ConfigError(f"{path}: dataset_path {dataset_path!r} does not exist")
     ds = load_dataset(dataset_path)
@@ -215,15 +218,15 @@ def load_config(path: str) -> RunConfig:
     if w0_spec == "zeros":
         w0 = np.zeros((ds.k, ds.d))
     else:
-        if not os.path.exists(str(w0_spec)):
+        if not os.path.exists(w0_spec):
             raise ConfigError(f"{path}: w0 path {w0_spec!r} does not exist")
-        w0 = load_matrix(str(w0_spec))
+        w0 = load_matrix(w0_spec)
 
     wbar_kind = raw.get("wbar_kind")
     if wbar_kind is not None and wbar_kind not in (BIAS_SIGN, BIAS_NORMALIZED):
         raise ConfigError(f"{path}: wbar_kind must be 'sign' or 'normalized'")
     wstar_path = raw.get("wstar_path")
-    if wstar_path is not None and not os.path.exists(str(wstar_path)):
+    if wstar_path is not None and not os.path.exists(wstar_path):
         raise ConfigError(f"{path}: wstar_path {wstar_path!r} does not exist")
 
     log_every = raw.get("log_every", 10)
@@ -234,10 +237,10 @@ def load_config(path: str) -> RunConfig:
         opt=opt,
         dataset=ds,
         w0=w0,
-        out_csv=str(raw["out_csv"]),
+        out_csv=raw["out_csv"],
         log_every=log_every,
         gamma=None if raw.get("gamma") is None else float(raw["gamma"]),
-        wstar_path=None if wstar_path is None else str(wstar_path),
+        wstar_path=wstar_path,
         wbar_kind=wbar_kind,
         margin_tol=float(raw.get("margin_tol", 1e-3)),
         margin_iters=raw.get("margin_iters", 120_000),
@@ -421,7 +424,9 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
     check the invariant update direction at every step.
 
     Preconditions: scale-skewed dataset, b = 1, momentum and VR off, zero
-    init, and a norm in {ew:inf, ew:2, sch:inf}. Returns the CSV path and
+    init, and a norm in {ew:inf, ew:2, sch:inf}. The norm implies the bias
+    kind (sign for ew:inf, normalized otherwise); a config wbar_kind must
+    agree with it. Returns the CSV path and
     the verdict dict (also written next to the CSV as <out_csv>.verdict.json).
     """
     cfg = load_config(config_path)
@@ -437,6 +442,8 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
     _check_scale_skewed(ds)
 
     kind = BIAS_SIGN if str(cfg.opt.norm) == "ew:inf" else BIAS_NORMALIZED
+    if cfg.wbar_kind not in (None, kind):
+        raise ConfigError(f"persample with norm {cfg.opt.norm} uses wbar_kind {kind!r}, not {cfg.wbar_kind!r}")
     gamma, wstar, wbar = _resolve_references(dataclasses.replace(cfg, wbar_kind=kind))
     # every sample of a class has the same closed-form update; keep the first's
     expect_of_class = [

@@ -123,17 +123,6 @@ def entrywise_norm(a, p: float) -> float:
     return top * float(np.sum((absm / top) ** p)) ** (1.0 / p)
 
 
-def _vector_pnorm(v: np.ndarray, p: float) -> float:
-    if math.isinf(p):
-        return float(v.max(initial=0.0))
-    if p == 1.0:
-        return float(v.sum())
-    top = float(v.max(initial=0.0))
-    if top == 0.0:
-        return 0.0
-    return top * float(np.sum((v / top) ** p)) ** (1.0 / p)
-
-
 def jacobi_svd(a) -> Svd:
     """Thin SVD through LAPACK (``np.linalg.svd``) with a fixed sign convention.
 
@@ -161,7 +150,7 @@ def schatten_norm(a, p: float) -> float:
     if p == 2.0:
         # Frobenius identity; skip the SVD
         return entrywise_norm(a, 2.0)
-    return _vector_pnorm(singular_values(a), p)
+    return entrywise_norm(singular_values(a)[None, :], p)
 
 
 def matrix_norm(a, spec: NormSpec) -> float:

@@ -4,10 +4,12 @@ batch-size-one bias matrices.
 The max-margin pair (gamma, W*) is computed by Frank-Wolfe on a softmin
 smoothing of the minimum pairwise margin over the unit norm ball. The
 linear-minimization oracle is the steepest-descent map itself, the step
-size is the classic 2/(j+2) with a global iteration counter, and the
-smoothing temperature is annealed down a x0.3 ladder with warm starts.
-Because every iterate is feasible, the exact margin of the best normalized
-iterate is a certified lower bound on gamma; that is what gets reported.
+size is the classic 2/(j+2) with j the steps taken across all stages, and
+the smoothing temperature is annealed down a x0.3 ladder with warm starts.
+Each iterate's pair gaps are computed once and serve both its exact
+normalized margin and the next softmin gradient. Because every iterate is
+feasible, the exact margin of the best normalized iterate is a certified
+lower bound on gamma; that is what gets reported.
 """
 
 from __future__ import annotations
@@ -52,27 +54,19 @@ class MaxMarginSolution:
     stage_margins: tuple[float, ...]
 
 
-def _softmin_value_grad(w: np.ndarray, ds: Dataset, tau: float):
-    """Value and gradient of f(W) = -tau log sum exp(-margin_pair / tau)."""
-    a = -pair_gaps(w, ds) / tau
+def _softmin_grad(gaps: np.ndarray, ds: Dataset, tau: float) -> np.ndarray:
+    """Gradient of f(W) = -tau log sum exp(-margin_pair / tau), given the
+    pair gaps of W."""
+    a = -gaps / tau
     amax = float(a[np.isfinite(a)].max())
     p = np.where(np.isfinite(a), np.exp(a - amax), 0.0)
-    total = float(p.sum())
-    value = -tau * (amax + math.log(total))
-    p /= total
+    p /= float(p.sum())
     # grad f = sum_(i,c) p_ic (e_(y_i) - e_c) x_i^T
     wi = p.sum(axis=0)
-    g = np.zeros_like(w)
+    g = np.zeros((ds.k, ds.d))
     np.add.at(g, ds.y, wi[:, None] * ds.x.T)
     g -= p @ ds.x.T
-    return value, g
-
-
-def _exact_normalized_margin(w: np.ndarray, ds: Dataset, spec: NormSpec) -> float:
-    nw = matrix_norm(w, spec)
-    if nw == 0.0:
-        return -math.inf
-    return float(pair_gaps(w, ds).min()) / nw
+    return g
 
 
 def max_margin(ds: Dataset, spec: NormSpec, tol: float = 1e-3, max_iters: int = 120_000) -> MaxMarginSolution:
@@ -80,10 +74,12 @@ def max_margin(ds: Dataset, spec: NormSpec, tol: float = 1e-3, max_iters: int = 
 
     ``max_iters`` is the total budget across all temperature stages; each
     stage gets an even share of what remains and exits early when its
-    Frank-Wolfe gap falls below 0.05 * tau. Non-separable data is reported
-    by ``separable=False`` (gamma <= tol), never raised. Raises
-    MaxMarginNonConvergence only when the budget was exhausted while the
-    final certificate gap still exceeds 10 * tol.
+    Frank-Wolfe gap falls below 0.05 * tau. Each iterate's pair gaps are
+    computed once, for the zero start and after every step, and feed both
+    the iterate's exact normalized margin and the next softmin gradient.
+    Non-separable data is reported by ``separable=False`` (gamma <= tol),
+    never raised. Raises MaxMarginNonConvergence only when the budget was
+    exhausted while the final certificate gap still exceeds 10 * tol.
     """
     taus = []
     tau = _TAU_LADDER_START
@@ -94,40 +90,37 @@ def max_margin(ds: Dataset, spec: NormSpec, tol: float = 1e-3, max_iters: int = 
         taus = [tol]
 
     w = np.zeros((ds.k, ds.d))
-    j_global = 0
+    gaps = pair_gaps(w, ds)
     used = 0
     best_margin = -math.inf
-    best_w = None
+    best_w = w
     gap = math.inf
     stage_margins = []
-    budget_exhausted = False
 
     for s, tau in enumerate(taus):
         stage_budget = (max_iters - used) // (len(taus) - s)
         for _ in range(stage_budget):
-            _, g = _softmin_value_grad(w, ds, tau)
+            g = _softmin_grad(gaps, ds, tau)
             lmo = steepest_map(g, spec)
             gap = float(np.sum(g * (lmo - w)))
             if gap <= 0.05 * tau:
                 break
-            stepsize = 2.0 / (j_global + 2.0)
+            stepsize = 2.0 / (used + 2.0)
             w = (1.0 - stepsize) * w + stepsize * lmo
-            j_global += 1
             used += 1
-            nm = _exact_normalized_margin(w, ds, spec)
+            gaps = pair_gaps(w, ds)
+            nw = matrix_norm(w, spec)
+            nm = float(gaps.min()) / nw if nw != 0.0 else -math.inf
             if nm > best_margin:
                 best_margin = nm
-                best_w = w.copy()
+                best_w = w
         stage_margins.append(best_margin)
         if used >= max_iters:
-            budget_exhausted = True
             break
 
-    if budget_exhausted and gap > 10.0 * tol:
+    if used >= max_iters and gap > 10.0 * tol:
         raise MaxMarginNonConvergence(gap, tol, used)
 
-    if best_w is None:  # no step ever taken (degenerate budget or zero signal)
-        best_w = w
     norm_best = matrix_norm(best_w, spec)
     if norm_best == 0.0:
         # perfectly symmetric non-separable data never moves the iterate;

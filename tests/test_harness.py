@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from normdescent import (
     CSV_HEADER,
@@ -17,6 +19,7 @@ from normdescent import (
     train_cmd,
 )
 from normdescent.cli import EXIT_CONFIG, EXIT_OK, main as cli_main
+from normdescent.harness import load_config
 
 
 def toy_dataset_file(tmp_path, name="toy.txt"):
@@ -52,6 +55,17 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+# the JSON types each typed config key accepts
+_ACCEPTED_TYPES = {
+    **dict.fromkeys(("momentum", "vr"), (bool,)),
+    **dict.fromkeys(("batch_size", "epochs", "seed", "log_every", "margin_iters"), (int,)),
+    **dict.fromkeys(("beta1", "c", "a", "eta0", "margin_tol"), (int, float)),
+    "gamma": (int, float, type(None)),
+    **dict.fromkeys(("norm", "loss", "dataset_path", "w0", "out_csv"), (str,)),
+    **dict.fromkeys(("wstar_path", "wbar_kind"), (str, type(None))),
+}
 
 
 class TestTrainCmd:
@@ -102,13 +116,23 @@ class TestTrainCmd:
             ("c", "0.5", False),
             ("beta1", False, False),
             ("gamma", "0.3", False),
+            ("norm", 2, False),
+            ("loss", 0, False),
+            ("dataset_path", 1, False),
+            ("w0", 0, False),
+            ("out_csv", 5, False),
+            ("wstar_path", 3, False),
+            ("wbar_kind", 1, False),
             ("c", 1, True),
             ("beta1", 0, True),
             ("gamma", 1, True),
             ("gamma", None, True),
+            ("wstar_path", None, True),
+            ("wbar_kind", None, True),
         ],
     )
-    def test_config_value_types(self, tmp_path, capsys, key, value, ok):
+    def test_config_value_types(self, tmp_path, capsys, monkeypatch, key, value, ok):
+        monkeypatch.chdir(tmp_path)  # a relative out_csv must not land in the checkout
         cfg = write_config(tmp_path, **{"epochs": 2, key: value})
         rc = cli_main(["train", "--config", cfg])
         err = capsys.readouterr().err
@@ -116,9 +140,23 @@ class TestTrainCmd:
             assert rc == EXIT_OK
         else:
             assert rc == EXIT_CONFIG
-            assert err.startswith("error: ") and key in err
+            assert err.startswith("error: ") and f"{key} must be" in err
             with pytest.raises(ConfigError):
                 train_cmd(cfg)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        key=st.sampled_from(sorted(_ACCEPTED_TYPES)),
+        value=st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4)
+        ),
+    )
+    def test_config_typing_property(self, tmp_path, key, value):
+        # a value of any JSON type the key does not accept is rejected by type
+        assume(type(value) not in _ACCEPTED_TYPES[key])
+        cfg = write_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            load_config(cfg)
 
     def test_gap_column_consistent_with_target(self, tmp_path):
         # full-batch run: the stored target is gamma itself
@@ -311,6 +349,25 @@ class TestPersample:
     def test_rejects_unsupported_norm(self, tmp_path):
         with pytest.raises(ConfigError):
             persample_cmd(self._cfg(tmp_path, norm="ew:3", name="n.json"))
+
+    @pytest.mark.parametrize("norm,kind", [("ew:2", "sign"), ("ew:inf", "normalized"), ("sch:inf", "sign")])
+    def test_rejects_wbar_kind_the_norm_does_not_imply(self, tmp_path, capsys, norm, kind):
+        cfg = self._cfg(tmp_path, norm=norm, wbar_kind=kind, epochs=3, gamma=0.3, name="k.json")
+        with pytest.raises(ConfigError, match="wbar_kind"):
+            persample_cmd(cfg)
+        assert cli_main(["persample", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(tmp_path / "ps.csv")
+
+    @pytest.mark.parametrize("norm,kind", [("ew:2", "normalized"), ("ew:inf", "sign"), ("sch:inf", "normalized")])
+    def test_matching_wbar_kind_runs_unchanged(self, tmp_path, norm, kind):
+        base = self._cfg(tmp_path, norm=norm, epochs=3, gamma=0.3, name="base.json")
+        _, expect = persample_cmd(base)
+        expect_csv = open(tmp_path / "ps.csv", "rb").read()
+        _, verdict = persample_cmd(self._cfg(tmp_path, norm=norm, wbar_kind=kind, epochs=3, gamma=0.3, name="k.json"))
+        assert verdict == expect
+        assert verdict["wbar_kind"] == kind
+        assert open(tmp_path / "ps.csv", "rb").read() == expect_csv
 
     def test_rejects_non_skewed_dataset(self, tmp_path):
         cfg = self._cfg(tmp_path, dataset_path=toy_dataset_file(tmp_path), batch_size=1, name="g.json")

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from normdescent import (
     ALL,
@@ -344,3 +347,92 @@ class TestSerialization:
     def test_r_bound_is_max_l1_column_norm(self, rng):
         ds = random_dataset(rng)
         assert ds.r_bound == np.abs(ds.x).sum(axis=0).max()
+
+
+# generated files are rewritten in place, so one tmp_path serves every example
+_FILE_PROPERTY = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def datasets(draw):
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 8))
+    y = draw(st.permutations(list(range(k)) + draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))))
+    x = draw(arrays(np.float64, (d, n), elements=_FINITE))
+    return Dataset.from_arrays(x, np.array(y), k)
+
+
+def _dataset_text(ds: Dataset, path) -> str:
+    save_dataset(ds, path)
+    return path.read_text()
+
+
+def _matrix_text(w: np.ndarray, path) -> str:
+    save_matrix(w, path)
+    return path.read_text()
+
+
+@st.composite
+def corruptions(draw, text: str, value_lines_start: int, first_value_field: int):
+    """A copy of a saved file with one fault: a dropped or extra field, a
+    non-finite value token, or a non-blank trailing line."""
+    lines = text.splitlines()
+    fault = draw(st.sampled_from(["drop", "extra", "non_finite", "trailing"]))
+    if fault == "trailing":
+        extra = draw(st.text(alphabet="0123456789.-e x", min_size=1, max_size=8).filter(str.strip))
+        return text + extra + "\n"
+    if fault == "non_finite":
+        at = draw(st.integers(value_lines_start, len(lines) - 1))
+        fields = lines[at].split()
+        fields[draw(st.integers(first_value_field, len(fields) - 1))] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    else:
+        at = draw(st.integers(0, len(lines) - 1))
+        fields = lines[at].split()
+        if fault == "drop":
+            del fields[draw(st.integers(0, len(fields) - 1))]
+        else:
+            fields.insert(draw(st.integers(0, len(fields))), draw(st.sampled_from(["0", "1.5", "-2e-3"])))
+    lines[at] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+# Dataset.r_bound of near-max floats overflows to inf, which these tests do not read
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestSerializationProperties:
+    @_FILE_PROPERTY
+    @given(ds=datasets())
+    def test_dataset_roundtrip_bit_exact(self, tmp_path, ds):
+        path = tmp_path / "data.txt"
+        save_dataset(ds, path)
+        back = load_dataset(path)
+        assert back.x.tobytes() == ds.x.tobytes()
+        assert np.array_equal(back.y, ds.y)
+        assert back.k == ds.k
+
+    @_FILE_PROPERTY
+    @given(w=arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(0, 4)), elements=_FINITE))
+    def test_matrix_roundtrip_bit_exact(self, tmp_path, w):
+        path = tmp_path / "w.txt"
+        save_matrix(w, path)
+        back = load_matrix(path)
+        assert back.shape == w.shape
+        assert back.tobytes() == w.tobytes()
+
+    @_FILE_PROPERTY
+    @given(data=st.data(), ds=datasets())
+    def test_malformed_dataset_rejected(self, tmp_path, data, ds):
+        path = tmp_path / "data.txt"
+        # sample lines start after the header; field 0 is the label
+        path.write_text(data.draw(corruptions(_dataset_text(ds, path), 1, 1)))
+        with pytest.raises(ValueError):
+            load_dataset(path)
+
+    @_FILE_PROPERTY
+    @given(data=st.data(), w=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 4)), elements=_FINITE))
+    def test_malformed_matrix_rejected(self, tmp_path, data, w):
+        path = tmp_path / "w.txt"
+        path.write_text(data.draw(corruptions(_matrix_text(w, path), 1, 0)))
+        with pytest.raises(ValueError):
+            load_matrix(path)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from normdescent import (
     BIAS_NORMALIZED,
     BIAS_SIGN,
     Dataset,
+    GaussianSpec,
+    MaxMarginNonConvergence,
     NormSpec,
     OptimizerConfig,
     Schedule,
@@ -14,12 +17,16 @@ from normdescent import (
     canonical_update_matrix,
     check_column_symmetry,
     frobenius_cosine,
+    gen_gaussian,
     margin_report,
     matrix_norm,
     max_margin,
     run,
+    save_dataset,
     steepest_map,
 )
+from normdescent import reference
+from normdescent.cli import EXIT_NONCONVERGENCE, main as cli_main
 
 EW2 = NormSpec("entrywise", 2.0)
 EWINF = NormSpec("entrywise", math.inf)
@@ -152,6 +159,85 @@ class TestMaxMargin:
         sol = max_margin(ds, EW2, tol=1e-2, max_iters=5000)
         assert not sol.separable
         assert sol.gamma <= 1e-2
+
+
+# norm -> (gamma, iterations_used, certificate_gap, stage_margins, sha256 of
+# w_star.tobytes()) at tol=1e-2, max_iters=20000 on the pinned instance;
+# recorded with numpy 2.4.6 and OpenBLAS 0.3.31 (see test_reproducibility)
+PINNED_SOLVES = {
+    "ew:2": (
+        0.40191196525515765,
+        766,
+        0.0013484059982671087,
+        (0.13895635857974564, 0.3509730601744917, 0.36955120809541514, 0.4019119652551577),
+        "b7ce59ad975728637df18e35365817ce8e6032067555ed2dc616352e1bc04d21",
+    ),
+    "ew:inf": (
+        0.7954061159116637,
+        7965,
+        0.0013120008831473498,
+        (0.663090095758391, 0.7022014832016671, 0.7778380518176331, 0.7954061159116637),
+        "0e8fd4ea22b9eb4fc7cd787d615008f1e61d28538ede27450eee56a7cd12a6de",
+    ),
+    "sch:inf": (
+        0.4628924166095051,
+        499,
+        0.0013485940263394587,
+        (0.4305430214499708, 0.43864666749066245, 0.44978441046697776, 0.4628924166095051),
+        "b9258a9d6c439b23f40b1d325ff6fa491493eeb85a4e7a4be5eef8eb0600c1f5",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_instance():
+    return gen_gaussian(GaussianSpec(k=3, per_class=4, d=3, sigma=0.1, seed=5))
+
+
+class TestMaxMarginPinned:
+    @pytest.mark.parametrize("norm", sorted(PINNED_SOLVES))
+    def test_outputs_pinned_and_one_pair_gap_pass_per_iterate(self, pinned_instance, norm, monkeypatch):
+        calls = []
+        real = reference.pair_gaps
+
+        def counted(w, ds):
+            calls.append(1)
+            return real(w, ds)
+
+        monkeypatch.setattr(reference, "pair_gaps", counted)
+        sol = max_margin(pinned_instance, NormSpec.parse(norm), tol=1e-2, max_iters=20000)
+        got = (
+            sol.gamma,
+            sol.iterations_used,
+            sol.certificate_gap,
+            sol.stage_margins,
+            hashlib.sha256(sol.w_star.tobytes()).hexdigest(),
+        )
+        assert got == PINNED_SOLVES[norm]
+        # the zero start, then once after each step
+        assert len(calls) == sol.iterations_used + 1
+
+
+class TestNonConvergence:
+    MESSAGE = "max_margin used 50 iterations but the certificate gap 1.220e+00 exceeds 10*tol = 1.000e-03"
+
+    def test_exhausted_budget_raises_with_iterations_and_gap(self, pinned_instance):
+        with pytest.raises(MaxMarginNonConvergence) as info:
+            max_margin(pinned_instance, EW2, tol=1e-4, max_iters=50)
+        assert str(info.value) == self.MESSAGE
+        assert info.value.iterations == 50
+        assert info.value.gap > 10 * 1e-4
+        assert info.value.tol == 1e-4
+
+    def test_cli_exits_4_with_error_line(self, pinned_instance, tmp_path, capsys):
+        data = tmp_path / "gauss.txt"
+        save_dataset(pinned_instance, data)
+        rc = cli_main(["margin", "--dataset", str(data), "--norm", "ew:2", "--out", str(tmp_path / "w.txt"),
+                       "--tol", "1e-4", "--max-iters", "50"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_NONCONVERGENCE
+        assert captured.err == f"error: {self.MESSAGE}\n"
+        assert not (tmp_path / "w.txt").exists()
 
 
 class TestBiasMatrix:
