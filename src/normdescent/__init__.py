@@ -61,7 +61,6 @@ from .data import GaussianSpec, SeparabilityError, SkewedSpec, gen_gaussian, gen
 from .harness import (
     CSV_HEADER,
     ConfigError,
-    MetricRow,
     SlopeFit,
     fit_rate,
     persample_cmd,

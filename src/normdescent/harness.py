@@ -13,20 +13,25 @@ plus the optional harness keys
     wbar_kind    "sign" | "normalized": also log cosine to the bias matrix
     log_every    metric cadence in steps (default 10)
     margin_tol / margin_iters   solver settings when gamma is not supplied
+                 (defaults 1e-3 and 120000)
 
 Unknown keys are rejected, and values must have their JSON type: booleans
 for momentum and vr, integers for batch_size, epochs, seed, log_every and
 margin_iters, numbers for the other numeric keys, strings for the others
-(wstar_path and wbar_kind may also be null). The CSV schema is fixed:
+(wstar_path and wbar_kind may also be null). batch_size must divide the
+dataset's n and a w0 file must hold a (k, d) matrix; all of this is checked
+before any reference solve. The CSV schema is fixed:
 
     t,epoch,eta,loss,proxy_g,min_margin,weight_norm,norm_margin,gap_to_gamma,cos_wstar,cos_wbar,dualnorm_signal
 
-``train`` and ``persample`` share one run driver, which logs a row every
-log_every steps. The gap column is measured against the command's target:
-for ``train`` the solver's gamma for variance-reduced and full-batch runs,
-and the effective margin (rho_nomom or rho_mom) for mini-batch runs,
-matching the distinct targets of the large-batch and momentum regimes; for
-``persample`` gamma, plus a per-step check of the applied direction.
+``train`` and ``persample`` share one run driver, which streams a row to
+the CSV every log_every steps, so a run that fails keeps the header and
+the rows logged before the failure. The gap column is measured against
+the command's target: for ``train`` the solver's gamma for
+variance-reduced and full-batch runs, and the effective margin (rho_nomom
+or rho_mom) for mini-batch runs, matching the distinct targets of the
+large-batch and momentum regimes; for ``persample`` gamma, plus a
+per-step check of the applied direction.
 Optional fields serialize as empty strings. Floats are written with
 repr(), so reruns of the same config are byte-identical.
 
@@ -37,7 +42,6 @@ in the summary without touching the other runs.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -71,32 +75,37 @@ CSV_HEADER = (
     "gap_to_gamma,cos_wstar,cos_wbar,dualnorm_signal"
 )
 
-_REQUIRED_KEYS = {
-    "norm",
-    "loss",
-    "batch_size",
-    "momentum",
-    "beta1",
-    "vr",
-    "c",
-    "a",
-    "eta0",
-    "epochs",
-    "seed",
-    "dataset_path",
-    "w0",
-    "out_csv",
-}
-_OPTIONAL_KEYS = {"gamma", "wstar_path", "wbar_kind", "log_every", "margin_tol", "margin_iters"}
+_REQUIRED = object()  # default of a key the config must set
 
-# accepted JSON value types per key, matched with type(), so a bool is not an int
-_KEY_TYPES = {
-    **dict.fromkeys(("momentum", "vr"), ((bool,), "a JSON boolean")),
-    **dict.fromkeys(("batch_size", "epochs", "seed", "log_every", "margin_iters"), ((int,), "a JSON integer")),
-    **dict.fromkeys(("beta1", "c", "a", "eta0", "margin_tol"), ((int, float), "a JSON number")),
-    "gamma": ((int, float, type(None)), "a JSON number or null"),
-    **dict.fromkeys(("norm", "loss", "dataset_path", "w0", "out_csv"), ((str,), "a JSON string")),
-    **dict.fromkeys(("wstar_path", "wbar_kind"), ((str, type(None)), "a JSON string or null")),
+_BOOLEAN = ((bool,), "a JSON boolean")
+_INTEGER = ((int,), "a JSON integer")
+_NUMBER = ((int, float), "a JSON number")
+_STRING = ((str,), "a JSON string")
+_STRING_OR_NULL = ((str, type(None)), "a JSON string or null")
+
+# key -> (accepted JSON value types, matched with type() so a bool is not
+# an int; their description; default or _REQUIRED)
+_KEYS = {
+    "norm": (*_STRING, _REQUIRED),
+    "loss": (*_STRING, _REQUIRED),
+    "batch_size": (*_INTEGER, _REQUIRED),
+    "momentum": (*_BOOLEAN, _REQUIRED),
+    "beta1": (*_NUMBER, _REQUIRED),
+    "vr": (*_BOOLEAN, _REQUIRED),
+    "c": (*_NUMBER, _REQUIRED),
+    "a": (*_NUMBER, _REQUIRED),
+    "eta0": (*_NUMBER, _REQUIRED),
+    "epochs": (*_INTEGER, _REQUIRED),
+    "seed": (*_INTEGER, _REQUIRED),
+    "dataset_path": (*_STRING, _REQUIRED),
+    "w0": (*_STRING, _REQUIRED),
+    "out_csv": (*_STRING, _REQUIRED),
+    "gamma": ((int, float, type(None)), "a JSON number or null", None),
+    "wstar_path": (*_STRING_OR_NULL, None),
+    "wbar_kind": (*_STRING_OR_NULL, None),
+    "log_every": (*_INTEGER, 10),
+    "margin_tol": (*_NUMBER, 1e-3),
+    "margin_iters": (*_INTEGER, 120_000),
 }
 
 _LOSS_ALIASES = {
@@ -109,43 +118,6 @@ _LOSS_ALIASES = {
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class MetricRow:
-    t: int
-    epoch: int
-    eta: float
-    loss: float
-    proxy_g: float
-    min_margin: float
-    weight_norm: float
-    norm_margin: float
-    gap_to_gamma: float
-    cos_wstar: float | None
-    cos_wbar: float | None
-    dualnorm_signal: float
-
-    def to_csv(self) -> str:
-        def f(v):
-            return "" if v is None else repr(float(v))
-
-        return ",".join(
-            [
-                str(self.t),
-                str(self.epoch),
-                f(self.eta),
-                f(self.loss),
-                f(self.proxy_g),
-                f(self.min_margin),
-                f(self.weight_norm),
-                f(self.norm_margin),
-                f(self.gap_to_gamma),
-                f(self.cos_wstar),
-                f(self.cos_wbar),
-                f(self.dualnorm_signal),
-            ]
-        )
 
 
 @dataclass(frozen=True)
@@ -180,20 +152,22 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    keys = set(raw)
-    unknown = keys - _REQUIRED_KEYS - _OPTIONAL_KEYS
+    unknown = raw.keys() - _KEYS.keys()
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - keys
+    missing = [key for key, (_, _, default) in _KEYS.items() if default is _REQUIRED and key not in raw]
     if missing:
         raise ConfigError(f"{path}: missing config keys {sorted(missing)}")
-    for key, (types, what) in _KEY_TYPES.items():
-        if key in raw and type(raw[key]) not in types:
+    raw = {key: raw.get(key, default) for key, (_, _, default) in _KEYS.items()}
+    for key, (types, what, _) in _KEYS.items():
+        if type(raw[key]) not in types:
             raise ConfigError(f"{path}: {key} must be {what}, got {raw[key]!r}")
 
+    loss_kind = _LOSS_ALIASES.get(raw["loss"].lower())
+    if loss_kind is None:
+        raise ConfigError(f"{path}: loss must be one of {sorted(_LOSS_ALIASES)}, got {raw['loss']!r}")
     try:
         norm = NormSpec.parse(raw["norm"])
-        loss_kind = _LOSS_ALIASES[raw["loss"].lower()]
         schedule = Schedule(c=float(raw["c"]), a=float(raw["a"]), eta0=float(raw["eta0"]))
         opt = OptimizerConfig(
             batch_size=raw["batch_size"],
@@ -206,7 +180,7 @@ def load_config(path: str) -> RunConfig:
             norm=norm,
             loss=loss_kind,
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     dataset_path = raw["dataset_path"]
@@ -221,16 +195,21 @@ def load_config(path: str) -> RunConfig:
         if not os.path.exists(w0_spec):
             raise ConfigError(f"{path}: w0 path {w0_spec!r} does not exist")
         w0 = load_matrix(w0_spec)
+    # init_state makes the same checks, but only after the reference solve
+    try:
+        opt.validate_against(ds)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if w0.shape != (ds.k, ds.d):
+        raise ConfigError(f"{path}: w0 shape {w0.shape} does not match (k, d) = ({ds.k}, {ds.d})")
 
-    wbar_kind = raw.get("wbar_kind")
+    wbar_kind = raw["wbar_kind"]
     if wbar_kind is not None and wbar_kind not in (BIAS_SIGN, BIAS_NORMALIZED):
         raise ConfigError(f"{path}: wbar_kind must be 'sign' or 'normalized'")
-    wstar_path = raw.get("wstar_path")
+    wstar_path = raw["wstar_path"]
     if wstar_path is not None and not os.path.exists(wstar_path):
         raise ConfigError(f"{path}: wstar_path {wstar_path!r} does not exist")
-
-    log_every = raw.get("log_every", 10)
-    if log_every < 1:
+    if raw["log_every"] < 1:
         raise ConfigError(f"{path}: log_every must be >= 1")
 
     return RunConfig(
@@ -238,17 +217,17 @@ def load_config(path: str) -> RunConfig:
         dataset=ds,
         w0=w0,
         out_csv=raw["out_csv"],
-        log_every=log_every,
-        gamma=None if raw.get("gamma") is None else float(raw["gamma"]),
+        log_every=raw["log_every"],
+        gamma=None if raw["gamma"] is None else float(raw["gamma"]),
         wstar_path=wstar_path,
         wbar_kind=wbar_kind,
-        margin_tol=float(raw.get("margin_tol", 1e-3)),
-        margin_iters=raw.get("margin_iters", 120_000),
+        margin_tol=float(raw["margin_tol"]),
+        margin_iters=raw["margin_iters"],
     )
 
 
 def _resolve_references(cfg: RunConfig):
-    """Reference margin gamma, max-margin direction, and optional bias matrix."""
+    """Reference margin gamma and max-margin direction."""
     wstar = load_matrix(cfg.wstar_path) if cfg.wstar_path else None
     if cfg.gamma is not None:
         gamma = cfg.gamma
@@ -257,8 +236,7 @@ def _resolve_references(cfg: RunConfig):
         gamma = sol.gamma
         if wstar is None:
             wstar = sol.w_star
-    wbar = bias_matrix(cfg.dataset, cfg.wbar_kind).w_bar if cfg.wbar_kind else None
-    return gamma, wstar, wbar
+    return gamma, wstar
 
 
 def _gap_target(cfg: RunConfig, gamma: float) -> float:
@@ -273,60 +251,52 @@ def _gap_target(cfg: RunConfig, gamma: float) -> float:
 
 
 def _drive(cfg: RunConfig, target: float, wstar, wbar, check=None):
-    """Run the configured optimizer, log a metric row every log_every steps,
-    and write the CSV; returns the final TrainState.
+    """Run the configured optimizer and stream a metric row to the CSV every
+    log_every steps; returns the final TrainState. A run that fails leaves
+    the header and the rows logged before the failure.
 
     ``check(h, delta)``, if given, sees every step's signal and the
     direction the step applied.
     """
     ds = cfg.dataset
     m = ds.n // cfg.opt.batch_size
-    rows: list[MetricRow] = []
+    parent = os.path.dirname(cfg.out_csv)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(cfg.out_csv, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(CSV_HEADER + "\n")
 
-    def hook(t, w, h, eta, delta):
-        if check is not None:
-            check(h, delta)
-        if t % cfg.log_every != 0:
-            return
-        rep = margin_report(w, ds, cfg.opt.norm)
-        rows.append(
-            MetricRow(
-                t=t,
-                epoch=(t - 1) // m,
-                eta=eta,
-                loss=loss_fn(w, ds, cfg.opt.loss),
-                proxy_g=proxy_g(w, ds, cfg.opt.loss),
-                min_margin=rep.unnormalized_min,
-                weight_norm=rep.weight_norm,
-                norm_margin=rep.normalized,
-                gap_to_gamma=target - rep.normalized,
-                cos_wstar=None if wstar is None else frobenius_cosine(w, wstar),
-                cos_wbar=None if wbar is None else frobenius_cosine(w, wbar),
-                dualnorm_signal=dual_norm(h, cfg.opt.norm),
+        def hook(t, w, h, eta, delta):
+            if check is not None:
+                check(h, delta)
+            if t % cfg.log_every != 0:
+                return
+            rep = margin_report(w, ds, cfg.opt.norm)
+            cells = (
+                eta,
+                loss_fn(w, ds, cfg.opt.loss),
+                proxy_g(w, ds, cfg.opt.loss),
+                rep.unnormalized_min,
+                rep.weight_norm,
+                rep.normalized,
+                target - rep.normalized,
+                None if wstar is None else frobenius_cosine(w, wstar),
+                None if wbar is None else frobenius_cosine(w, wbar),
+                dual_norm(h, cfg.opt.norm),
             )
-        )
+            floats = ("" if v is None else repr(float(v)) for v in cells)
+            fh.write(",".join((str(t), str((t - 1) // m), *floats)) + "\n")
 
-    state = run(cfg.opt, ds, cfg.w0, metrics_hook=hook)
-    _write_csv(cfg.out_csv, rows)
-    return state
+        return run(cfg.opt, ds, cfg.w0, metrics_hook=hook)
 
 
 def train_cmd(config_path: str) -> str:
-    """Run one config and write its metric CSV; returns the CSV path."""
+    """Run one config and stream its metric CSV; returns the CSV path."""
     cfg = load_config(config_path)
-    gamma, wstar, wbar = _resolve_references(cfg)
+    gamma, wstar = _resolve_references(cfg)
+    wbar = bias_matrix(cfg.dataset, cfg.wbar_kind).w_bar if cfg.wbar_kind else None
     _drive(cfg, _gap_target(cfg, gamma), wstar, wbar)
     return cfg.out_csv
-
-
-def _write_csv(path: str, rows: list[MetricRow]):
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.to_csv() + "\n")
 
 
 def read_csv(path: str) -> dict[str, np.ndarray]:
@@ -444,7 +414,8 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
     kind = BIAS_SIGN if str(cfg.opt.norm) == "ew:inf" else BIAS_NORMALIZED
     if cfg.wbar_kind not in (None, kind):
         raise ConfigError(f"persample with norm {cfg.opt.norm} uses wbar_kind {kind!r}, not {cfg.wbar_kind!r}")
-    gamma, wstar, wbar = _resolve_references(dataclasses.replace(cfg, wbar_kind=kind))
+    gamma, wstar = _resolve_references(cfg)
+    wbar = bias_matrix(ds, kind).w_bar
     # every sample of a class has the same closed-form update; keep the first's
     expect_of_class = [
         canonical_update_matrix(ds, int(np.nonzero(ds.y == c)[0][0]), kind) for c in range(ds.k)
@@ -459,6 +430,9 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
             if float(np.abs(delta + expect).max()) > 1e-9 * (1.0 + float(np.abs(expect).max())):
                 invariant_ok = False
 
+    verdict_path = cfg.out_csv + ".verdict.json"
+    if os.path.exists(verdict_path):
+        os.remove(verdict_path)  # a run that fails must not sit next to the last run's verdict
     state = _drive(cfg, gamma, wstar, wbar, check)
     verdict = {
         "final_loss": loss_fn(state.w, ds, cfg.opt.loss),
@@ -468,7 +442,7 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
         "wbar_kind": kind,
         "gamma": gamma,
     }
-    with open(cfg.out_csv + ".verdict.json", "w", encoding="utf-8") as fh:
+    with open(verdict_path, "w", encoding="utf-8") as fh:
         json.dump(verdict, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return cfg.out_csv, verdict

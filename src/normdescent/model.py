@@ -86,7 +86,10 @@ class Dataset:
         if present.size != k:
             missing = sorted(set(range(k)) - set(present.tolist()))
             raise ValueError(f"every class must appear at least once; missing {missing}")
-        r = float(np.abs(xm).sum(axis=0).max())
+        with np.errstate(over="ignore"):
+            r = float(np.abs(xm).sum(axis=0).max())
+        if not np.isfinite(r):
+            raise ValueError(f"r_bound = max_i ||x_i||_1 is not finite ({r})")
         return Dataset(x=xm, y=ya, k=k, r_bound=r)
 
 

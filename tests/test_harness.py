@@ -18,7 +18,8 @@ from normdescent import (
     sweep_cmd,
     train_cmd,
 )
-from normdescent.cli import EXIT_CONFIG, EXIT_OK, main as cli_main
+from normdescent import harness, optimizer
+from normdescent.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main as cli_main
 from normdescent.harness import load_config
 
 
@@ -55,6 +56,18 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def fail_step_at(monkeypatch, t_fail):
+    """Make the optimizer's t_fail-th step raise FloatingPointError."""
+    real_step = optimizer.step
+
+    def step(state, *args):
+        if state.t + 1 == t_fail:
+            raise FloatingPointError("injected")
+        return real_step(state, *args)
+
+    monkeypatch.setattr(optimizer, "step", step)
 
 
 # the JSON types each typed config key accepts
@@ -118,6 +131,7 @@ class TestTrainCmd:
             ("gamma", "0.3", False),
             ("norm", 2, False),
             ("loss", 0, False),
+            ("loss", "hinge", False),
             ("dataset_path", 1, False),
             ("w0", 0, False),
             ("out_csv", 5, False),
@@ -157,6 +171,45 @@ class TestTrainCmd:
         cfg = write_config(tmp_path, **{key: value})
         with pytest.raises(ConfigError, match=f"{key} must be"):
             load_config(cfg)
+
+    def test_optional_key_defaults(self, tmp_path):
+        path = tmp_path / "bare.json"
+        raw = json.loads(open(write_config(tmp_path)).read())
+        for key in ("log_every", "margin_tol", "margin_iters"):
+            del raw[key]
+        path.write_text(json.dumps(raw))
+        cfg = load_config(str(path))
+        assert (cfg.log_every, cfg.margin_tol, cfg.margin_iters) == (10, 1e-3, 120_000)
+        assert cfg.gamma is None and cfg.wstar_path is None and cfg.wbar_kind is None
+
+    @pytest.mark.parametrize("case", ["batch_size", "w0_shape"])
+    def test_config_error_before_reference_solve(self, tmp_path, capsys, monkeypatch, case):
+        if case == "batch_size":
+            cfg = write_config(tmp_path, batch_size=3)  # n = 4
+        else:
+            w0 = tmp_path / "w0.txt"
+            w0.write_text("2 3\n0 0 0\n0 0 0\n")  # (k, d) = (2, 2)
+            cfg = write_config(tmp_path, w0=str(w0))
+        solves, real_max_margin = [], harness.max_margin
+        monkeypatch.setattr(harness, "max_margin", lambda *a, **kw: solves.append(a) or real_max_margin(*a, **kw))
+        rc = cli_main(["train", "--config", cfg])
+        assert rc == EXIT_CONFIG and capsys.readouterr().err.startswith("error: ")
+        assert solves == []
+        assert not (tmp_path / "out.csv").exists()
+        with pytest.raises(ConfigError):
+            load_config(cfg)
+
+    def test_failed_rerun_keeps_rows_logged_before_the_failure(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path)  # log_every 5, 30 full-batch steps
+        full = open(train_cmd(cfg), "rb").read()
+        fail_step_at(monkeypatch, 17)
+        rc = cli_main(["train", "--config", cfg])
+        capsys.readouterr()
+        assert rc == EXIT_NUMERIC
+        partial = (tmp_path / "out.csv").read_bytes()
+        assert [line.split(b",")[0] for line in partial.splitlines()[1:]] == [b"5", b"10", b"15"]
+        assert partial.splitlines()[0] == CSV_HEADER.encode()
+        assert full.startswith(partial) and len(partial) < len(full)
 
     def test_gap_column_consistent_with_target(self, tmp_path):
         # full-batch run: the stored target is gamma itself
@@ -335,6 +388,17 @@ class TestPersample:
         assert verdict["invariant_gradient_ok"]
         assert verdict["final_loss"] < math.log(3)
         assert -1.0 <= verdict["final_cos_wbar"] <= 1.0
+
+    def test_failed_rerun_keeps_rows_and_drops_the_old_verdict(self, tmp_path, capsys, monkeypatch):
+        cfg = self._cfg(tmp_path, epochs=6, gamma=0.3, log_every=2)  # n = 5: 30 steps
+        csv_path, _ = persample_cmd(cfg)
+        full = open(csv_path, "rb").read()
+        fail_step_at(monkeypatch, 9)
+        assert cli_main(["persample", "--config", cfg]) == EXIT_NUMERIC
+        capsys.readouterr()
+        partial = open(csv_path, "rb").read()
+        assert full.startswith(partial) and partial.count(b"\n") == 5  # header, t = 2, 4, 6, 8
+        assert not os.path.exists(csv_path + ".verdict.json")
 
     def test_rejects_batch_size_above_one(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -361,6 +361,8 @@ def datasets(draw):
     n = draw(st.integers(k, 8))
     y = draw(st.permutations(list(range(k)) + draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))))
     x = draw(arrays(np.float64, (d, n), elements=_FINITE))
+    with np.errstate(over="ignore"):
+        assume(np.isfinite(np.abs(x).sum(axis=0)).all())  # from_arrays rejects an overflowing column
     return Dataset.from_arrays(x, np.array(y), k)
 
 
@@ -398,8 +400,6 @@ def corruptions(draw, text: str, value_lines_start: int, first_value_field: int)
     return "\n".join(lines) + "\n"
 
 
-# Dataset.r_bound of near-max floats overflows to inf, which these tests do not read
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestSerializationProperties:
     @_FILE_PROPERTY
     @given(ds=datasets())
@@ -436,3 +436,24 @@ class TestSerializationProperties:
         path.write_text(data.draw(corruptions(_matrix_text(w, path), 1, 0)))
         with pytest.raises(ValueError):
             load_matrix(path)
+
+    @_FILE_PROPERTY
+    @given(
+        data=st.data(),
+        big=st.lists(st.floats(min_value=1e308, max_value=1.7976931348623157e308), min_size=2, max_size=2),
+        signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=2),
+    )
+    def test_overflowing_column_rejected(self, tmp_path, data, big, signs):
+        # two entries of magnitude >= 1e308 in one column: finite values, infinite L1 norm
+        d, n = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 4))
+        x = data.draw(arrays(np.float64, (d, n), elements=st.floats(-1e3, 1e3)))
+        col = data.draw(st.integers(0, n - 1))
+        rows = data.draw(st.permutations(range(d)))[:2]
+        x[rows, col] = np.multiply(big, signs)
+        y = np.zeros(n, dtype=np.int64)
+        with pytest.raises(ValueError, match="not finite"):
+            Dataset.from_arrays(x, y, 1)
+        path = tmp_path / "data.txt"
+        path.write_text(f"{d} {n} 1\n" + "".join("0 " + " ".join(repr(float(v)) for v in x[:, i]) + "\n" for i in range(n)))
+        with pytest.raises(ValueError, match="not finite"):
+            load_dataset(path)
