@@ -19,8 +19,10 @@ Unknown keys are rejected, and values must have their JSON type: booleans
 for momentum and vr, integers for batch_size, epochs, seed, log_every and
 margin_iters, numbers for the other numeric keys, strings for the others
 (wstar_path and wbar_kind may also be null). batch_size must divide the
-dataset's n and a w0 file must hold a (k, d) matrix; all of this is checked
-before any reference solve. The CSV schema is fixed:
+dataset's n, a w0 file must hold a (k, d) matrix, and out_csv must not name
+a directory; all of this is checked before any reference solve, and a run
+then deletes the previous run's outputs before it solves. The CSV schema
+is fixed:
 
     t,epoch,eta,loss,proxy_g,min_margin,weight_norm,norm_margin,gap_to_gamma,cos_wstar,cos_wbar,dualnorm_signal
 
@@ -211,12 +213,15 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: wstar_path {wstar_path!r} does not exist")
     if raw["log_every"] < 1:
         raise ConfigError(f"{path}: log_every must be >= 1")
+    out_csv = raw["out_csv"]
+    if not os.path.basename(out_csv) or os.path.isdir(out_csv):
+        raise ConfigError(f"{path}: out_csv {out_csv!r} does not name a file")
 
     return RunConfig(
         opt=opt,
         dataset=ds,
         w0=w0,
-        out_csv=raw["out_csv"],
+        out_csv=out_csv,
         log_every=raw["log_every"],
         gamma=None if raw["gamma"] is None else float(raw["gamma"]),
         wstar_path=wstar_path,
@@ -290,9 +295,17 @@ def _drive(cfg: RunConfig, target: float, wstar, wbar, check=None):
         return run(cfg.opt, ds, cfg.w0, metrics_hook=hook)
 
 
+def _remove(path: str):
+    """Delete a previous run's output, so a run that fails does not leave it
+    looking like its own result."""
+    if os.path.exists(path):
+        os.remove(path)
+
+
 def train_cmd(config_path: str) -> str:
     """Run one config and stream its metric CSV; returns the CSV path."""
     cfg = load_config(config_path)
+    _remove(cfg.out_csv)
     gamma, wstar = _resolve_references(cfg)
     wbar = bias_matrix(cfg.dataset, cfg.wbar_kind).w_bar if cfg.wbar_kind else None
     _drive(cfg, _gap_target(cfg, gamma), wstar, wbar)
@@ -414,25 +427,27 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
     kind = BIAS_SIGN if str(cfg.opt.norm) == "ew:inf" else BIAS_NORMALIZED
     if cfg.wbar_kind not in (None, kind):
         raise ConfigError(f"persample with norm {cfg.opt.norm} uses wbar_kind {kind!r}, not {cfg.wbar_kind!r}")
+    verdict_path = cfg.out_csv + ".verdict.json"
+    _remove(cfg.out_csv)
+    _remove(verdict_path)
     gamma, wstar = _resolve_references(cfg)
     wbar = bias_matrix(ds, kind).w_bar
-    # every sample of a class has the same closed-form update; keep the first's
-    expect_of_class = [
-        canonical_update_matrix(ds, int(np.nonzero(ds.y == c)[0][0]), kind) for c in range(ds.k)
-    ]
+    # every sample of a class has the same closed-form update; keep the
+    # first's, with the tolerance of the check against it
+    expect_of_class = []
+    for c in range(ds.k):
+        expect = canonical_update_matrix(ds, int(np.nonzero(ds.y == c)[0][0]), kind)
+        expect_of_class.append((expect, 1e-9 * (1.0 + float(np.abs(expect).max()))))
     invariant_ok = True
 
     def check(h, delta):
         nonlocal invariant_ok
-        if np.any(h):
+        if h.any():
             # h is the per-sample gradient; its support column identifies the class
-            expect = expect_of_class[int(np.argmax(np.abs(h).sum(axis=0)))]
-            if float(np.abs(delta + expect).max()) > 1e-9 * (1.0 + float(np.abs(expect).max())):
+            expect, bound = expect_of_class[np.abs(h).sum(axis=0).argmax()]
+            if np.abs(delta + expect).max() > bound:
                 invariant_ok = False
 
-    verdict_path = cfg.out_csv + ".verdict.json"
-    if os.path.exists(verdict_path):
-        os.remove(verdict_path)  # a run that fails must not sit next to the last run's verdict
     state = _drive(cfg, gamma, wstar, wbar, check)
     verdict = {
         "final_loss": loss_fn(state.w, ds, cfg.opt.loss),

@@ -5,6 +5,10 @@ SVD is LAPACK's (``np.linalg.svd``) under a fixed sign convention, so the
 same input gives the same bytes given the same numpy version, BLAS/LAPACK
 build and thread count; the training loop and the reproducibility contract
 of the experiment harness rely on exactly that.
+
+Inputs are validated once, at the public boundary: each public function
+passes its argument through ``as_matrix`` (2-D, float64, finite), and the
+underscored internals trust their caller to have done so.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ _FAMILY_SHORT = {ENTRYWISE: "ew", SCHATTEN: "sch"}
 # Singular values below RANK_CUTOFF * sigma_max count as zero for rank
 # decisions (rank-1 per-sample gradients need a stable cut).
 RANK_CUTOFF = 1e-12
+
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -94,13 +100,22 @@ class Svd:
         return int(np.sum(self.sigma > RANK_CUTOFF * self.sigma[0]))
 
 
+class NonFiniteError(ValueError, FloatingPointError):
+    """A matrix with a NaN or infinite entry.
+
+    A ValueError for callers that pass such a matrix in; also a
+    FloatingPointError, so a training loop whose own arithmetic produced it
+    reports a numeric failure.
+    """
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D float64 array and reject non-finite entries."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
+    if not np.isfinite(m).all():
+        raise NonFiniteError("matrix has non-finite entries")
     return m
 
 
@@ -109,13 +124,22 @@ def entrywise_norm(a, p: float) -> float:
     m = as_matrix(a)
     if not (p >= 1.0):
         raise ValueError(f"norm exponent must satisfy p >= 1, got {p}")
+    return _entrywise_norm(m, p)
+
+
+def _entrywise_norm(m: np.ndarray, p: float) -> float:
+    """``entrywise_norm`` of a validated matrix and exponent."""
+    if p == 2.0:
+        sq = float(np.sum(m * m))
+        # the unscaled shortcut is accurate unless the sum of squares drops
+        # below the normal range or overflows (numpy warns about the latter)
+        if _TINY <= sq < math.inf:
+            return math.sqrt(sq)
     absm = np.abs(m)
     if math.isinf(p):
         return float(absm.max(initial=0.0))
     if p == 1.0:
         return float(absm.sum())
-    if p == 2.0:
-        return float(np.sqrt(np.sum(m * m)))
     top = float(absm.max(initial=0.0))
     if top == 0.0:
         return 0.0
@@ -173,7 +197,7 @@ def newton_schulz_polar(a, iters: int = 40, tol: float = 1e-8) -> np.ndarray:
     X into [1-tol, 1+tol] while ignoring exact null directions.
     """
     m = as_matrix(a)
-    fro = entrywise_norm(m, 2.0)
+    fro = _entrywise_norm(m, 2.0)
     if fro == 0.0:
         raise ValueError("newton_schulz_polar requires a nonzero matrix")
     x = m / fro
@@ -195,8 +219,8 @@ def frobenius_cosine(a, b) -> float:
     mb = as_matrix(b)
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    na = entrywise_norm(ma, 2.0)
-    nb = entrywise_norm(mb, 2.0)
+    na = _entrywise_norm(ma, 2.0)
+    nb = _entrywise_norm(mb, 2.0)
     if na == 0.0 or nb == 0.0:
         raise ValueError("frobenius_cosine requires nonzero matrices")
     c = float(np.sum(ma * mb)) / (na * nb)

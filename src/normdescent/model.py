@@ -114,19 +114,25 @@ def _softmax_cols(z: np.ndarray) -> np.ndarray:
     return p
 
 
-def _offtarget_probs(w: np.ndarray, ds: Dataset, idx: np.ndarray) -> np.ndarray:
-    """Softmax probabilities with the target entry zeroed, shape (k, |idx|)."""
-    p = _softmax_cols(w @ ds.x[:, idx])
-    p[ds.y[idx], np.arange(idx.size)] = 0.0
+# The helpers below take the samples as gathered columns x = ds.x[:, idx]
+# (shape (d, m); the gather fixes the memory layout, and with it the bytes of
+# W @ x) and target = (ds.y[idx], arange(m)), which indexes each sample's
+# target entry of a (k, m) array.
+
+
+def _offtarget_probs(w: np.ndarray, x: np.ndarray, target) -> np.ndarray:
+    """Softmax probabilities with the target entry zeroed, shape (k, m)."""
+    p = _softmax_cols(w @ x)
+    p[target] = 0.0
     return p
 
 
-def _exp_weights(w: np.ndarray, ds: Dataset, idx: np.ndarray) -> np.ndarray:
-    """exp(z_c - z_y) for c != y (zero at the target entry), shape (k, |idx|)."""
-    z = w @ ds.x[:, idx]
-    zy = z[ds.y[idx], np.arange(idx.size)]
-    arg = z - zy[None, :]
-    arg[ds.y[idx], np.arange(idx.size)] = -np.inf
+def _exp_weights(w: np.ndarray, x: np.ndarray, target, idx: np.ndarray) -> np.ndarray:
+    """exp(z_c - z_y) for c != y (zero at the target entry), shape (k, m);
+    ``idx`` names the samples in overflow errors."""
+    z = w @ x
+    arg = z - z[target][None, :]
+    arg[target] = -np.inf
     _guard_exp(arg, idx)
     return np.exp(arg)
 
@@ -150,7 +156,7 @@ def loss(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
     wm = as_matrix(w)
     cols = np.arange(ds.n)
     if kind == EXPONENTIAL:
-        return float(_exp_weights(wm, ds, cols).sum() / ds.n)
+        return float(_exp_weights(wm, ds.x[:, cols], (ds.y, cols), cols).sum() / ds.n)
     z = wm @ ds.x
     zy = z[ds.y, cols]
     zmax = z.max(axis=0)
@@ -172,13 +178,15 @@ def grad(w, ds: Dataset, batch=ALL, kind: str = CROSS_ENTROPY) -> np.ndarray:
     _check_kind(kind)
     wm = as_matrix(w)
     idx = _as_batch(ds, batch)
+    x = ds.x[:, idx]
+    target = (ds.y[idx], np.arange(idx.size))
     if kind == CROSS_ENTROPY:
-        coeff = _offtarget_probs(wm, ds, idx)
+        coeff = _offtarget_probs(wm, x, target)
     else:
-        coeff = _exp_weights(wm, ds, idx)
+        coeff = _exp_weights(wm, x, target, idx)
     # target entry = -(sum of off-target mass): exact column-sum-zero identity
-    coeff[ds.y[idx], np.arange(idx.size)] = -coeff.sum(axis=0)
-    return (coeff @ ds.x[:, idx].T) / idx.size
+    coeff[target] = -coeff.sum(axis=0)
+    return (coeff @ x.T) / idx.size
 
 
 def proxy_g(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
@@ -187,7 +195,8 @@ def proxy_g(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
     wm = as_matrix(w)
     if kind == EXPONENTIAL:
         return loss(wm, ds, kind)
-    p = _offtarget_probs(wm, ds, np.arange(ds.n))
+    cols = np.arange(ds.n)
+    p = _offtarget_probs(wm, ds.x[:, cols], (ds.y, cols))
     return float(p.sum() / ds.n)
 
 

@@ -15,7 +15,9 @@ Epochs reshuffle the dataset into m = n/b disjoint mini-batches; with vr on,
 the snapshot weights and their full gradient are refreshed at the start of
 every epoch (including epoch 0). The momentum buffer is never reset across
 epochs. A zero signal skips the weight update but still advances the step
-counter so the learning-rate schedule stays aligned.
+counter so the learning-rate schedule stays aligned. A non-finite signal or
+iterate, or a zero direction for a nonzero signal, aborts the run with a
+``TrainingError`` naming the step.
 
 Reproducibility: the PRNG is numpy's PCG64, seeded from the config. Each
 reshuffle draws its n-1 Fisher-Yates swap indices in one
@@ -111,6 +113,7 @@ class TrainState:
     epoch: int
     rng: np.random.Generator
     direction: np.ndarray | None = None  # unit-norm direction of the last step
+    eta: float | None = None  # step size of the last step
 
 
 def init_state(cfg: OptimizerConfig, ds: Dataset, w0) -> TrainState:
@@ -148,7 +151,12 @@ def reshuffle(state: TrainState, n: int, b: int) -> list[np.ndarray]:
 
 
 def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> TrainState:
-    """One update on ``batch``; advances the step counter even on zero signal."""
+    """One update on ``batch``; advances the step counter even on zero signal.
+
+    Raises FloatingPointError for a non-finite signal (``NonFiniteError``
+    from ``steepest_map``) or iterate, and for a zero direction of a nonzero
+    signal; ``run`` reports these as a ``TrainingError``.
+    """
     g = grad(state.w, ds, batch, cfg.loss)
     if cfg.vr_on:
         if state.snapshot_w is None or state.snapshot_full_grad is None:
@@ -159,10 +167,15 @@ def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> TrainSt
     else:
         h = g
     state.momentum = h
-    eta = cfg.schedule.eta(state.t)
+    state.eta = eta = cfg.schedule.eta(state.t)
     state.direction = delta = steepest_map(h, cfg.norm)
-    if np.any(delta):
-        state.w = state.w - eta * delta
+    if delta.any():
+        w = state.w - eta * delta
+        if not np.isfinite(w).all():
+            raise FloatingPointError(f"non-finite iterate after a step of size {eta!r}")
+        state.w = w
+    elif h.any():
+        raise FloatingPointError("zero direction for a nonzero signal")
     state.t += 1
     return state
 
@@ -190,13 +203,12 @@ def run(cfg: OptimizerConfig, ds: Dataset, w0, metrics_hook=None) -> TrainState:
         if cfg.vr_on:
             snapshot_epoch(state, cfg, ds)
         for batch in batches:
-            eta = cfg.schedule.eta(state.t)
             try:
                 step(state, cfg, ds, batch)
             except (LossOverflowError, FloatingPointError) as exc:
                 raise TrainingError(state.t, exc) from exc
             if metrics_hook is not None:
-                metrics_hook(state.t, state.w, state.momentum, eta, state.direction)
+                metrics_hook(state.t, state.w, state.momentum, state.eta, state.direction)
     return state
 
 

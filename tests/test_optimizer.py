@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from normdescent import optimizer
 from normdescent import (
     ALL,
     Dataset,
     NormSpec,
     OptimizerConfig,
     Schedule,
+    TrainingError,
     effective_margin_thresholds,
     grad,
     init_state,
@@ -166,6 +168,23 @@ class TestStep:
 
 
 class TestRun:
+    @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+    def test_non_finite_iterate_is_a_training_error(self):
+        # subnormal features keep the logits small, so the gradient keeps
+        # its sign and the second step of size c = 1e308 overflows W
+        ds = Dataset.from_arrays(np.array([[1e-310, -1e-310]]), np.array([0, 1]), 2)
+        cfg = make_cfg(ds, 2, epochs=3, norm=EWINF, c=1e308)
+        with pytest.raises(TrainingError, match="non-finite") as info:
+            run(cfg, ds, np.zeros((2, 1)))
+        assert info.value.step_index == 1
+
+    def test_zero_direction_for_nonzero_signal_is_a_training_error(self, rng, monkeypatch):
+        ds = divisible_dataset(rng, k=2, d=2, n=4)
+        monkeypatch.setattr(optimizer, "steepest_map", lambda h, spec: np.zeros_like(h))
+        with pytest.raises(TrainingError, match="zero direction") as info:
+            run(make_cfg(ds, 4), ds, np.zeros((2, 2)))
+        assert info.value.step_index == 0
+
     def test_single_step_accounting(self, rng):
         ds = divisible_dataset(rng, k=2, d=2, n=4)
         state = run(make_cfg(ds, 4, epochs=1), ds, np.zeros((2, 2)))

@@ -3,10 +3,13 @@
 The reproducibility contract is: the same config gives the same CSV bytes,
 given the same numpy version, BLAS build and BLAS thread count. These
 sha256 digests pin it for two full-batch runs (ew:2 and ew:inf, a metric
-row every step) on a small Gaussian instance, and for two batch-size-one
-``persample`` runs (ew:inf and sch:inf, CSV and verdict) on a small
-orthogonal scale-skewed instance with gamma given, so no reference solve
-runs. The digests were recorded
+row every step) on a small Gaussian instance, a full-batch sch:inf run on a
+Gaussian instance with k > d (so every gradient has full rank and the
+Schatten map uses every singular pair), an ew:2 mini-batch run with
+momentum and variance reduction, and three batch-size-one ``persample``
+runs (ew:inf, ew:2 and sch:inf, CSV and verdict) on a small orthogonal
+scale-skewed instance; gamma is given, so no reference solve runs. The
+digests were recorded
 with numpy 2.4.6 and OpenBLAS 0.3.31; a numpy upgrade that changes the
 PCG64 ``integers`` stream or the float summation order, a different BLAS,
 or a different thread count may change them. A failure here after such an
@@ -35,11 +38,18 @@ PINNED_PERSAMPLE_SHA256 = {
         "231759adfee0363ad8cc62728bd133e6d08a39a7b34657bf1c96b12968ad25e9",
         "74a7a1b2c31efb2dda0529fef2d3cd1d4bcc9b212d03302342b9328859256559",
     ),
+    "ew:2": (
+        "19fd77a8da81672adcf4659afc8688ca2026e6a8e46afcf0f5564e7532b4cb24",
+        "b03ae772a7093d972919e9d3c1c8109bedfbf776b7833bd66108931bbe04d9dc",
+    ),
     "sch:inf": (
         "aba07670999327c1c38cf74cff1aba005cc5c96969a41d83fe3df39723a4fe85",
         "ec849c58f61971393c70d190ae6fdd06fd3b7536ee2f2ba0f5ab45e79c3f0595",
     ),
 }
+
+PINNED_FULL_RANK_SCHATTEN_SHA256 = "3b07174e6afe679505e03d1b59479a17f1e5791ec592df569e88f36f26c80d14"
+PINNED_MOMENTUM_VR_SHA256 = "96a5530ee89f920a65cc29ca730347fc01686c46d0437616ae6313bb4a697100"
 
 
 def _sha256(path) -> str:
@@ -64,20 +74,31 @@ def dataset_path(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("norm", sorted(PINNED_SHA256))
-def test_full_batch_csv_bytes_pinned(tmp_path, dataset_path, norm, capsys):
+@pytest.fixture(scope="module")
+def full_rank_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pinned") / "gauss_k4.txt"
+    save_dataset(gen_gaussian(GaussianSpec(k=4, per_class=3, d=3, sigma=0.1, seed=5)), path)
+    return str(path)
+
+
+def _train_csv(tmp_path, **cfg) -> str:
     out_csv = tmp_path / "run.csv"
     cfg = {
-        "norm": norm, "loss": "cross_entropy", "batch_size": 12, "momentum": False,
-        "beta1": 0.0, "vr": False, "c": 0.5, "a": 0.5, "eta0": 0.5, "epochs": 60,
-        "seed": 9, "dataset_path": dataset_path, "w0": "zeros", "out_csv": str(out_csv),
-        "gamma": 0.2, "log_every": 1,
+        "loss": "cross_entropy", "momentum": False, "beta1": 0.0, "vr": False, "c": 0.5, "a": 0.5,
+        "eta0": 0.5, "seed": 9, "w0": "zeros", "out_csv": str(out_csv), "gamma": 0.2, "log_every": 1,
+        **cfg,
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert cli_main(["train", "--config", str(cfg_path)]) == EXIT_OK
+    return _sha256(out_csv)
+
+
+@pytest.mark.parametrize("norm", sorted(PINNED_SHA256))
+def test_full_batch_csv_bytes_pinned(tmp_path, dataset_path, norm, capsys):
+    digest = _train_csv(tmp_path, norm=norm, batch_size=12, epochs=60, dataset_path=dataset_path)
     capsys.readouterr()
-    assert _sha256(out_csv) == PINNED_SHA256[norm]
+    assert digest == PINNED_SHA256[norm]
 
 
 @pytest.mark.parametrize("norm", sorted(PINNED_PERSAMPLE_SHA256))
@@ -95,3 +116,18 @@ def test_persample_bytes_pinned(tmp_path, skewed_path, norm, capsys):
     capsys.readouterr()
     verdict = tmp_path / "ps.csv.verdict.json"
     assert (_sha256(out_csv), _sha256(verdict)) == PINNED_PERSAMPLE_SHA256[norm]
+
+
+def test_full_batch_full_rank_schatten_csv_bytes_pinned(tmp_path, full_rank_path, capsys):
+    digest = _train_csv(tmp_path, norm="sch:inf", batch_size=12, epochs=60, dataset_path=full_rank_path)
+    capsys.readouterr()
+    assert digest == PINNED_FULL_RANK_SCHATTEN_SHA256
+
+
+def test_minibatch_momentum_vr_csv_bytes_pinned(tmp_path, dataset_path, capsys):
+    digest = _train_csv(
+        tmp_path, norm="ew:2", batch_size=4, momentum=True, beta1=0.9, vr=True, epochs=20,
+        dataset_path=dataset_path,
+    )
+    capsys.readouterr()
+    assert digest == PINNED_MOMENTUM_VR_SHA256

@@ -7,6 +7,7 @@ from normdescent import (
     Dataset,
     NormSpec,
     dual_norm,
+    jacobi_svd,
     matrix_norm,
     newton_schulz_polar,
     single_sample_spectral_equals_frobenius,
@@ -40,6 +41,48 @@ class TestClosedForms:
     def test_zero_maps_to_zero(self):
         for spec in ALL_SPECS:
             assert not np.any(steepest_map(np.zeros((3, 2)), spec))
+
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_tiny_and_huge_frobenius_maps(self):
+        spec = NormSpec("entrywise", 2.0)
+        assert np.array_equal(steepest_map([[1e-200, 0.0]], spec), [[1.0, 0.0]])
+        assert np.array_equal(steepest_map([[1e300, 0.0]], spec), [[1.0, 0.0]])
+        out = steepest_map([[3e300, -4e300]], spec)
+        assert np.abs(out - [[0.6, -0.8]]).max() <= 1e-15
+
+
+def _reference_schatten_map(g, p):
+    """The Schatten map built from jacobi_svd's sign-normalised factors."""
+    svd = jacobi_svd(g)
+    rank = svd.rank()
+    u, v, s = svd.u[:, :rank], svd.v[:, :rank], svd.sigma[:rank]
+    if math.isinf(p):
+        return u @ v.T
+    if p == 1.0:
+        return np.outer(svd.u[:, 0], svd.v[:, 0])
+    q = p / (p - 1.0)
+    w = (s / float(s[0])) ** (q - 1.0)
+    w /= float(np.sum(w ** p)) ** (1.0 / p)
+    return (u * w) @ v.T
+
+
+class TestSignFreeSchattenMap:
+    """Each term u_j v_j^T is unchanged when the pair's signs flip, so the
+    map needs no sign convention: it must equal, byte for byte, the map built
+    from jacobi_svd's signed factors."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_byte_equal_to_signed_svd_reference(self, p, rng):
+        spec = NormSpec("schatten", p)
+        for _ in range(150):
+            shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+            random = rng.standard_normal(shape)
+            rank_one = np.outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1]))
+            for g in (random, rank_one):
+                for scale in (1.0, 1e-100, 1e100):
+                    got = steepest_map(scale * g, spec)
+                    assert got.tobytes() == _reference_schatten_map(scale * g, p).tobytes(), (shape, scale)
 
 
 class TestDualityAttainment:
