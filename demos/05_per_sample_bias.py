@@ -37,7 +37,7 @@ print("every sample is alpha * e_class with class-specific scale ranges\n")
 
 for text, kind in [("ew:inf", BIAS_SIGN), ("ew:2", BIAS_NORMALIZED)]:
     norm = NormSpec.parse(text)
-    wbar = bias_matrix(ds, kind).w_bar
+    wbar = bias_matrix(ds, kind)
     sol = max_margin(ds, norm, tol=1e-2, max_iters=30_000)
     cfg = OptimizerConfig(
         batch_size=1,

@@ -22,7 +22,6 @@ from .model import (
     LossOverflowError,
     MarginReport,
     grad,
-    gradient_noise_bound_check,
     load_dataset,
     load_matrix,
     loss,
@@ -31,7 +30,7 @@ from .model import (
     save_dataset,
     save_matrix,
 )
-from .steepest import single_sample_spectral_equals_frobenius, steepest_map
+from .steepest import steepest_map
 from .optimizer import (
     MarginThresholds,
     OptimizerConfig,
@@ -49,12 +48,10 @@ from .optimizer import (
 from .reference import (
     BIAS_NORMALIZED,
     BIAS_SIGN,
-    BiasMatrix,
     MaxMarginNonConvergence,
     MaxMarginSolution,
     bias_matrix,
     canonical_update_matrix,
-    check_column_symmetry,
     max_margin,
 )
 from .data import GaussianSpec, SeparabilityError, SkewedSpec, gen_gaussian, gen_skewed

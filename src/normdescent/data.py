@@ -20,6 +20,7 @@ from .reference import max_margin
 _PROBE_MARGIN = 1e-3
 _PROBE_TOL = 0.05  # coarse ladder: the probe needs a margin estimate, not a certificate
 _PROBE_ITERS = 4000
+_MAX_RETRIES = 8  # derived-seed redraws before giving up
 
 
 class SeparabilityError(RuntimeError):
@@ -56,14 +57,14 @@ class SkewedSpec:
                 raise ValueError("alpha ranges must satisfy 0 < lo <= hi")
 
 
-def gen_gaussian(spec: GaussianSpec, max_retries: int = 8) -> Dataset:
+def gen_gaussian(spec: GaussianSpec) -> Dataset:
     """Class means uniform on the sphere, features mean + N(0, sigma^2 I).
 
     Regenerates with a derived seed until the margin probe reports
     gamma > 1e-3 under the Frobenius geometry; raises SeparabilityError
-    once ``max_retries`` attempts are used up.
+    once ``_MAX_RETRIES`` attempts are used up.
     """
-    for retry in range(max_retries):
+    for retry in range(_MAX_RETRIES):
         rng = np.random.default_rng([spec.seed, retry])
         means = rng.standard_normal((spec.k, spec.d))
         means /= np.linalg.norm(means, axis=1, keepdims=True)
@@ -81,7 +82,7 @@ def gen_gaussian(spec: GaussianSpec, max_retries: int = 8) -> Dataset:
         if probe.gamma > _PROBE_MARGIN:
             return ds
     raise SeparabilityError(
-        f"no separable draw in {max_retries} attempts (seed {spec.seed}); lower sigma or raise d"
+        f"no separable draw in {_MAX_RETRIES} attempts (seed {spec.seed}); lower sigma or raise d"
     )
 
 

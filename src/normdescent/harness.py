@@ -18,11 +18,12 @@ plus the optional harness keys
 Unknown keys are rejected, and values must have their JSON type: booleans
 for momentum and vr, integers for batch_size, epochs, seed, log_every and
 margin_iters, numbers for the other numeric keys, strings for the others
-(wstar_path and wbar_kind may also be null). batch_size must divide the
-dataset's n, a w0 file must hold a (k, d) matrix, and out_csv must not name
-a directory; all of this is checked before any reference solve, and a run
-then deletes the previous run's outputs before it solves. The CSV schema
-is fixed:
+(wstar_path and wbar_kind may also be null); NaN, Infinity and -Infinity
+are rejected. batch_size must divide the dataset's n, w0 and wstar_path
+files must hold a (k, d) matrix, margin_tol must be positive, and out_csv
+must not name a directory; all of this is checked before any reference
+solve, and a run then deletes the previous run's outputs before it solves.
+The CSV schema is fixed:
 
     t,epoch,eta,loss,proxy_g,min_margin,weight_norm,norm_margin,gap_to_gamma,cos_wstar,cos_wbar,dualnorm_signal
 
@@ -35,7 +36,9 @@ or rho_mom) for mini-batch runs, matching the distinct targets of the
 large-batch and momentum regimes; for ``persample`` gamma, plus a
 per-step check of the applied direction.
 Optional fields serialize as empty strings. Floats are written with
-repr(), so reruns of the same config are byte-identical.
+repr(), so reruns of the same config are byte-identical. A row with a
+non-finite cell (other than the -inf margin and inf gap of a zero W) aborts
+the run instead of being written.
 
 Runs are fully independent (each owns its state and output file); the
 sweep executes them one after another and a per-config failure is recorded
@@ -62,7 +65,7 @@ from .model import (
     margin_report,
     proxy_g,
 )
-from .optimizer import OptimizerConfig, Schedule, effective_margin_thresholds, run
+from .optimizer import OptimizerConfig, Schedule, TrainingError, effective_margin_thresholds, run
 from .reference import (
     BIAS_NORMALIZED,
     BIAS_SIGN,
@@ -76,6 +79,8 @@ CSV_HEADER = (
     "t,epoch,eta,loss,proxy_g,min_margin,weight_norm,norm_margin,"
     "gap_to_gamma,cos_wstar,cos_wbar,dualnorm_signal"
 )
+
+_METRIC_COLUMNS = CSV_HEADER.split(",")[2:]  # the cells after t and epoch
 
 _REQUIRED = object()  # default of a key the config must set
 
@@ -140,17 +145,36 @@ class RunConfig:
     out_csv: str
     log_every: int
     gamma: float | None
-    wstar_path: str | None
+    wstar: np.ndarray | None
     wbar_kind: str | None
     margin_tol: float
     margin_iters: int
 
 
+def _finite_float(text: str) -> float:
+    """JSON number parser that rejects NaN, Infinity, -Infinity and
+    literals that overflow to infinity."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite JSON number {text}")
+    return v
+
+
+def _kd_matrix(path: str, key: str, file: str, ds: Dataset) -> np.ndarray:
+    """The (k, d) matrix in the file that config key ``key`` names."""
+    if not os.path.exists(file):
+        raise ConfigError(f"{path}: {key} {file!r} does not exist")
+    m = load_matrix(file)
+    if m.shape != (ds.k, ds.d):
+        raise ConfigError(f"{path}: {key} {file!r} has shape {m.shape}, not (k, d) = ({ds.k}, {ds.d})")
+    return m
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -190,29 +214,22 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: dataset_path {dataset_path!r} does not exist")
     ds = load_dataset(dataset_path)
 
-    w0_spec = raw["w0"]
-    if w0_spec == "zeros":
-        w0 = np.zeros((ds.k, ds.d))
-    else:
-        if not os.path.exists(w0_spec):
-            raise ConfigError(f"{path}: w0 path {w0_spec!r} does not exist")
-        w0 = load_matrix(w0_spec)
-    # init_state makes the same checks, but only after the reference solve
+    # init_state checks batch_size and the w0 shape too, but only after the
+    # reference solve
     try:
         opt.validate_against(ds)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if w0.shape != (ds.k, ds.d):
-        raise ConfigError(f"{path}: w0 shape {w0.shape} does not match (k, d) = ({ds.k}, {ds.d})")
+    w0 = np.zeros((ds.k, ds.d)) if raw["w0"] == "zeros" else _kd_matrix(path, "w0", raw["w0"], ds)
+    wstar = None if raw["wstar_path"] is None else _kd_matrix(path, "wstar_path", raw["wstar_path"], ds)
 
     wbar_kind = raw["wbar_kind"]
     if wbar_kind is not None and wbar_kind not in (BIAS_SIGN, BIAS_NORMALIZED):
         raise ConfigError(f"{path}: wbar_kind must be 'sign' or 'normalized'")
-    wstar_path = raw["wstar_path"]
-    if wstar_path is not None and not os.path.exists(wstar_path):
-        raise ConfigError(f"{path}: wstar_path {wstar_path!r} does not exist")
     if raw["log_every"] < 1:
         raise ConfigError(f"{path}: log_every must be >= 1")
+    if not raw["margin_tol"] > 0:
+        raise ConfigError(f"{path}: margin_tol must be positive, got {raw['margin_tol']!r}")
     out_csv = raw["out_csv"]
     if not os.path.basename(out_csv) or os.path.isdir(out_csv):
         raise ConfigError(f"{path}: out_csv {out_csv!r} does not name a file")
@@ -224,7 +241,7 @@ def load_config(path: str) -> RunConfig:
         out_csv=out_csv,
         log_every=raw["log_every"],
         gamma=None if raw["gamma"] is None else float(raw["gamma"]),
-        wstar_path=wstar_path,
+        wstar=wstar,
         wbar_kind=wbar_kind,
         margin_tol=float(raw["margin_tol"]),
         margin_iters=raw["margin_iters"],
@@ -232,16 +249,11 @@ def load_config(path: str) -> RunConfig:
 
 
 def _resolve_references(cfg: RunConfig):
-    """Reference margin gamma and max-margin direction."""
-    wstar = load_matrix(cfg.wstar_path) if cfg.wstar_path else None
+    """Reference margin gamma and max-margin direction, the config's or else the solver's."""
     if cfg.gamma is not None:
-        gamma = cfg.gamma
-    else:
-        sol = max_margin(cfg.dataset, cfg.opt.norm, tol=cfg.margin_tol, max_iters=cfg.margin_iters)
-        gamma = sol.gamma
-        if wstar is None:
-            wstar = sol.w_star
-    return gamma, wstar
+        return cfg.gamma, cfg.wstar
+    sol = max_margin(cfg.dataset, cfg.opt.norm, tol=cfg.margin_tol, max_iters=cfg.margin_iters)
+    return sol.gamma, sol.w_star if cfg.wstar is None else cfg.wstar
 
 
 def _gap_target(cfg: RunConfig, gamma: float) -> float:
@@ -261,7 +273,9 @@ def _drive(cfg: RunConfig, target: float, wstar, wbar, check=None):
     the header and the rows logged before the failure.
 
     ``check(h, delta)``, if given, sees every step's signal and the
-    direction the step applied.
+    direction the step applied. A row with a non-finite cell aborts the run
+    with a TrainingError instead of being written; the one exception is a
+    zero W, whose norm_margin is -inf and gap_to_gamma inf by definition.
     """
     ds = cfg.dataset
     m = ds.n // cfg.opt.batch_size
@@ -289,6 +303,11 @@ def _drive(cfg: RunConfig, target: float, wstar, wbar, check=None):
                 None if wbar is None else frobenius_cosine(w, wbar),
                 dual_norm(h, cfg.opt.norm),
             )
+            exempt = ("norm_margin", "gap_to_gamma") if rep.weight_norm == 0.0 else ()
+            bad = [f"{name} {float(v)!r}" for name, v in zip(_METRIC_COLUMNS, cells)
+                   if v is not None and name not in exempt and not math.isfinite(v)]
+            if bad:
+                raise TrainingError(t, FloatingPointError(f"non-finite metric row: {', '.join(bad)}"))
             floats = ("" if v is None else repr(float(v)) for v in cells)
             fh.write(",".join((str(t), str((t - 1) // m), *floats)) + "\n")
 
@@ -307,7 +326,7 @@ def train_cmd(config_path: str) -> str:
     cfg = load_config(config_path)
     _remove(cfg.out_csv)
     gamma, wstar = _resolve_references(cfg)
-    wbar = bias_matrix(cfg.dataset, cfg.wbar_kind).w_bar if cfg.wbar_kind else None
+    wbar = bias_matrix(cfg.dataset, cfg.wbar_kind) if cfg.wbar_kind else None
     _drive(cfg, _gap_target(cfg, gamma), wstar, wbar)
     return cfg.out_csv
 
@@ -389,7 +408,8 @@ def _last_or_none(col: np.ndarray):
     return None if math.isnan(v) else v
 
 
-_PERSAMPLE_NORMS = {"ew:inf", "ew:2", "sch:inf"}
+# the norms the protocol supports -> the bias kind each implies
+_PERSAMPLE_KINDS = {"ew:inf": BIAS_SIGN, "ew:2": BIAS_NORMALIZED, "sch:inf": BIAS_NORMALIZED}
 
 
 def _check_scale_skewed(ds: Dataset):
@@ -417,21 +437,21 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
         raise ConfigError("persample protocol requires batch_size = 1")
     if cfg.opt.momentum_on or cfg.opt.vr_on:
         raise ConfigError("persample protocol requires momentum and vr off")
-    if str(cfg.opt.norm) not in _PERSAMPLE_NORMS:
-        raise ConfigError(f"persample norm must be one of {sorted(_PERSAMPLE_NORMS)}")
+    kind = _PERSAMPLE_KINDS.get(str(cfg.opt.norm))
+    if kind is None:
+        raise ConfigError(f"persample norm must be one of {sorted(_PERSAMPLE_KINDS)}")
     if np.any(cfg.w0):
         raise ConfigError("persample protocol requires w0 = zeros")
     ds = cfg.dataset
     _check_scale_skewed(ds)
 
-    kind = BIAS_SIGN if str(cfg.opt.norm) == "ew:inf" else BIAS_NORMALIZED
     if cfg.wbar_kind not in (None, kind):
         raise ConfigError(f"persample with norm {cfg.opt.norm} uses wbar_kind {kind!r}, not {cfg.wbar_kind!r}")
     verdict_path = cfg.out_csv + ".verdict.json"
     _remove(cfg.out_csv)
     _remove(verdict_path)
     gamma, wstar = _resolve_references(cfg)
-    wbar = bias_matrix(ds, kind).w_bar
+    wbar = bias_matrix(ds, kind)
     # every sample of a class has the same closed-form update; keep the
     # first's, with the tolerance of the check against it
     expect_of_class = []

@@ -163,18 +163,12 @@ def jacobi_svd(a) -> Svd:
     return Svd(u=u, sigma=sigma, v=np.ascontiguousarray(vt.T))
 
 
-def singular_values(a) -> np.ndarray:
-    return jacobi_svd(a).sigma
-
-
 def schatten_norm(a, p: float) -> float:
     """Schatten p-norm: p-norm of the singular value vector."""
-    if not (p >= 1.0):
-        raise ValueError(f"norm exponent must satisfy p >= 1, got {p}")
     if p == 2.0:
         # Frobenius identity; skip the SVD
         return entrywise_norm(a, 2.0)
-    return entrywise_norm(singular_values(a)[None, :], p)
+    return entrywise_norm(jacobi_svd(a).sigma[None, :], p)
 
 
 def matrix_norm(a, spec: NormSpec) -> float:

@@ -45,7 +45,6 @@ class LossOverflowError(ArithmeticError):
             f"exponential loss overflow at sample {sample}: exp argument {argument:.1f} > {_EXP_GUARD:g}"
         )
         self.sample = sample
-        self.argument = argument
 
 
 def _check_kind(kind: str):
@@ -241,21 +240,6 @@ def margin_report(w, ds: Dataset, spec: NormSpec) -> MarginReport:
         argmin_sample=i,
         argmin_class=c,
     )
-
-
-def gradient_noise_bound_check(w, ds: Dataset, batch) -> tuple[float, float]:
-    """Both sides of the mini-batch noise bound ||grad_B - grad||_1 <= 2(m-1) R G(W).
-
-    Requires |batch| to divide n so m = n/|batch| is an integer.
-    """
-    idx = _as_batch(ds, batch)
-    if ds.n % idx.size != 0:
-        raise ValueError(f"batch size {idx.size} must divide n = {ds.n}")
-    m = ds.n // idx.size
-    diff = grad(w, ds, idx) - grad(w, ds, ALL)
-    lhs = float(np.abs(diff).sum())
-    rhs = 2.0 * (m - 1) * ds.r_bound * proxy_g(w, ds)
-    return lhs, rhs
 
 
 # --- text serialization ----------------------------------------------------

@@ -46,7 +46,6 @@ class TrainingError(RuntimeError):
     def __init__(self, step_index: int, cause: Exception):
         super().__init__(f"training aborted at step {step_index}: {cause}")
         self.step_index = step_index
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,6 @@ class TrainState:
     snapshot_w: np.ndarray | None
     snapshot_full_grad: np.ndarray | None
     t: int
-    epoch: int
     rng: np.random.Generator
     direction: np.ndarray | None = None  # unit-norm direction of the last step
     eta: float | None = None  # step size of the last step
@@ -127,7 +125,6 @@ def init_state(cfg: OptimizerConfig, ds: Dataset, w0) -> TrainState:
         snapshot_w=None,
         snapshot_full_grad=None,
         t=0,
-        epoch=0,
         rng=np.random.Generator(np.random.PCG64(cfg.seed)),
     )
 
@@ -197,8 +194,7 @@ def run(cfg: OptimizerConfig, ds: Dataset, w0, metrics_hook=None) -> TrainState:
     Fully deterministic given (cfg.seed, w0, ds).
     """
     state = init_state(cfg, ds, w0)
-    for epoch in range(cfg.epochs):
-        state.epoch = epoch
+    for _ in range(cfg.epochs):
         batches = reshuffle(state, ds.n, cfg.batch_size)
         if cfg.vr_on:
             snapshot_epoch(state, cfg, ds)
@@ -240,12 +236,7 @@ def schedule_constants(c: float, a: float, eta0: float, beta: float, c1: float) 
         raise ValueError("beta must lie in (0, 1)")
     if not (c1 > 0.0):
         raise ValueError("c1 must be positive")
-    if not (0.0 < a <= 1.0):
-        raise ValueError("a must lie in (0, 1]")
-    if not (c > 0.0):
-        raise ValueError("c must be positive")
-    if not (0.0 <= eta0 <= c):
-        raise ValueError("eta0 must satisfy 0 <= eta0 <= c")
+    Schedule(c, a, eta0)  # the schedule's own checks on c, a and eta0
     lam = math.log(1.0 / beta)
 
     def at_least_one(x: float) -> int:

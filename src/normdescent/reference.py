@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NormSpec, as_matrix, matrix_norm
+from .linalg import NormSpec, matrix_norm
 from .model import Dataset, margin_report, pair_gaps
 from .steepest import steepest_map
 
@@ -47,7 +47,6 @@ class MaxMarginNonConvergence(RuntimeError):
 class MaxMarginSolution:
     gamma: float
     w_star: np.ndarray
-    spec: NormSpec
     iterations_used: int
     certificate_gap: float
     separable: bool
@@ -79,8 +78,11 @@ def max_margin(ds: Dataset, spec: NormSpec, tol: float = 1e-3, max_iters: int = 
     the iterate's exact normalized margin and the next softmin gradient.
     Non-separable data is reported by ``separable=False`` (gamma <= tol),
     never raised. Raises MaxMarginNonConvergence only when the budget was
-    exhausted while the final certificate gap still exceeds 10 * tol.
+    exhausted while the final certificate gap still exceeds 10 * tol, and
+    ValueError unless tol is finite and positive.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"max_margin tol must be finite and positive, got {tol}")
     taus = []
     tau = _TAU_LADDER_START
     while tau >= tol:
@@ -133,7 +135,6 @@ def max_margin(ds: Dataset, spec: NormSpec, tol: float = 1e-3, max_iters: int = 
     return MaxMarginSolution(
         gamma=float(gamma),
         w_star=w_star,
-        spec=spec,
         iterations_used=used,
         certificate_gap=float(gap),
         separable=bool(gamma > tol),
@@ -144,13 +145,7 @@ def max_margin(ds: Dataset, spec: NormSpec, tol: float = 1e-3, max_iters: int = 
 # --- batch-size-one bias targets -------------------------------------------
 
 
-@dataclass(frozen=True)
-class BiasMatrix:
-    w_bar: np.ndarray
-    kind: str
-
-
-def bias_matrix(ds: Dataset, kind: str) -> BiasMatrix:
+def bias_matrix(ds: Dataset, kind: str) -> np.ndarray:
     """Limit direction of per-sample SignSGD / Normalized-SGD updates.
 
     sign:       sum_i (2 e_(y_i) - 1) sign(x_i)^T
@@ -164,7 +159,7 @@ def bias_matrix(ds: Dataset, kind: str) -> BiasMatrix:
         if kind == BIAS_NORMALIZED and float(np.linalg.norm(ds.x[:, i])) == 0.0:
             raise ValueError(f"sample {i} is zero; normalized bias matrix undefined")
         w_bar += canonical_update_matrix(ds, i, kind)
-    return BiasMatrix(w_bar=w_bar, kind=kind)
+    return w_bar
 
 
 def canonical_update_matrix(ds: Dataset, sample: int, kind: str) -> np.ndarray:
@@ -185,23 +180,3 @@ def canonical_update_matrix(ds: Dataset, sample: int, kind: str) -> np.ndarray:
         return np.outer(2.0 * e - np.ones(k), np.sign(xi))
     u = e - np.ones(k) / k
     return np.outer(u / float(np.linalg.norm(u)), xi / float(np.linalg.norm(xi)))
-
-
-def check_column_symmetry(w, rel_tol: float = 1e-9) -> bool:
-    """True iff every column has (near) equal off-diagonal entries.
-
-    The tolerance scales as rel_tol * (1 + max|entry|). Columns beyond the
-    square part have no diagonal entry and must be entirely uniform.
-    """
-    wm = as_matrix(w)
-    rows, cols = wm.shape
-    scale = rel_tol * (1.0 + float(np.abs(wm).max(initial=0.0)))
-    for j in range(cols):
-        col = wm[:, j]
-        if j < rows:
-            off = np.delete(col, j)
-        else:
-            off = col
-        if off.size >= 2 and float(off.max() - off.min()) > scale:
-            return False
-    return True

@@ -37,7 +37,7 @@ from .linalg import (
     jacobi_svd,  # unused here; kept as a binding the perfbench tracer wraps
 )
 
-__all__ = ["NormSpec", "steepest_map", "single_sample_spectral_equals_frobenius"]
+__all__ = ["NormSpec", "steepest_map"]
 
 
 def _entrywise_map(g: np.ndarray, p: float) -> np.ndarray:
@@ -78,20 +78,3 @@ def steepest_map(g, spec: NormSpec) -> np.ndarray:
     if spec.family == ENTRYWISE:
         return _entrywise_map(m, spec.p)
     return _schatten_map(m, spec.p)
-
-
-def single_sample_spectral_equals_frobenius(w, ds, i: int):
-    """Spectral and Frobenius maps of one per-sample gradient.
-
-    Per-sample gradients of the linear classifier are rank one, so the two
-    maps coincide; this returns both so the caller can assert
-    ||a - b||_F <= 1e-6. Raises on a zero gradient.
-    """
-    from .model import grad
-
-    g = grad(w, ds, np.array([i]), kind="cross_entropy")
-    if not np.any(g):
-        raise ValueError(f"per-sample gradient for sample {i} is zero")
-    a = steepest_map(-g, NormSpec("schatten", math.inf))
-    b = steepest_map(-g, NormSpec("entrywise", 2.0))
-    return a, b

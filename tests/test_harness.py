@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -180,22 +183,61 @@ class TestTrainCmd:
         path.write_text(json.dumps(raw))
         cfg = load_config(str(path))
         assert (cfg.log_every, cfg.margin_tol, cfg.margin_iters) == (10, 1e-3, 120_000)
-        assert cfg.gamma is None and cfg.wstar_path is None and cfg.wbar_kind is None
+        assert cfg.gamma is None and cfg.wstar is None and cfg.wbar_kind is None
 
-    @pytest.mark.parametrize("case", ["batch_size", "w0_shape", "out_csv_dir"])
-    def test_config_error_before_reference_solve(self, tmp_path, capsys, monkeypatch, case):
-        if case == "batch_size":
-            cfg = write_config(tmp_path, batch_size=3)  # n = 4
-        elif case == "out_csv_dir":
-            cfg = write_config(tmp_path, out_csv=str(tmp_path))
-        else:
-            w0 = tmp_path / "w0.txt"
-            w0.write_text("2 3\n0 0 0\n0 0 0\n")  # (k, d) = (2, 2)
-            cfg = write_config(tmp_path, w0=str(w0))
-        solves, real_max_margin = [], harness.max_margin
-        monkeypatch.setattr(harness, "max_margin", lambda *a, **kw: solves.append(a) or real_max_margin(*a, **kw))
+    @pytest.mark.parametrize(
+        "key,literal",
+        [("gamma", "NaN"), ("c", "Infinity"), ("gamma", "-Infinity"), ("margin_tol", "1e400")],
+    )
+    def test_non_finite_json_numbers_rejected(self, tmp_path, capsys, monkeypatch, key, literal):
+        # json.load accepts these literals (1e400 overflows to inf); the
+        # config must not
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, **{key: "__literal__"})
+        with open(cfg) as fh:
+            text = fh.read().replace('"__literal__"', literal)
+        with open(cfg, "w") as fh:
+            fh.write(text)
         rc = cli_main(["train", "--config", cfg])
-        assert rc == EXIT_CONFIG and capsys.readouterr().err.startswith("error: ")
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {cfg}: non-finite JSON number {literal}\n"
+        assert not (tmp_path / "out.csv").exists()
+        with pytest.raises(ConfigError):
+            load_config(cfg)
+
+    @pytest.mark.parametrize(
+        "case", ["batch_size", "w0_shape", "out_csv_dir", "wstar_shape", "margin_tol_zero", "margin_tol_negative"]
+    )
+    def test_config_error_before_reference_solve(self, tmp_path, capsys, monkeypatch, case):
+        matrix = tmp_path / "w.txt"
+        matrix.write_text("2 3\n0 0 0\n0 0 0\n")  # (k, d) = (2, 2)
+        cfg = write_config(
+            tmp_path,
+            **{
+                "batch_size": {"batch_size": 3},  # n = 4
+                "w0_shape": {"w0": str(matrix)},
+                "out_csv_dir": {"out_csv": str(tmp_path)},
+                "wstar_shape": {"wstar_path": str(matrix)},
+                "margin_tol_zero": {"margin_tol": 0},
+                "margin_tol_negative": {"margin_tol": -1e-3},
+            }[case],
+        )
+        solves = []
+
+        def max_margin(*args, **kwargs):
+            # records the call and never solves: with tol <= 0 the solver
+            # of an unchecked config would not stop
+            solves.append(args)
+            raise AssertionError("the reference solve ran")
+
+        monkeypatch.setattr(harness, "max_margin", max_margin)
+        rc = cli_main(["train", "--config", cfg])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG and err.startswith("error: ")
+        if case == "wstar_shape":
+            assert f"wstar_path {str(matrix)!r} has shape (2, 3)" in err
+        elif case.startswith("margin_tol"):
+            assert "margin_tol must be positive" in err
         assert solves == []
         assert not (tmp_path / "out.csv").exists()
         with pytest.raises(ConfigError):
@@ -568,6 +610,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == EXIT_NUMERIC
         assert err.startswith("error: training aborted at step 1: ")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("norm", ["ew:2", "ew:inf", "sch:inf"])
+    def test_non_finite_metric_row_is_not_written(self, tmp_path, capsys, norm):
+        # eta0 = 1e-300 keeps step 1 finite; step 2 moves W to +-1e10 along
+        # +-1e300 features, so the logits of its metric row overflow
+        data = tmp_path / "huge.txt"
+        save_dataset(Dataset.from_arrays(np.array([[1e300, -1e300]]), np.array([0, 1]), 2), data)
+        cfg = write_config(tmp_path, norm=norm, batch_size=1, c=1e10, eta0=1e-300, epochs=1, gamma=1.0,
+                           dataset_path=str(data), log_every=1)
+        rc = cli_main(["train", "--config", cfg])
+        err = capsys.readouterr().err
+        assert rc == EXIT_NUMERIC
+        assert err.startswith("error: training aborted at step 2: non-finite metric row: ")
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["1"]
+        assert all(math.isfinite(float(v)) for v in lines[1].split(",") if v)
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-3", "nan", "inf"])
+    def test_margin_tol_out_of_range_exits_2(self, tmp_path, tol):
+        # a solver that accepts tol <= 0 never leaves its temperature ladder,
+        # so the CLI runs in a child process with a time limit and a 1.5 GB
+        # address-space cap
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+        cap = 1536 * 2**20
+        proc = subprocess.run(
+            [sys.executable, "-m", "normdescent.cli", "margin", "--dataset", toy_dataset_file(tmp_path),
+             "--norm", "ew:2", "--out", str(tmp_path / "w.txt"), f"--tol={tol}"],
+            capture_output=True, text=True, timeout=60, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == f"error: max_margin tol must be finite and positive, got {float(tol)}\n"
+        assert not (tmp_path / "w.txt").exists()
 
     def test_nonconvergence_exits_4(self, tmp_path, capsys):
         data = toy_dataset_file(tmp_path, "nc.txt")

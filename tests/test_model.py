@@ -15,7 +15,6 @@ from normdescent import (
     NormSpec,
     dual_norm,
     grad,
-    gradient_noise_bound_check,
     load_dataset,
     load_matrix,
     loss,
@@ -204,6 +203,21 @@ class TestMarginReport:
         rep = margin_report(np.zeros((3, 3)), ds, self.SPEC)
         assert rep.argmin_sample == 0
         assert rep.argmin_class == 1
+
+
+def gradient_noise_bound_check(w, ds: Dataset, batch) -> tuple[float, float]:
+    """Both sides of the mini-batch noise bound ||grad_B - grad||_1 <= 2(m-1) R G(W).
+
+    Requires |batch| to divide n so m = n/|batch| is an integer.
+    """
+    size = len(batch)
+    if ds.n % size != 0:
+        raise ValueError(f"batch size {size} must divide n = {ds.n}")
+    m = ds.n // size
+    diff = grad(w, ds, batch) - grad(w, ds, ALL)
+    lhs = float(np.abs(diff).sum())
+    rhs = 2.0 * (m - 1) * ds.r_bound * proxy_g(w, ds)
+    return lhs, rhs
 
 
 class TestNoiseBound:

@@ -7,10 +7,10 @@ from normdescent import (
     Dataset,
     NormSpec,
     dual_norm,
+    grad,
     jacobi_svd,
     matrix_norm,
     newton_schulz_polar,
-    single_sample_spectral_equals_frobenius,
     steepest_map,
 )
 from tests.test_linalg import ALL_SPECS
@@ -125,6 +125,21 @@ class TestDualityAttainment:
             a = steepest_map(g, spec)
             b = newton_schulz_polar(g)
             assert np.linalg.norm(a - b) <= 1e-6
+
+
+def single_sample_spectral_equals_frobenius(w, ds, i: int):
+    """Spectral and Frobenius maps of one per-sample gradient.
+
+    Per-sample gradients of the linear classifier are rank one, so the two
+    maps coincide; this returns both so the caller can assert
+    ||a - b||_F <= 1e-6. Raises on a zero gradient.
+    """
+    g = grad(w, ds, np.array([i]), kind="cross_entropy")
+    if not np.any(g):
+        raise ValueError(f"per-sample gradient for sample {i} is zero")
+    a = steepest_map(-g, NormSpec("schatten", math.inf))
+    b = steepest_map(-g, NormSpec("entrywise", 2.0))
+    return a, b
 
 
 class TestSingleSampleEquivalence:
