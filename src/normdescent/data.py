@@ -95,16 +95,9 @@ def gen_skewed(spec: SkewedSpec) -> Dataset:
     """
     rng = np.random.default_rng(spec.seed)
     alphas = [rng.uniform(lo, hi, size=cnt) for (lo, hi), cnt in zip(spec.alpha_ranges, spec.counts)]
-    n = sum(spec.counts)
-    x = np.zeros((spec.k, n))
-    y = np.zeros(n, dtype=np.int64)
-    taken = [0] * spec.k
-    pos = 0
-    while pos < n:
-        for c in range(spec.k):
-            if taken[c] < spec.counts[c]:
-                x[c, pos] = alphas[c][taken[c]]
-                y[pos] = c
-                taken[c] += 1
-                pos += 1
+    # round r places the r-th sample of every class that has one, in class order
+    slots = sorted((r, c) for c, cnt in enumerate(spec.counts) for r in range(cnt))
+    y = np.array([c for _, c in slots], dtype=np.int64)
+    x = np.zeros((spec.k, y.size))
+    x[y, np.arange(y.size)] = [alphas[c][r] for r, c in slots]
     return Dataset.from_arrays(x, y, spec.k)

@@ -1,27 +1,9 @@
 """Experiment harness: configured training runs with CSV metric logs,
 directory sweeps, post-hoc rate fits, and the batch-size-one protocol.
 
-A run config is a JSON object with the optimizer contract keys
-
-    norm, loss, batch_size, momentum, beta1, vr, c, a, eta0, epochs,
-    seed, dataset_path, w0 ("zeros" or a matrix file path), out_csv
-
-plus the optional harness keys
-
-    gamma        precomputed reference margin (float)
-    wstar_path   precomputed max-margin direction (matrix file)
-    wbar_kind    "sign" | "normalized": also log cosine to the bias matrix
-    log_every    metric cadence in steps (default 10)
-    margin_tol / margin_iters   solver settings when gamma is not supplied
-                 (defaults 1e-3 and 120000)
-
-Unknown keys are rejected, and values must have their JSON type: booleans
-for momentum and vr, integers for batch_size, epochs, seed, log_every and
-margin_iters, numbers for the other numeric keys, strings for the others
-(wstar_path and wbar_kind may also be null); NaN, Infinity and -Infinity
-are rejected. batch_size must divide the dataset's n, w0 and wstar_path
-files must hold a (k, d) matrix, margin_tol must be positive, and out_csv
-must not name a directory; all of this is checked before any reference
+A run config is a JSON object. ``_KEYS`` below lists its keys with their
+JSON types and defaults, and the README gives the rules ``load_config``
+checks on their values. All of them are checked before any reference
 solve, and a run then deletes the previous run's outputs before it solves.
 The CSV schema is fixed:
 
@@ -188,17 +170,22 @@ def load_config(path: str) -> RunConfig:
     for key, (types, what, _) in _KEYS.items():
         if type(raw[key]) not in types:
             raise ConfigError(f"{path}: {key} must be {what}, got {raw[key]!r}")
+        if float in types and type(raw[key]) is int:
+            try:
+                raw[key] = float(raw[key])
+            except OverflowError:
+                raise ConfigError(f"{path}: {key} is an integer too large for a float") from None
 
     loss_kind = _LOSS_ALIASES.get(raw["loss"].lower())
     if loss_kind is None:
         raise ConfigError(f"{path}: loss must be one of {sorted(_LOSS_ALIASES)}, got {raw['loss']!r}")
     try:
         norm = NormSpec.parse(raw["norm"])
-        schedule = Schedule(c=float(raw["c"]), a=float(raw["a"]), eta0=float(raw["eta0"]))
+        schedule = Schedule(c=raw["c"], a=raw["a"], eta0=raw["eta0"])
         opt = OptimizerConfig(
             batch_size=raw["batch_size"],
             momentum_on=raw["momentum"],
-            beta1=float(raw["beta1"]),
+            beta1=raw["beta1"],
             vr_on=raw["vr"],
             schedule=schedule,
             epochs=raw["epochs"],
@@ -228,6 +215,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: wbar_kind must be 'sign' or 'normalized'")
     if raw["log_every"] < 1:
         raise ConfigError(f"{path}: log_every must be >= 1")
+    if raw["margin_iters"] < 1:
+        raise ConfigError(f"{path}: margin_iters must be >= 1")
     if not raw["margin_tol"] > 0:
         raise ConfigError(f"{path}: margin_tol must be positive, got {raw['margin_tol']!r}")
     out_csv = raw["out_csv"]
@@ -240,10 +229,10 @@ def load_config(path: str) -> RunConfig:
         w0=w0,
         out_csv=out_csv,
         log_every=raw["log_every"],
-        gamma=None if raw["gamma"] is None else float(raw["gamma"]),
+        gamma=raw["gamma"],
         wstar=wstar,
         wbar_kind=wbar_kind,
-        margin_tol=float(raw["margin_tol"]),
+        margin_tol=raw["margin_tol"],
         margin_iters=raw["margin_iters"],
     )
 
@@ -348,9 +337,13 @@ def fit_rate(csv_path: str, t_lo: int, t_hi: int) -> SlopeFit:
     Uses only rows with a strictly positive gap; requires at least 20 of
     them inside [t_lo, t_hi].
     """
+    return _fit_columns(read_csv(csv_path), t_lo, t_hi, csv_path)
+
+
+def _fit_columns(cols: dict[str, np.ndarray], t_lo: int, t_hi: int, csv_path: str) -> SlopeFit:
+    """``fit_rate`` on the columns already read from ``csv_path``."""
     if t_lo >= t_hi:
         raise ValueError("t_lo must be below t_hi")
-    cols = read_csv(csv_path)
     t = cols["t"]
     gap = cols["gap_to_gamma"]
     sel = (t >= t_lo) & (t <= t_hi) & (gap > 0.0)
@@ -380,32 +373,26 @@ def sweep_cmd(config_dir: str, summary_path: str | None = None) -> dict:
         raise ConfigError(f"{config_dir}: no .json configs found")
     summary: dict[str, dict] = {}
     for name in names:
-        cfg_path = os.path.join(config_dir, name)
         try:
-            csv_path = train_cmd(cfg_path)
+            csv_path = train_cmd(os.path.join(config_dir, name))
             cols = read_csv(csv_path)
-            entry: dict = {
-                "final_gap": float(cols["gap_to_gamma"][-1]),
-                "final_cos_wstar": _last_or_none(cols["cos_wstar"]),
-            }
+            gap, cos = float(cols["gap_to_gamma"][-1]), float(cols["cos_wstar"][-1])
             try:
-                fit = fit_rate(csv_path, 1000, int(cols["t"][-1]))
-                entry["slope"] = fit.slope
+                slope = _fit_columns(cols, 1000, int(cols["t"][-1]), csv_path).slope
             except ValueError:
-                entry["slope"] = None
-            summary[name] = entry
+                slope = None
+            summary[name] = {"final_gap": gap, "final_cos_wstar": None if math.isnan(cos) else cos, "slope": slope}
         except Exception as exc:  # fault isolation across configs
             summary[name] = {"error": f"{type(exc).__name__}: {exc}"}
     if summary_path:
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(summary_path, summary)
     return summary
 
 
-def _last_or_none(col: np.ndarray):
-    v = float(col[-1])
-    return None if math.isnan(v) else v
+def _write_json(path: str, obj: dict):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # the norms the protocol supports -> the bias kind each implies
@@ -413,13 +400,13 @@ _PERSAMPLE_KINDS = {"ew:inf": BIAS_SIGN, "ew:2": BIAS_NORMALIZED, "sch:inf": BIA
 
 
 def _check_scale_skewed(ds: Dataset):
-    for i in range(ds.n):
-        xi = ds.x[:, i]
-        nz = np.nonzero(xi)[0]
-        if nz.size != 1 or xi[nz[0]] <= 0.0 or int(nz[0]) != int(ds.y[i]):
-            raise ConfigError(
-                f"persample protocol needs orthogonal scale-skewed data; sample {i} is not alpha * e_y"
-            )
+    """Each sample must be alpha * e_y with alpha > 0: sign +1 on row y, 0 elsewhere."""
+    on_label = np.arange(ds.d)[:, None] == ds.y
+    bad = (np.sign(ds.x) != on_label).any(axis=0) | (ds.y >= ds.d)
+    if bad.any():
+        raise ConfigError(
+            f"persample protocol needs orthogonal scale-skewed data; sample {int(np.argmax(bad))} is not alpha * e_y"
+        )
 
 
 def persample_cmd(config_path: str) -> tuple[str, dict]:
@@ -477,7 +464,5 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
         "wbar_kind": kind,
         "gamma": gamma,
     }
-    with open(verdict_path, "w", encoding="utf-8") as fh:
-        json.dump(verdict, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(verdict_path, verdict)
     return cfg.out_csv, verdict

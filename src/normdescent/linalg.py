@@ -195,12 +195,8 @@ def newton_schulz_polar(a, iters: int = 40, tol: float = 1e-8) -> np.ndarray:
     if fro == 0.0:
         raise ValueError("newton_schulz_polar requires a nonzero matrix")
     x = m / fro
-    tall = x.shape[0] >= x.shape[1]
     for _ in range(iters):
-        if tall:
-            xxt_x = x @ (x.T @ x)
-        else:
-            xxt_x = (x @ x.T) @ x
+        xxt_x = (x @ x.T) @ x
         if float(np.sqrt(np.sum((xxt_x - x) ** 2))) <= 0.75 * tol:
             return x
         x = 1.5 * x - 0.5 * xxt_x

@@ -95,15 +95,15 @@ class Dataset:
 def _as_batch(ds: Dataset, batch) -> np.ndarray:
     if batch is ALL:
         return np.arange(ds.n)
-    idx = np.asarray(batch, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("batch must be nonempty")
-    if idx.min() < 0 or idx.max() >= ds.n:
-        raise ValueError("batch indices out of range")
     # batches are index sets: evaluate in sorted order so the result does
     # not depend on shuffle order (a full permuted batch then reproduces
     # the full gradient bit for bit)
-    return np.sort(idx)
+    idx = np.sort(np.asarray(batch, dtype=np.int64))
+    if idx.size == 0:
+        raise ValueError("batch must be nonempty")
+    if idx[0] < 0 or idx[-1] >= ds.n:
+        raise ValueError("batch indices out of range")
+    return idx
 
 
 def _softmax_cols(z: np.ndarray) -> np.ndarray:
@@ -126,22 +126,24 @@ def _offtarget_probs(w: np.ndarray, x: np.ndarray, target) -> np.ndarray:
     return p
 
 
+def _gaps(z: np.ndarray, target) -> np.ndarray:
+    """Pairwise logit gaps z_y - z_c of the logits ``z``, +inf at the target entry."""
+    gaps = z[target][None, :] - z
+    gaps[target] = np.inf
+    return gaps
+
+
 def _exp_weights(w: np.ndarray, x: np.ndarray, target, idx: np.ndarray) -> np.ndarray:
-    """exp(z_c - z_y) for c != y (zero at the target entry), shape (k, m);
-    ``idx`` names the samples in overflow errors."""
-    z = w @ x
-    arg = z - z[target][None, :]
-    arg[target] = -np.inf
-    _guard_exp(arg, idx)
-    return np.exp(arg)
-
-
-def _guard_exp(arg: np.ndarray, samples: np.ndarray):
-    """Raise for the lowest-index sample whose exp argument exceeds the guard."""
-    over = arg > _EXP_GUARD
+    """exp(z_c - z_y) = exp(-gap) for c != y (zero at the target entry),
+    shape (k, m); raises for the lowest-index sample whose exp argument
+    exceeds the guard, named through ``idx``. Negation is exact, so this is
+    bit for bit the exp of the direct difference."""
+    gaps = _gaps(w @ x, target)
+    over = gaps < -_EXP_GUARD
     if over.any():
         col = int(np.nonzero(over.any(axis=0))[0][0])
-        raise LossOverflowError(int(samples[col]), float(arg[:, col].max()))
+        raise LossOverflowError(int(idx[col]), float(-gaps[:, col].min()))
+    return np.exp(-gaps)
 
 
 def loss(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
@@ -202,11 +204,7 @@ def proxy_g(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
 def pair_gaps(w: np.ndarray, ds: Dataset) -> np.ndarray:
     """Pairwise logit gaps gaps[c, i] = z_y - z_c of z = W x_i, with +inf
     on the target row (c = y_i), shape (k, n)."""
-    z = w @ ds.x
-    cols = np.arange(ds.n)
-    gaps = z[ds.y, cols][None, :] - z
-    gaps[ds.y, cols] = np.inf
-    return gaps
+    return _gaps(w @ ds.x, (ds.y, np.arange(ds.n)))
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,8 @@ class OptimizerConfig:
             raise ValueError("beta1 must lie in [0, 1)")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         _check_kind(self.loss)
 
     def validate_against(self, ds: Dataset):
@@ -105,13 +107,11 @@ class TrainState:
     """Mutable loop state owned by exactly one run at a time."""
 
     w: np.ndarray
-    momentum: np.ndarray
+    momentum: np.ndarray  # the EMA buffer; stays zero with momentum off
     snapshot_w: np.ndarray | None
     snapshot_full_grad: np.ndarray | None
     t: int
     rng: np.random.Generator
-    direction: np.ndarray | None = None  # unit-norm direction of the last step
-    eta: float | None = None  # step size of the last step
 
 
 def init_state(cfg: OptimizerConfig, ds: Dataset, w0) -> TrainState:
@@ -147,9 +147,11 @@ def reshuffle(state: TrainState, n: int, b: int) -> list[np.ndarray]:
     return [perm[j * b : (j + 1) * b] for j in range(m)]
 
 
-def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> TrainState:
+def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> tuple[np.ndarray, float, np.ndarray]:
     """One update on ``batch``; advances the step counter even on zero signal.
 
+    Returns what the step applied: the signal H_t, the step size eta and
+    the direction delta = steepest_map(H_t), with W <- W - eta * delta.
     Raises FloatingPointError for a non-finite signal (``NonFiniteError``
     from ``steepest_map``) or iterate, and for a zero direction of a nonzero
     signal; ``run`` reports these as a ``TrainingError``.
@@ -160,12 +162,11 @@ def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> TrainSt
             raise ValueError("variance reduction requires an epoch snapshot; call run() or snapshot_epoch()")
         g = g - grad(state.snapshot_w, ds, batch, cfg.loss) + state.snapshot_full_grad
     if cfg.momentum_on:
-        h = cfg.beta1 * state.momentum + (1.0 - cfg.beta1) * g
+        h = state.momentum = cfg.beta1 * state.momentum + (1.0 - cfg.beta1) * g
     else:
         h = g
-    state.momentum = h
-    state.eta = eta = cfg.schedule.eta(state.t)
-    state.direction = delta = steepest_map(h, cfg.norm)
+    eta = cfg.schedule.eta(state.t)
+    delta = steepest_map(h, cfg.norm)
     if delta.any():
         w = state.w - eta * delta
         if not np.isfinite(w).all():
@@ -174,7 +175,7 @@ def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> TrainSt
     elif h.any():
         raise FloatingPointError("zero direction for a nonzero signal")
     state.t += 1
-    return state
+    return h, eta, delta
 
 
 def snapshot_epoch(state: TrainState, cfg: OptimizerConfig, ds: Dataset):
@@ -200,11 +201,11 @@ def run(cfg: OptimizerConfig, ds: Dataset, w0, metrics_hook=None) -> TrainState:
             snapshot_epoch(state, cfg, ds)
         for batch in batches:
             try:
-                step(state, cfg, ds, batch)
+                applied = step(state, cfg, ds, batch)
             except (LossOverflowError, FloatingPointError) as exc:
                 raise TrainingError(state.t, exc) from exc
             if metrics_hook is not None:
-                metrics_hook(state.t, state.w, state.momentum, state.eta, state.direction)
+                metrics_hook(state.t, state.w, *applied)
     return state
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NormSpec, matrix_norm
+from .linalg import NormSpec, entrywise_norm, matrix_norm
 from .model import Dataset, margin_report, pair_gaps
 from .steepest import steepest_map
 
@@ -79,10 +79,12 @@ def max_margin(ds: Dataset, spec: NormSpec, tol: float = 1e-3, max_iters: int = 
     Non-separable data is reported by ``separable=False`` (gamma <= tol),
     never raised. Raises MaxMarginNonConvergence only when the budget was
     exhausted while the final certificate gap still exceeds 10 * tol, and
-    ValueError unless tol is finite and positive.
+    ValueError unless tol is finite and positive and max_iters >= 1.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"max_margin tol must be finite and positive, got {tol}")
+    if max_iters < 1:
+        raise ValueError(f"max_margin max_iters must be at least 1, got {max_iters}")
     taus = []
     tau = _TAU_LADDER_START
     while tau >= tol:
@@ -156,8 +158,6 @@ def bias_matrix(ds: Dataset, kind: str) -> np.ndarray:
     """
     w_bar = np.zeros((ds.k, ds.d))
     for i in range(ds.n):
-        if kind == BIAS_NORMALIZED and float(np.linalg.norm(ds.x[:, i])) == 0.0:
-            raise ValueError(f"sample {i} is zero; normalized bias matrix undefined")
         w_bar += canonical_update_matrix(ds, i, kind)
     return w_bar
 
@@ -168,7 +168,10 @@ def canonical_update_matrix(ds: Dataset, sample: int, kind: str) -> np.ndarray:
     On orthogonal scale-skewed data, x_i = alpha e_(y_i), per-sample
     SignSGD moves along (2 e_y - 1) sign(x_i)^T and per-sample
     Normalized-SGD along (e_y - 1/k) / ||e_y - 1/k||_2 * e_y^T, independent
-    of alpha and of the current weights (from a zero start).
+    of alpha and of the current weights (from a zero start). The sample
+    norm falls back to the max-scaled ``entrywise_norm`` where the plain
+    one underflows to 0 or overflows; a zero sample raises ValueError for
+    the normalized kind.
     """
     if kind not in (BIAS_SIGN, BIAS_NORMALIZED):
         raise ValueError(f"unknown bias kind {kind!r}")
@@ -178,5 +181,11 @@ def canonical_update_matrix(ds: Dataset, sample: int, kind: str) -> np.ndarray:
     xi = ds.x[:, sample]
     if kind == BIAS_SIGN:
         return np.outer(2.0 * e - np.ones(k), np.sign(xi))
+    with np.errstate(over="ignore"):
+        nx = float(np.linalg.norm(xi))
+        if nx == 0.0 or math.isinf(nx):
+            nx = entrywise_norm(xi[None, :], 2.0)
+    if nx == 0.0:
+        raise ValueError(f"sample {sample} is zero; normalized bias matrix undefined")
     u = e - np.ones(k) / k
-    return np.outer(u / float(np.linalg.norm(u)), xi / float(np.linalg.norm(xi)))
+    return np.outer(u / float(np.linalg.norm(u)), xi / nx)

@@ -21,7 +21,7 @@ from normdescent import (
     sweep_cmd,
     train_cmd,
 )
-from normdescent import harness, optimizer
+from normdescent import harness, optimizer, reference
 from normdescent.cli import EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_NUMERIC, EXIT_OK, main as cli_main
 from normdescent.harness import load_config
 
@@ -205,23 +205,42 @@ class TestTrainCmd:
         with pytest.raises(ConfigError):
             load_config(cfg)
 
-    @pytest.mark.parametrize(
-        "case", ["batch_size", "w0_shape", "out_csv_dir", "wstar_shape", "margin_tol_zero", "margin_tol_negative"]
-    )
+    @pytest.mark.parametrize("key", ["c", "gamma"])
+    def test_integer_too_large_for_a_float_rejected(self, tmp_path, capsys, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, **{key: "__literal__"})
+        with open(cfg) as fh:
+            text = fh.read().replace('"__literal__"', "1" + "0" * 400)
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        (tmp_path / "out.csv").write_text("previous run\n")
+        rc = cli_main(["train", "--config", cfg])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {cfg}: {key} is an integer too large for a float\n"
+        assert (tmp_path / "out.csv").read_text() == "previous run\n"
+
+    # case -> (config overrides, what the message must name)
+    _BEFORE_SOLVE_CASES = {
+        "batch_size": ({"batch_size": 3}, "batch_size 3 must divide n = 4"),
+        "w0_shape": ({"w0": "MATRIX"}, "w0 'MATRIX' has shape (2, 3)"),
+        "out_csv_dir": ({"out_csv": "TMP"}, "out_csv 'TMP' does not name a file"),
+        "wstar_shape": ({"wstar_path": "MATRIX"}, "wstar_path 'MATRIX' has shape (2, 3)"),
+        "margin_tol_zero": ({"margin_tol": 0}, "margin_tol must be positive"),
+        "margin_tol_negative": ({"margin_tol": -1e-3}, "margin_tol must be positive"),
+        "seed_negative": ({"seed": -1}, "seed must be non-negative"),
+        "margin_iters_zero": ({"margin_iters": 0}, "margin_iters must be >= 1"),
+    }
+
+    @pytest.mark.parametrize("case", list(_BEFORE_SOLVE_CASES))
     def test_config_error_before_reference_solve(self, tmp_path, capsys, monkeypatch, case):
         matrix = tmp_path / "w.txt"
         matrix.write_text("2 3\n0 0 0\n0 0 0\n")  # (k, d) = (2, 2)
-        cfg = write_config(
-            tmp_path,
-            **{
-                "batch_size": {"batch_size": 3},  # n = 4
-                "w0_shape": {"w0": str(matrix)},
-                "out_csv_dir": {"out_csv": str(tmp_path)},
-                "wstar_shape": {"wstar_path": str(matrix)},
-                "margin_tol_zero": {"margin_tol": 0},
-                "margin_tol_negative": {"margin_tol": -1e-3},
-            }[case],
-        )
+        overrides, named = self._BEFORE_SOLVE_CASES[case]
+        fill = {"MATRIX": str(matrix), "TMP": str(tmp_path)}
+        overrides = {key: fill.get(v, v) for key, v in overrides.items()}
+        named = named.replace("MATRIX", str(matrix)).replace("TMP", str(tmp_path))
+        cfg = write_config(tmp_path, **overrides)
+        (tmp_path / "out.csv").write_text("previous run\n")
         solves = []
 
         def max_margin(*args, **kwargs):
@@ -233,13 +252,10 @@ class TestTrainCmd:
         monkeypatch.setattr(harness, "max_margin", max_margin)
         rc = cli_main(["train", "--config", cfg])
         err = capsys.readouterr().err
-        assert rc == EXIT_CONFIG and err.startswith("error: ")
-        if case == "wstar_shape":
-            assert f"wstar_path {str(matrix)!r} has shape (2, 3)" in err
-        elif case.startswith("margin_tol"):
-            assert "margin_tol must be positive" in err
+        assert rc == EXIT_CONFIG and err.startswith(f"error: {cfg}: ")
+        assert named in err
         assert solves == []
-        assert not (tmp_path / "out.csv").exists()
+        assert (tmp_path / "out.csv").read_text() == "previous run\n"
         with pytest.raises(ConfigError):
             load_config(cfg)
 
@@ -492,6 +508,23 @@ class TestPersample:
         with pytest.raises(ConfigError):
             persample_cmd(cfg)
 
+    @pytest.mark.parametrize(
+        "x,y,first_bad",
+        [
+            ([[1.0, 0.0, 1.0], [0.0, -0.5, 0.0]], [0, 1, 0], 1),  # a negative scale
+            ([[1.0, 0.3, 1.0], [0.0, 0.5, 0.0]], [0, 1, 0], 1),  # an off-label entry
+            ([[1.0, 0.5, 1.0], [0.0, 0.0, 0.0]], [0, 1, 0], 1),  # on the wrong axis
+            ([[1.0, 0.0, 1.0], [0.0, 0.5, 0.0]], [1, 1, 0], 0),  # e_0 labelled 1
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0, 1, 2], 2),  # k = 3 > d = 2: no axis e_2
+        ],
+    )
+    def test_non_skewed_sample_is_named(self, tmp_path, x, y, first_bad):
+        path = tmp_path / "bad.txt"
+        save_dataset(Dataset.from_arrays(np.array(x), np.array(y), max(y) + 1), path)
+        cfg = self._cfg(tmp_path, dataset_path=str(path), epochs=1, gamma=0.3, name="bad.json")
+        with pytest.raises(ConfigError, match=f"sample {first_bad} is not alpha"):
+            persample_cmd(cfg)
+
 
 class TestCli:
     def test_gen_data_and_margin_and_train(self, tmp_path, capsys):
@@ -647,6 +680,20 @@ class TestCli:
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr == f"error: max_margin tol must be finite and positive, got {float(tol)}\n"
         assert not (tmp_path / "w.txt").exists()
+
+    def test_margin_max_iters_zero_exits_2(self, tmp_path, capsys, monkeypatch):
+        # max_margin checks its budget before the first pair-gap pass
+        passes = []
+        real = reference.pair_gaps
+        monkeypatch.setattr(reference, "pair_gaps", lambda *a: passes.append(1) or real(*a))
+        out = tmp_path / "w.txt"
+        out.write_text("previous W*\n")
+        rc = cli_main(["margin", "--dataset", toy_dataset_file(tmp_path), "--norm", "ew:2", "--out", str(out),
+                       "--max-iters", "0"])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: max_margin max_iters must be at least 1, got 0\n"
+        assert passes == []
+        assert out.read_text() == "previous W*\n"
 
     def test_nonconvergence_exits_4(self, tmp_path, capsys):
         data = toy_dataset_file(tmp_path, "nc.txt")

@@ -127,6 +127,19 @@ class TestStep:
         assert np.array_equal(state.w, expect)
         assert state.t == 1
 
+    def test_step_returns_what_it_applied(self, rng):
+        ds = divisible_dataset(rng, k=3, d=2, n=6)
+        cfg = make_cfg(ds, 3)
+        w0 = rng.standard_normal((3, 2))
+        state = init_state(cfg, ds, w0)
+        batch = np.array([4, 0, 2])
+        h, eta, delta = step(state, cfg, ds, batch)
+        assert np.array_equal(h, grad(w0, ds, batch))
+        assert eta == cfg.schedule.eta0
+        assert np.array_equal(delta, steepest_map(h, cfg.norm))
+        assert np.array_equal(state.w, w0 - eta * delta)
+        assert not state.momentum.any()  # the buffer is only written with momentum on
+
     def test_vr_first_step_equals_full_gradient(self, rng):
         ds = divisible_dataset(rng, k=3, d=2, n=6)
         cfg = make_cfg(ds, 2, vr=True)
@@ -135,10 +148,10 @@ class TestStep:
         state.snapshot_w = state.w.copy()
         state.snapshot_full_grad = grad(state.w, ds, ALL)
         full = state.snapshot_full_grad.copy()
-        step(state, cfg, ds, np.array([0, 1]))
+        h, _, _ = step(state, cfg, ds, np.array([0, 1]))
         # the two batch terms cancel exactly, so the signal is the snapshot
         # full gradient
-        assert np.array_equal(state.momentum, full)
+        assert np.array_equal(h, full)
 
     def test_momentum_unrolled_two_steps(self, rng):
         ds = divisible_dataset(rng, k=3, d=2, n=6)

@@ -267,8 +267,20 @@ class TestBiasMatrix:
     def test_zero_sample_rejected_for_normalized(self):
         x = np.array([[1.0, 0.0], [0.0, 0.0]])
         ds = Dataset.from_arrays(x, np.array([0, 1]), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sample 1 is zero"):
             bias_matrix(ds, BIAS_NORMALIZED)
+        with pytest.raises(ValueError, match="sample 1 is zero"):
+            canonical_update_matrix(ds, 1, BIAS_NORMALIZED)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-200])
+    def test_normalized_terms_do_not_depend_on_the_sample_scale(self, scale):
+        # the plain 2-norm of (1e300, 0) overflows and that of (1e-200, 0)
+        # underflows to 0; the max-scaled fallback gives the unit vector
+        ds = Dataset.from_arrays(np.diag([scale, 1.0]), np.array([0, 1]), 2)
+        unit = Dataset.from_arrays(np.eye(2), np.array([0, 1]), 2)
+        assert np.array_equal(canonical_update_matrix(ds, 0, BIAS_NORMALIZED),
+                              canonical_update_matrix(unit, 0, BIAS_NORMALIZED))
+        assert np.array_equal(bias_matrix(ds, BIAS_NORMALIZED), bias_matrix(unit, BIAS_NORMALIZED))
 
 
 def check_column_symmetry(w, rel_tol: float = 1e-9) -> bool:

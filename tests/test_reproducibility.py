@@ -6,7 +6,9 @@ sha256 digests pin it for two full-batch runs (ew:2 and ew:inf, a metric
 row every step) on a small Gaussian instance, a full-batch sch:inf run on a
 Gaussian instance with k > d (so every gradient has full rank and the
 Schatten map uses every singular pair), an ew:2 mini-batch run with
-momentum and variance reduction, and three batch-size-one ``persample``
+momentum and variance reduction, a full-batch ew:2 run on the exponential
+loss, two full-batch ew:2 runs that also log the cosine to the sign and the
+normalized bias matrix, and three batch-size-one ``persample``
 runs (ew:inf, ew:2 and sch:inf, CSV and verdict) on a small orthogonal
 scale-skewed instance; gamma is given, so no reference solve runs. The
 digests were recorded
@@ -50,6 +52,13 @@ PINNED_PERSAMPLE_SHA256 = {
 
 PINNED_FULL_RANK_SCHATTEN_SHA256 = "3b07174e6afe679505e03d1b59479a17f1e5791ec592df569e88f36f26c80d14"
 PINNED_MOMENTUM_VR_SHA256 = "96a5530ee89f920a65cc29ca730347fc01686c46d0437616ae6313bb4a697100"
+PINNED_EXPONENTIAL_SHA256 = "c8453634c0a1a85f0022e57b4d0e521f0d5802a98b08b26a98e0368598c60ca4"
+
+# wbar_kind -> CSV digest
+PINNED_WBAR_SHA256 = {
+    "normalized": "8c5f18e571f3f29ec6ee2e20950f43d17746e6ac5ec4c6e758a276211b946a2f",
+    "sign": "d44a93e6a9a1f71db9597ff86b881fdbeef95d0c1d6b9f0ebb8851a2f5e6b7ed",
+}
 
 
 def _sha256(path) -> str:
@@ -131,3 +140,20 @@ def test_minibatch_momentum_vr_csv_bytes_pinned(tmp_path, dataset_path, capsys):
     )
     capsys.readouterr()
     assert digest == PINNED_MOMENTUM_VR_SHA256
+
+
+def test_full_batch_exponential_loss_csv_bytes_pinned(tmp_path, dataset_path, capsys):
+    digest = _train_csv(
+        tmp_path, norm="ew:2", loss="exponential", batch_size=12, epochs=60, dataset_path=dataset_path
+    )
+    capsys.readouterr()
+    assert digest == PINNED_EXPONENTIAL_SHA256
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_WBAR_SHA256))
+def test_full_batch_wbar_csv_bytes_pinned(tmp_path, dataset_path, kind, capsys):
+    digest = _train_csv(
+        tmp_path, norm="ew:2", batch_size=12, epochs=60, wbar_kind=kind, dataset_path=dataset_path
+    )
+    capsys.readouterr()
+    assert digest == PINNED_WBAR_SHA256[kind]
