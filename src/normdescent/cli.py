@@ -26,15 +26,18 @@ EXIT_NONCONVERGENCE = 4
 
 
 def _parse_counts(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(","))
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_ranges(text: str) -> tuple[tuple[float, float], ...]:
-    out = []
-    for part in text.split(","):
-        lo, hi = part.split(":")
-        out.append((float(lo), float(hi)))
-    return tuple(out)
+    try:
+        pairs = [part.split(":") for part in text.split(",")]
+        return tuple((float(lo), float(hi)) for lo, hi in pairs)
+    except ValueError:  # also a part without exactly one ':'
+        raise argparse.ArgumentTypeError(f"expected comma-separated lo:hi pairs, got {text!r}") from None
 
 
 def _cmd_gen_data(args) -> int:
@@ -42,9 +45,7 @@ def _cmd_gen_data(args) -> int:
         spec = GaussianSpec(k=args.k, per_class=args.per_class, d=args.d, sigma=args.sigma, seed=args.seed)
         ds = gen_gaussian(spec)
     else:
-        counts = _parse_counts(args.counts)
-        ranges = _parse_ranges(args.alpha_ranges)
-        spec = SkewedSpec(k=len(counts), counts=counts, alpha_ranges=ranges, seed=args.seed)
+        spec = SkewedSpec(k=len(args.counts), counts=args.counts, alpha_ranges=args.alpha_ranges, seed=args.seed)
         ds = gen_skewed(spec)
     save_dataset(ds, args.out)
     print(json.dumps({"out": args.out, "n": ds.n, "d": ds.d, "k": ds.k, "r_bound": ds.r_bound}))
@@ -91,7 +92,7 @@ def _cmd_fit_rate(args) -> int:
     fit = fit_rate(args.csv, args.t_lo, args.t_hi)
     print(
         json.dumps(
-            {"t_lo": fit.window[0], "t_hi": fit.window[1], "slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2}
+            {"t_lo": args.t_lo, "t_hi": args.t_hi, "slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2}
         )
     )
     return EXIT_OK
@@ -109,9 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=int, default=20)
     p.add_argument("--d", type=int, default=5)
     p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--counts", default="6,3,3,2,1", help="skewed: per-class sample counts, comma separated")
+    p.add_argument(
+        "--counts", type=_parse_counts, default="6,3,3,2,1", help="skewed: per-class sample counts, comma separated"
+    )
     p.add_argument(
         "--alpha-ranges",
+        type=_parse_ranges,
         default="0.8:1.2,0.5:1.5,1.0:2.0,0.6:0.9,1.5:2.5",
         help="skewed: per-class lo:hi scale ranges, comma separated",
     )

@@ -36,8 +36,12 @@ class GaussianSpec:
     seed: int
 
     def __post_init__(self):
-        if min(self.k, self.per_class, self.d) < 1 or self.sigma < 0.0:
-            raise ValueError("GaussianSpec fields must be positive (sigma >= 0)")
+        if min(self.k, self.per_class, self.d) < 1:
+            raise ValueError("GaussianSpec k, per_class and d must be positive")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError(f"GaussianSpec sigma must be finite and >= 0, got {self.sigma!r}")
+        if self.seed < 0:
+            raise ValueError(f"GaussianSpec seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,10 @@ class SkewedSpec:
         if any(c < 1 for c in self.counts):
             raise ValueError("every class needs at least one sample")
         for lo, hi in self.alpha_ranges:
-            if not (0.0 < lo <= hi):
-                raise ValueError("alpha ranges must satisfy 0 < lo <= hi")
+            if not (0.0 < lo <= hi < np.inf):
+                raise ValueError(f"alpha ranges must satisfy 0 < lo <= hi < inf, got {lo!r}:{hi!r}")
+        if self.seed < 0:
+            raise ValueError(f"SkewedSpec seed must be non-negative, got {self.seed}")
 
 
 def gen_gaussian(spec: GaussianSpec) -> Dataset:
@@ -64,19 +70,15 @@ def gen_gaussian(spec: GaussianSpec) -> Dataset:
     gamma > 1e-3 under the Frobenius geometry; raises SeparabilityError
     once ``_MAX_RETRIES`` attempts are used up.
     """
+    y = np.repeat(np.arange(spec.k), spec.per_class)
     for retry in range(_MAX_RETRIES):
         rng = np.random.default_rng([spec.seed, retry])
         means = rng.standard_normal((spec.k, spec.d))
         means /= np.linalg.norm(means, axis=1, keepdims=True)
-        n = spec.k * spec.per_class
-        x = np.zeros((spec.d, n))
-        y = np.zeros(n, dtype=np.int64)
-        for c in range(spec.k):
-            lo = c * spec.per_class
-            x[:, lo : lo + spec.per_class] = (
-                means[c][:, None] + spec.sigma * rng.standard_normal((spec.d, spec.per_class))
-            )
-            y[lo : lo + spec.per_class] = c
+        # one (k, d, per_class) draw is the stream of k per-class (d, per_class)
+        # draws; concatenate lays the class blocks side by side in C order
+        noise = rng.standard_normal((spec.k, spec.d, spec.per_class))
+        x = np.concatenate(means[:, :, None] + spec.sigma * noise, axis=1)
         ds = Dataset.from_arrays(x, y, spec.k)
         probe = max_margin(ds, NormSpec("entrywise", 2.0), tol=_PROBE_TOL, max_iters=_PROBE_ITERS)
         if probe.gamma > _PROBE_MARGIN:

@@ -111,7 +111,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SlopeFit:
-    window: tuple[int, int]
     slope: float
     intercept: float
     r2: float
@@ -215,6 +214,11 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: wbar_kind must be 'sign' or 'normalized'")
     if raw["log_every"] < 1:
         raise ConfigError(f"{path}: log_every must be >= 1")
+    steps = opt.epochs * (ds.n // opt.batch_size)
+    if raw["log_every"] > steps:
+        raise ConfigError(f"{path}: log_every {raw['log_every']} exceeds the run's {steps} steps; no row is logged")
+    if raw["gamma"] is not None and not raw["gamma"] > 0:
+        raise ConfigError(f"{path}: gamma must be positive, got {raw['gamma']!r}")
     if raw["margin_iters"] < 1:
         raise ConfigError(f"{path}: margin_iters must be >= 1")
     if not raw["margin_tol"] > 0:
@@ -250,9 +254,7 @@ def _gap_target(cfg: RunConfig, gamma: float) -> float:
     ds = cfg.dataset
     if cfg.opt.vr_on or cfg.opt.batch_size == ds.n:
         return gamma
-    thr = effective_margin_thresholds(
-        gamma, ds.r_bound, ds.n, cfg.opt.batch_size, cfg.opt.beta1, cfg.opt.schedule.eta0
-    )
+    thr = effective_margin_thresholds(gamma, ds.r_bound, ds.n, cfg.opt.batch_size, cfg.opt.beta1)
     return thr.rho_mom if cfg.opt.momentum_on else thr.rho_nomom
 
 
@@ -359,7 +361,7 @@ def _fit_columns(cols: dict[str, np.ndarray], t_lo: int, t_hi: int, csv_path: st
     ss_res = float(np.sum((yv - fitted) ** 2))
     ss_tot = float(np.sum((yv - yv.mean()) ** 2))
     r2 = 1.0 - (ss_res / ss_tot if ss_tot > 0.0 else 0.0)
-    return SlopeFit(window=(t_lo, t_hi), slope=float(coef[0]), intercept=float(coef[1]), r2=r2)
+    return SlopeFit(slope=float(coef[0]), intercept=float(coef[1]), r2=r2)
 
 
 def sweep_cmd(config_dir: str, summary_path: str | None = None) -> dict:

@@ -89,10 +89,6 @@ class Svd:
     sigma: np.ndarray
     v: np.ndarray
 
-    @property
-    def r(self) -> int:
-        return self.sigma.shape[0]
-
     def rank(self) -> int:
         """Numerical rank under the shared RANK_CUTOFF convention."""
         if self.sigma.size == 0 or self.sigma[0] == 0.0:

@@ -106,13 +106,6 @@ def _as_batch(ds: Dataset, batch) -> np.ndarray:
     return idx
 
 
-def _softmax_cols(z: np.ndarray) -> np.ndarray:
-    zs = z - z.max(axis=0, keepdims=True)
-    p = np.exp(zs)
-    p /= p.sum(axis=0, keepdims=True)
-    return p
-
-
 # The helpers below take the samples as gathered columns x = ds.x[:, idx]
 # (shape (d, m); the gather fixes the memory layout, and with it the bytes of
 # W @ x) and target = (ds.y[idx], arange(m)), which indexes each sample's
@@ -121,7 +114,9 @@ def _softmax_cols(z: np.ndarray) -> np.ndarray:
 
 def _offtarget_probs(w: np.ndarray, x: np.ndarray, target) -> np.ndarray:
     """Softmax probabilities with the target entry zeroed, shape (k, m)."""
-    p = _softmax_cols(w @ x)
+    z = w @ x
+    p = np.exp(z - z.max(axis=0, keepdims=True))
+    p /= p.sum(axis=0, keepdims=True)
     p[target] = 0.0
     return p
 

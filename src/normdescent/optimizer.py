@@ -129,8 +129,8 @@ def init_state(cfg: OptimizerConfig, ds: Dataset, w0) -> TrainState:
     )
 
 
-def reshuffle(state: TrainState, n: int, b: int) -> list[np.ndarray]:
-    """Fisher-Yates permutation of [0, n) chunked into n/b batches.
+def reshuffle(state: TrainState, n: int, b: int) -> np.ndarray:
+    """Fisher-Yates permutation of [0, n) as an (n/b, b) array, one batch per row.
 
     Draws the swap index j_i in [0, i] for every i = n-1, ..., 1 in one
     vectorised call (the stream of one scalar draw per swap), then applies
@@ -142,9 +142,7 @@ def reshuffle(state: TrainState, n: int, b: int) -> list[np.ndarray]:
     order = list(range(n))
     for i, j in zip(range(n - 1, 0, -1), swaps):
         order[i], order[j] = order[j], order[i]
-    perm = np.array(order)
-    m = n // b
-    return [perm[j * b : (j + 1) * b] for j in range(m)]
+    return np.array(order).reshape(n // b, b)
 
 
 def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> tuple[np.ndarray, float, np.ndarray]:
@@ -159,7 +157,7 @@ def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> tuple[n
     g = grad(state.w, ds, batch, cfg.loss)
     if cfg.vr_on:
         if state.snapshot_w is None or state.snapshot_full_grad is None:
-            raise ValueError("variance reduction requires an epoch snapshot; call run() or snapshot_epoch()")
+            raise ValueError("variance reduction requires an epoch snapshot; call run()")
         g = g - grad(state.snapshot_w, ds, batch, cfg.loss) + state.snapshot_full_grad
     if cfg.momentum_on:
         h = state.momentum = cfg.beta1 * state.momentum + (1.0 - cfg.beta1) * g
@@ -178,12 +176,6 @@ def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> tuple[n
     return h, eta, delta
 
 
-def snapshot_epoch(state: TrainState, cfg: OptimizerConfig, ds: Dataset):
-    """Refresh the variance-reduction snapshot at an epoch boundary."""
-    state.snapshot_w = state.w.copy()
-    state.snapshot_full_grad = grad(state.w, ds, ALL, cfg.loss)
-
-
 def run(cfg: OptimizerConfig, ds: Dataset, w0, metrics_hook=None) -> TrainState:
     """Execute ``cfg.epochs`` epochs of m = n/b steps each.
 
@@ -198,7 +190,8 @@ def run(cfg: OptimizerConfig, ds: Dataset, w0, metrics_hook=None) -> TrainState:
     for _ in range(cfg.epochs):
         batches = reshuffle(state, ds.n, cfg.batch_size)
         if cfg.vr_on:
-            snapshot_epoch(state, cfg, ds)
+            state.snapshot_w = state.w.copy()
+            state.snapshot_full_grad = grad(state.w, ds, ALL, cfg.loss)
         for batch in batches:
             try:
                 applied = step(state, cfg, ds, batch)
@@ -266,18 +259,14 @@ class MarginThresholds:
     rho_nomom: float
     rho_mom: float
     b_min: float
-    drift_d: float
 
 
-def effective_margin_thresholds(
-    gamma: float, r: float, n: int, b: int, beta1: float, eta0: float
-) -> MarginThresholds:
-    """Effective margins, minimum batch size, and momentum drift constant.
+def effective_margin_thresholds(gamma: float, r: float, n: int, b: int, beta1: float) -> MarginThresholds:
+    """Effective margins and minimum batch size.
 
     rho_nomom = gamma - 4 (n/b - 1) R          (no momentum)
     rho_mom   = gamma - 2 (1-beta1) m (m^2-1) R  with m = n/b
     b_min     = 4 R n / (gamma + 4 R)
-    drift_d   = 4 R eta0 / (1 - sqrt(beta1))
     """
     if not (gamma > 0.0):
         raise ValueError("gamma must be positive")
@@ -291,5 +280,4 @@ def effective_margin_thresholds(
     rho_nomom = gamma - 4.0 * (m - 1) * r
     rho_mom = gamma - 2.0 * (1.0 - beta1) * m * (m * m - 1.0) * r
     b_min = 4.0 * r * n / (gamma + 4.0 * r)
-    drift_d = 4.0 * r * eta0 / (1.0 - math.sqrt(beta1))
-    return MarginThresholds(rho_nomom=rho_nomom, rho_mom=rho_mom, b_min=b_min, drift_d=drift_d)
+    return MarginThresholds(rho_nomom=rho_nomom, rho_mom=rho_mom, b_min=b_min)

@@ -40,30 +40,28 @@ from .linalg import (
 __all__ = ["NormSpec", "steepest_map"]
 
 
-def _entrywise_map(g: np.ndarray, p: float) -> np.ndarray:
-    if math.isinf(p):
+def _entrywise_map(g: np.ndarray, spec: NormSpec) -> np.ndarray:
+    if math.isinf(spec.p):
         return np.sign(g)
-    if p == 1.0:
+    if spec.p == 1.0:
         flat = int(np.argmax(np.abs(g)))  # row-major first maximum
         out = np.zeros_like(g)
         out.flat[flat] = math.copysign(1.0, g.flat[flat])
         return out
-    q = p / (p - 1.0)
-    dual = _entrywise_norm(g, q)
-    return np.sign(g) * (np.abs(g) / dual) ** (q - 1.0)
+    dual = _entrywise_norm(g, spec.q)
+    return np.sign(g) * (np.abs(g) / dual) ** (spec.q - 1.0)
 
 
-def _schatten_map(g: np.ndarray, p: float) -> np.ndarray:
+def _schatten_map(g: np.ndarray, spec: NormSpec) -> np.ndarray:
     u, s, vt = np.linalg.svd(g, full_matrices=False)
-    if p == 1.0:
+    if spec.p == 1.0:
         return np.outer(u[:, 0], vt[0])
     rank = int(np.count_nonzero(s > RANK_CUTOFF * s[0]))
     u, s, vt = u[:, :rank], s[:rank], vt[:rank]
-    if math.isinf(p):
+    if math.isinf(spec.p):
         return u @ vt
-    q = p / (p - 1.0)
-    w = (s / float(s[0])) ** (q - 1.0)
-    w /= float(np.sum(w ** p)) ** (1.0 / p)  # unit Schatten-p norm directly
+    w = (s / float(s[0])) ** (spec.q - 1.0)
+    w /= float(np.sum(w ** spec.p)) ** (1.0 / spec.p)  # unit Schatten-p norm directly
     return (u * w) @ vt
 
 
@@ -76,5 +74,5 @@ def steepest_map(g, spec: NormSpec) -> np.ndarray:
     if not m.any():
         return np.zeros_like(m)
     if spec.family == ENTRYWISE:
-        return _entrywise_map(m, spec.p)
-    return _schatten_map(m, spec.p)
+        return _entrywise_map(m, spec)
+    return _schatten_map(m, spec)

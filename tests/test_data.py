@@ -27,6 +27,26 @@ class TestGaussian:
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.y, b.y)
 
+    @pytest.mark.parametrize(
+        "k,per_class,d,sigma,seed",
+        [(10, 20, 5, 0.1, 12345), (4, 1, 3, 0.1, 0), (3, 4, 2, 0.05, 7), (5, 3, 6, 0.0, 99)],
+    )
+    def test_matches_per_class_draws(self, k, per_class, d, sigma, seed):
+        # reference: the first attempt's stream, one (d, per_class) noise draw
+        # per class into a C-ordered (d, n) array
+        rng = np.random.default_rng([seed, 0])
+        means = rng.standard_normal((k, d))
+        means /= np.linalg.norm(means, axis=1, keepdims=True)
+        x = np.zeros((d, k * per_class))
+        for c in range(k):
+            x[:, c * per_class : (c + 1) * per_class] = (
+                means[c][:, None] + sigma * rng.standard_normal((d, per_class))
+            )
+        ds = gen_gaussian(GaussianSpec(k=k, per_class=per_class, d=d, sigma=sigma, seed=seed))
+        assert ds.x.tobytes() == x.tobytes()
+        assert ds.x.flags.c_contiguous
+        assert ds.y.tolist() == [c for c in range(k) for _ in range(per_class)]
+
 
 class TestSkewed:
     def test_degenerate_ranges(self):

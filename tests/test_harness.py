@@ -15,13 +15,14 @@ from normdescent import (
     ConfigError,
     Dataset,
     fit_rate,
+    load_dataset,
     persample_cmd,
     read_csv,
     save_dataset,
     sweep_cmd,
     train_cmd,
 )
-from normdescent import harness, optimizer, reference
+from normdescent import data, harness, optimizer, reference
 from normdescent.cli import EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_NUMERIC, EXIT_OK, main as cli_main
 from normdescent.harness import load_config
 
@@ -150,7 +151,7 @@ class TestTrainCmd:
     )
     def test_config_value_types(self, tmp_path, capsys, monkeypatch, key, value, ok):
         monkeypatch.chdir(tmp_path)  # a relative out_csv must not land in the checkout
-        cfg = write_config(tmp_path, **{"epochs": 2, key: value})
+        cfg = write_config(tmp_path, **{"epochs": 2, "log_every": 1, key: value})
         rc = cli_main(["train", "--config", cfg])
         err = capsys.readouterr().err
         if ok:
@@ -229,6 +230,9 @@ class TestTrainCmd:
         "margin_tol_negative": ({"margin_tol": -1e-3}, "margin_tol must be positive"),
         "seed_negative": ({"seed": -1}, "seed must be non-negative"),
         "margin_iters_zero": ({"margin_iters": 0}, "margin_iters must be >= 1"),
+        "log_every_no_row": ({"log_every": 31}, "log_every 31 exceeds the run's 30 steps"),
+        "gamma_zero": ({"gamma": 0, "batch_size": 2}, "gamma must be positive, got 0.0"),
+        "gamma_negative": ({"gamma": -0.5}, "gamma must be positive, got -0.5"),
     }
 
     @pytest.mark.parametrize("case", list(_BEFORE_SOLVE_CASES))
@@ -348,6 +352,15 @@ class TestSweep:
         # rerunning the healthy config alone produces the same bytes
         train_cmd(write_config(tmp_path, name="solo.json", out_csv=str(tmp_path / "solo.csv")))
         assert open(tmp_path / "solo.csv", "rb").read() == good_bytes
+
+    def test_run_that_would_log_no_row_is_a_config_error(self, tmp_path):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        # 4 samples, full batch, 3 epochs: 3 steps, fewer than log_every
+        write_config(tmp_path, name="cfgs/short.json", epochs=3, log_every=10)
+        error = sweep_cmd(str(cfg_dir))["short.json"]["error"]
+        assert error.startswith("ConfigError: ")
+        assert "log_every 10 exceeds the run's 3 steps" in error
 
     def test_reference_grid_accounting(self, tmp_path):
         # the reference experiment sweeps 2 batch sizes x 3 momentum values
@@ -470,6 +483,23 @@ class TestPersample:
         assert full.startswith(partial) and partial.count(b"\n") == 5  # header, t = 2, 4, 6, 8
         assert not os.path.exists(csv_path + ".verdict.json")
 
+    @pytest.mark.parametrize("norm", ["ew:inf", "ew:2", "sch:inf"])
+    def test_wrong_direction_fails_the_invariant_check(self, tmp_path, monkeypatch, norm):
+        real = optimizer.steepest_map
+        calls = []
+
+        def steepest_map(h, spec):
+            # step 3 moves along the negated steepest direction
+            calls.append(1)
+            return -real(h, spec) if len(calls) == 3 else real(h, spec)
+
+        monkeypatch.setattr(optimizer, "steepest_map", steepest_map)
+        csv_path, verdict = persample_cmd(self._cfg(tmp_path, norm=norm, epochs=3, gamma=0.3))
+        assert len(calls) == 15
+        assert verdict["invariant_gradient_ok"] is False
+        with open(csv_path + ".verdict.json") as fh:
+            assert json.load(fh)["invariant_gradient_ok"] is False
+
     def test_rejects_batch_size_above_one(self, tmp_path):
         with pytest.raises(ConfigError):
             persample_cmd(self._cfg(tmp_path, batch_size=5, name="b5.json"))
@@ -521,7 +551,7 @@ class TestPersample:
     def test_non_skewed_sample_is_named(self, tmp_path, x, y, first_bad):
         path = tmp_path / "bad.txt"
         save_dataset(Dataset.from_arrays(np.array(x), np.array(y), max(y) + 1), path)
-        cfg = self._cfg(tmp_path, dataset_path=str(path), epochs=1, gamma=0.3, name="bad.json")
+        cfg = self._cfg(tmp_path, dataset_path=str(path), epochs=1, log_every=1, gamma=0.3, name="bad.json")
         with pytest.raises(ConfigError, match=f"sample {first_bad} is not alpha"):
             persample_cmd(cfg)
 
@@ -546,6 +576,49 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["gamma"] > 0
         assert os.path.exists(wstar_path)
+
+    def test_gen_data_gaussian(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        rc = cli_main(["gen-data", "gaussian", "--out", str(out), "--k", "3", "--per-class", "4", "--d", "2",
+                       "--sigma", "0.05", "--seed", "7"])
+        assert rc == EXIT_OK
+        info = json.loads(capsys.readouterr().out)
+        assert (info["n"], info["d"], info["k"]) == (12, 2, 3)
+        ds = load_dataset(str(out))
+        assert (ds.n, ds.d, ds.k) == (12, 2, 3)
+
+    @pytest.mark.parametrize(
+        "family,flags,named",
+        [
+            ("gaussian", ["--seed", "-1"], "seed must be non-negative"),
+            ("skewed", ["--seed", "-1"], "seed must be non-negative"),
+            ("gaussian", ["--sigma", "nan"], "sigma must be finite"),
+            ("skewed", ["--counts", "3,x"], "argument --counts: "),
+            ("skewed", ["--alpha-ranges", "1:2:3"], "argument --alpha-ranges: "),
+            ("skewed", ["--alpha-ranges", "0.8:1.2,0.5:1.5,1.0:inf,0.6:0.9,1.5:2.5"], "alpha ranges must satisfy"),
+        ],
+        ids=["gaussian-seed", "skewed-seed", "sigma-nan", "counts", "alpha-ranges-split", "alpha-ranges-inf"],
+    )
+    def test_gen_data_bad_flag_is_named(self, tmp_path, capsys, monkeypatch, family, flags, named):
+        probes = []
+        monkeypatch.setattr(data, "max_margin", lambda *a, **kw: probes.append(a))
+        out = tmp_path / "d.txt"
+        rc = cli_main(["gen-data", family, "--out", str(out), *flags])
+        assert rc == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert probes == []
+        assert not out.exists()
+
+    def test_sweep_prints_the_summary_it_writes(self, tmp_path, capsys):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        write_config(tmp_path, name="cfgs/good.json")
+        (cfg_dir / "bad.json").write_text("{not valid json")
+        summary = tmp_path / "summary.json"
+        rc = cli_main(["sweep", "--config-dir", str(cfg_dir), "--out-summary", str(summary)])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out == summary.read_text()
+        assert set(json.loads(summary.read_text())) == {"good.json", "bad.json"}
 
     def test_train_exit_codes(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -582,7 +655,7 @@ class TestCli:
     def test_malformed_matrix_file(self, tmp_path, capsys, text, ok):
         w0 = tmp_path / "w0.txt"
         w0.write_text(text)
-        cfg = write_config(tmp_path, epochs=2, gamma=0.5, w0=str(w0))
+        cfg = write_config(tmp_path, epochs=2, log_every=1, gamma=0.5, w0=str(w0))
         rc = cli_main(["train", "--config", cfg])
         err = capsys.readouterr().err
         assert rc == (EXIT_OK if ok else EXIT_CONFIG)

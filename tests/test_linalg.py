@@ -105,7 +105,7 @@ class TestJacobiSvd:
             svd = jacobi_svd(a)
             scale = max(1.0, float(np.linalg.norm(a)))
             assert np.linalg.norm(svd.u @ np.diag(svd.sigma) @ svd.v.T - a) <= 1e-10 * scale
-            r = svd.r
+            r = svd.sigma.size
             assert np.abs(svd.u.T @ svd.u - np.eye(r)).max() <= 1e-10
             assert np.abs(svd.v.T @ svd.v - np.eye(r)).max() <= 1e-10
             assert np.all(np.diff(svd.sigma) <= 0)

@@ -349,19 +349,19 @@ class TestScheduleConstants:
 
 class TestEffectiveMarginThresholds:
     def test_full_batch_degeneracy(self):
-        thr = effective_margin_thresholds(gamma=0.3, r=2.0, n=200, b=200, beta1=0.5, eta0=0.5)
+        thr = effective_margin_thresholds(gamma=0.3, r=2.0, n=200, b=200, beta1=0.5)
         assert thr.rho_nomom == 0.3
         assert thr.rho_mom == 0.3
 
     def test_momentum_limit_recovers_gamma(self):
-        thr = effective_margin_thresholds(gamma=0.3, r=2.0, n=200, b=20, beta1=1 - 1e-12, eta0=0.5)
+        thr = effective_margin_thresholds(gamma=0.3, r=2.0, n=200, b=20, beta1=1 - 1e-12)
         assert thr.rho_mom == pytest.approx(0.3, abs=1e-6)
 
     def test_formula_arithmetic(self):
-        thr = effective_margin_thresholds(gamma=1.0, r=1.0, n=200, b=20, beta1=0.0, eta0=0.5)
+        thr = effective_margin_thresholds(gamma=1.0, r=1.0, n=200, b=20, beta1=0.0)
         assert thr.rho_nomom == 1.0 - 36.0
         assert thr.b_min == pytest.approx(160.0)
 
     def test_beta_one_rejected(self):
         with pytest.raises(ValueError):
-            effective_margin_thresholds(1.0, 1.0, 10, 5, 1.0, 0.1)
+            effective_margin_thresholds(1.0, 1.0, 10, 5, 1.0)
