@@ -13,11 +13,11 @@ import sys
 import numpy as np
 
 from .data import GaussianSpec, SeparabilityError, SkewedSpec, gen_gaussian, gen_skewed
-from .harness import ConfigError, fit_rate, persample_cmd, sweep_cmd, train_cmd
+from .harness import fit_rate, persample_cmd, sweep_cmd, train_cmd
 from .linalg import NormSpec
-from .model import LossOverflowError, load_dataset, save_dataset, save_matrix
+from .model import load_dataset, save_dataset, save_matrix
 from .optimizer import TrainingError
-from .reference import MaxMarginNonConvergence, max_margin
+from .reference import DEFAULT_MAX_ITERS, DEFAULT_TOL, MaxMarginNonConvergence, max_margin
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,7 +45,7 @@ def _cmd_gen_data(args) -> int:
         spec = GaussianSpec(k=args.k, per_class=args.per_class, d=args.d, sigma=args.sigma, seed=args.seed)
         ds = gen_gaussian(spec)
     else:
-        spec = SkewedSpec(k=len(args.counts), counts=args.counts, alpha_ranges=args.alpha_ranges, seed=args.seed)
+        spec = SkewedSpec(counts=args.counts, alpha_ranges=args.alpha_ranges, seed=args.seed)
         ds = gen_skewed(spec)
     save_dataset(ds, args.out)
     print(json.dumps({"out": args.out, "n": ds.n, "d": ds.d, "k": ds.k, "r_bound": ds.r_bound}))
@@ -103,30 +103,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset file")
-    p.add_argument("family", choices=["gaussian", "skewed"])
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--per-class", type=int, default=20)
-    p.add_argument("--d", type=int, default=5)
-    p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument(
-        "--counts", type=_parse_counts, default="6,3,3,2,1", help="skewed: per-class sample counts, comma separated"
+    p.set_defaults(func=_cmd_gen_data)
+    families = p.add_subparsers(dest="family", required=True)
+    gaussian = families.add_parser("gaussian", help="separable Gaussian clouds")
+    gaussian.add_argument("--k", type=int, default=10)
+    gaussian.add_argument("--per-class", type=int, default=20)
+    gaussian.add_argument("--d", type=int, default=5)
+    gaussian.add_argument("--sigma", type=float, default=0.1)
+    skewed = families.add_parser("skewed", help="orthogonal scale-skewed data")
+    skewed.add_argument(
+        "--counts", type=_parse_counts, default="6,3,3,2,1", help="per-class sample counts, comma separated"
     )
-    p.add_argument(
+    skewed.add_argument(
         "--alpha-ranges",
         type=_parse_ranges,
         default="0.8:1.2,0.5:1.5,1.0:2.0,0.6:0.9,1.5:2.5",
-        help="skewed: per-class lo:hi scale ranges, comma separated",
+        help="per-class lo:hi scale ranges, comma separated",
     )
-    p.set_defaults(func=_cmd_gen_data)
+    for family in (gaussian, skewed):
+        family.add_argument("--out", required=True)
+        family.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("margin", help="solve the norm-induced max-margin problem")
     p.add_argument("--dataset", required=True)
     p.add_argument("--norm", required=True, help="norm spec, e.g. ew:2, ew:inf, sch:inf")
     p.add_argument("--out", required=True, help="where to write W* (text matrix)")
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--max-iters", type=int, default=120_000)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     p.set_defaults(func=_cmd_margin)
 
     p = sub.add_parser("train", help="run one config and write its metric CSV")
@@ -164,10 +167,11 @@ def main(argv=None) -> int:
     except (MaxMarginNonConvergence, np.linalg.LinAlgError, SeparabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (ConfigError, ValueError, OSError) as exc:
+    # a ConfigError is a ValueError, a LossOverflowError an ArithmeticError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TrainingError, LossOverflowError, ArithmeticError) as exc:
+    except (TrainingError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

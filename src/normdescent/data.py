@@ -46,13 +46,12 @@ class GaussianSpec:
 
 @dataclass(frozen=True)
 class SkewedSpec:
-    k: int
     counts: tuple[int, ...]
     alpha_ranges: tuple[tuple[float, float], ...]
     seed: int
 
     def __post_init__(self):
-        if len(self.counts) != self.k or len(self.alpha_ranges) != self.k:
+        if len(self.alpha_ranges) != len(self.counts):
             raise ValueError("counts and alpha_ranges must have one entry per class")
         if any(c < 1 for c in self.counts):
             raise ValueError("every class needs at least one sample")
@@ -93,13 +92,14 @@ def gen_skewed(spec: SkewedSpec) -> Dataset:
 
     Scales are drawn class by class, then samples are interleaved
     round-robin across classes so no class is clustered at one end of the
-    epoch. Always separable; d = k by construction.
+    epoch. Always separable; d = k = len(spec.counts) by construction.
     """
+    k = len(spec.counts)
     rng = np.random.default_rng(spec.seed)
     alphas = [rng.uniform(lo, hi, size=cnt) for (lo, hi), cnt in zip(spec.alpha_ranges, spec.counts)]
     # round r places the r-th sample of every class that has one, in class order
     slots = sorted((r, c) for c, cnt in enumerate(spec.counts) for r in range(cnt))
     y = np.array([c for _, c in slots], dtype=np.int64)
-    x = np.zeros((spec.k, y.size))
+    x = np.zeros((k, y.size))
     x[y, np.arange(y.size)] = [alphas[c][r] for r, c in slots]
-    return Dataset.from_arrays(x, y, spec.k)
+    return Dataset.from_arrays(x, y, k)

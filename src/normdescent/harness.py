@@ -19,8 +19,8 @@ large-batch and momentum regimes; for ``persample`` gamma, plus a
 per-step check of the applied direction.
 Optional fields serialize as empty strings. Floats are written with
 repr(), so reruns of the same config are byte-identical. A row with a
-non-finite cell (other than the -inf margin and inf gap of a zero W) aborts
-the run instead of being written.
+non-finite cell (other than the -inf margin and inf gap of a zero W, whose
+cosine cells are empty) aborts the run instead of being written.
 
 Runs are fully independent (each owns its state and output file); the
 sweep executes them one after another and a per-config failure is recorded
@@ -29,6 +29,7 @@ in the summary without touching the other runs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -51,6 +52,8 @@ from .optimizer import OptimizerConfig, Schedule, TrainingError, effective_margi
 from .reference import (
     BIAS_NORMALIZED,
     BIAS_SIGN,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
     bias_matrix,
     canonical_update_matrix,
     max_margin,
@@ -62,7 +65,8 @@ CSV_HEADER = (
     "gap_to_gamma,cos_wstar,cos_wbar,dualnorm_signal"
 )
 
-_METRIC_COLUMNS = CSV_HEADER.split(",")[2:]  # the cells after t and epoch
+_COLUMNS = CSV_HEADER.split(",")
+_METRIC_COLUMNS = _COLUMNS[2:]  # the cells after t and epoch
 
 _REQUIRED = object()  # default of a key the config must set
 
@@ -93,8 +97,8 @@ _KEYS = {
     "wstar_path": (*_STRING_OR_NULL, None),
     "wbar_kind": (*_STRING_OR_NULL, None),
     "log_every": (*_INTEGER, 10),
-    "margin_tol": (*_NUMBER, 1e-3),
-    "margin_iters": (*_INTEGER, 120_000),
+    "margin_tol": (*_NUMBER, DEFAULT_TOL),
+    "margin_iters": (*_INTEGER, DEFAULT_MAX_ITERS),
 }
 
 _LOSS_ALIASES = {
@@ -141,104 +145,104 @@ def _finite_float(text: str) -> float:
     return v
 
 
-def _kd_matrix(path: str, key: str, file: str, ds: Dataset) -> np.ndarray:
+def _kd_matrix(key: str, file: str, ds: Dataset) -> np.ndarray:
     """The (k, d) matrix in the file that config key ``key`` names."""
     if not os.path.exists(file):
-        raise ConfigError(f"{path}: {key} {file!r} does not exist")
+        raise ValueError(f"{key} {file!r} does not exist")
     m = load_matrix(file)
     if m.shape != (ds.k, ds.d):
-        raise ConfigError(f"{path}: {key} {file!r} has shape {m.shape}, not (k, d) = ({ds.k}, {ds.d})")
+        raise ValueError(f"{key} {file!r} has shape {m.shape}, not (k, d) = ({ds.k}, {ds.d})")
     return m
 
 
-def load_config(path: str) -> RunConfig:
+@contextlib.contextmanager
+def _naming(path: str):
+    """Re-raise an OSError or ValueError as a ConfigError that names the config ``path``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+        yield
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"{path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = raw.keys() - _KEYS.keys()
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    missing = [key for key, (_, _, default) in _KEYS.items() if default is _REQUIRED and key not in raw]
-    if missing:
-        raise ConfigError(f"{path}: missing config keys {sorted(missing)}")
-    raw = {key: raw.get(key, default) for key, (_, _, default) in _KEYS.items()}
-    for key, (types, what, _) in _KEYS.items():
-        if type(raw[key]) not in types:
-            raise ConfigError(f"{path}: {key} must be {what}, got {raw[key]!r}")
-        if float in types and type(raw[key]) is int:
-            try:
-                raw[key] = float(raw[key])
-            except OverflowError:
-                raise ConfigError(f"{path}: {key} is an integer too large for a float") from None
 
-    loss_kind = _LOSS_ALIASES.get(raw["loss"].lower())
-    if loss_kind is None:
-        raise ConfigError(f"{path}: loss must be one of {sorted(_LOSS_ALIASES)}, got {raw['loss']!r}")
-    try:
-        norm = NormSpec.parse(raw["norm"])
-        schedule = Schedule(c=raw["c"], a=raw["a"], eta0=raw["eta0"])
+
+def load_config(path: str) -> RunConfig:
+    """Read and check a run config and its files; every failure is a ConfigError naming ``path``."""
+    with _naming(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = raw.keys() - _KEYS.keys()
+        if unknown:
+            raise ValueError(f"unknown config keys {sorted(unknown)}")
+        missing = [key for key, (_, _, default) in _KEYS.items() if default is _REQUIRED and key not in raw]
+        if missing:
+            raise ValueError(f"missing config keys {sorted(missing)}")
+        raw = {key: raw.get(key, default) for key, (_, _, default) in _KEYS.items()}
+        for key, (types, what, _) in _KEYS.items():
+            if type(raw[key]) not in types:
+                raise ValueError(f"{key} must be {what}, got {raw[key]!r}")
+            if float in types and type(raw[key]) is int:
+                try:
+                    raw[key] = float(raw[key])
+                except OverflowError:
+                    raise ValueError(f"{key} is an integer too large for a float") from None
+
+        loss_kind = _LOSS_ALIASES.get(raw["loss"].lower())
+        if loss_kind is None:
+            raise ValueError(f"loss must be one of {sorted(_LOSS_ALIASES)}, got {raw['loss']!r}")
         opt = OptimizerConfig(
             batch_size=raw["batch_size"],
             momentum_on=raw["momentum"],
             beta1=raw["beta1"],
             vr_on=raw["vr"],
-            schedule=schedule,
+            schedule=Schedule(c=raw["c"], a=raw["a"], eta0=raw["eta0"]),
             epochs=raw["epochs"],
             seed=raw["seed"],
-            norm=norm,
+            norm=NormSpec.parse(raw["norm"]),
             loss=loss_kind,
         )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
-    dataset_path = raw["dataset_path"]
-    if not os.path.exists(dataset_path):
-        raise ConfigError(f"{path}: dataset_path {dataset_path!r} does not exist")
-    ds = load_dataset(dataset_path)
+        dataset_path = raw["dataset_path"]
+        if not os.path.exists(dataset_path):
+            raise ValueError(f"dataset_path {dataset_path!r} does not exist")
+        ds = load_dataset(dataset_path)
 
-    # init_state checks batch_size and the w0 shape too, but only after the
-    # reference solve
-    try:
+        # init_state checks batch_size and the w0 shape too, but only after the
+        # reference solve
         opt.validate_against(ds)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    w0 = np.zeros((ds.k, ds.d)) if raw["w0"] == "zeros" else _kd_matrix(path, "w0", raw["w0"], ds)
-    wstar = None if raw["wstar_path"] is None else _kd_matrix(path, "wstar_path", raw["wstar_path"], ds)
+        w0 = np.zeros((ds.k, ds.d)) if raw["w0"] == "zeros" else _kd_matrix("w0", raw["w0"], ds)
+        wstar = None if raw["wstar_path"] is None else _kd_matrix("wstar_path", raw["wstar_path"], ds)
 
-    wbar_kind = raw["wbar_kind"]
-    if wbar_kind is not None and wbar_kind not in (BIAS_SIGN, BIAS_NORMALIZED):
-        raise ConfigError(f"{path}: wbar_kind must be 'sign' or 'normalized'")
-    if raw["log_every"] < 1:
-        raise ConfigError(f"{path}: log_every must be >= 1")
-    steps = opt.epochs * (ds.n // opt.batch_size)
-    if raw["log_every"] > steps:
-        raise ConfigError(f"{path}: log_every {raw['log_every']} exceeds the run's {steps} steps; no row is logged")
-    if raw["gamma"] is not None and not raw["gamma"] > 0:
-        raise ConfigError(f"{path}: gamma must be positive, got {raw['gamma']!r}")
-    if raw["margin_iters"] < 1:
-        raise ConfigError(f"{path}: margin_iters must be >= 1")
-    if not raw["margin_tol"] > 0:
-        raise ConfigError(f"{path}: margin_tol must be positive, got {raw['margin_tol']!r}")
-    out_csv = raw["out_csv"]
-    if not os.path.basename(out_csv) or os.path.isdir(out_csv):
-        raise ConfigError(f"{path}: out_csv {out_csv!r} does not name a file")
+        wbar_kind = raw["wbar_kind"]
+        if wbar_kind is not None and wbar_kind not in (BIAS_SIGN, BIAS_NORMALIZED):
+            raise ValueError("wbar_kind must be 'sign' or 'normalized'")
+        if raw["log_every"] < 1:
+            raise ValueError("log_every must be >= 1")
+        steps = opt.epochs * (ds.n // opt.batch_size)
+        if raw["log_every"] > steps:
+            raise ValueError(f"log_every {raw['log_every']} exceeds the run's {steps} steps; no row is logged")
+        if raw["gamma"] is not None and not raw["gamma"] > 0:
+            raise ValueError(f"gamma must be positive, got {raw['gamma']!r}")
+        if raw["margin_iters"] < 1:
+            raise ValueError("margin_iters must be >= 1")
+        if not raw["margin_tol"] > 0:
+            raise ValueError(f"margin_tol must be positive, got {raw['margin_tol']!r}")
+        out_csv = raw["out_csv"]
+        if not os.path.basename(out_csv) or os.path.isdir(out_csv):
+            raise ValueError(f"out_csv {out_csv!r} does not name a file")
 
-    return RunConfig(
-        opt=opt,
-        dataset=ds,
-        w0=w0,
-        out_csv=out_csv,
-        log_every=raw["log_every"],
-        gamma=raw["gamma"],
-        wstar=wstar,
-        wbar_kind=wbar_kind,
-        margin_tol=raw["margin_tol"],
-        margin_iters=raw["margin_iters"],
-    )
+        return RunConfig(
+            opt=opt,
+            dataset=ds,
+            w0=w0,
+            out_csv=out_csv,
+            log_every=raw["log_every"],
+            gamma=raw["gamma"],
+            wstar=wstar,
+            wbar_kind=wbar_kind,
+            margin_tol=raw["margin_tol"],
+            margin_iters=raw["margin_iters"],
+        )
 
 
 def _resolve_references(cfg: RunConfig):
@@ -266,7 +270,8 @@ def _drive(cfg: RunConfig, target: float, wstar, wbar, check=None):
     ``check(h, delta)``, if given, sees every step's signal and the
     direction the step applied. A row with a non-finite cell aborts the run
     with a TrainingError instead of being written; the one exception is a
-    zero W, whose norm_margin is -inf and gap_to_gamma inf by definition.
+    zero W, whose norm_margin is -inf and gap_to_gamma inf by definition,
+    and whose cosine cells are left empty.
     """
     ds = cfg.dataset
     m = ds.n // cfg.opt.batch_size
@@ -282,6 +287,7 @@ def _drive(cfg: RunConfig, target: float, wstar, wbar, check=None):
             if t % cfg.log_every != 0:
                 return
             rep = margin_report(w, ds, cfg.opt.norm)
+            zero = rep.weight_norm == 0.0
             cells = (
                 eta,
                 loss_fn(w, ds, cfg.opt.loss),
@@ -290,11 +296,11 @@ def _drive(cfg: RunConfig, target: float, wstar, wbar, check=None):
                 rep.weight_norm,
                 rep.normalized,
                 target - rep.normalized,
-                None if wstar is None else frobenius_cosine(w, wstar),
-                None if wbar is None else frobenius_cosine(w, wbar),
+                None if wstar is None or zero else frobenius_cosine(w, wstar),
+                None if wbar is None or zero else frobenius_cosine(w, wbar),
                 dual_norm(h, cfg.opt.norm),
             )
-            exempt = ("norm_margin", "gap_to_gamma") if rep.weight_norm == 0.0 else ()
+            exempt = ("norm_margin", "gap_to_gamma") if zero else ()
             bad = [f"{name} {float(v)!r}" for name, v in zip(_METRIC_COLUMNS, cells)
                    if v is not None and name not in exempt and not math.isfinite(v)]
             if bad:
@@ -323,12 +329,20 @@ def train_cmd(config_path: str) -> str:
 
 
 def read_csv(path: str) -> dict[str, np.ndarray]:
-    """CSV columns as float arrays (empty optional cells become NaN)."""
+    """Metric CSV columns as float arrays (empty optional cells become NaN).
+
+    Raises ValueError, naming the file and line, for a header other than
+    CSV_HEADER or a row whose field count differs from the header's.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        cols: dict[str, list[float]] = {h: [] for h in header}
-        for line in fh:
-            for h, tok in zip(header, line.strip().split(",")):
+        if fh.readline().strip() != CSV_HEADER:
+            raise ValueError(f"{path}: line 1 is not the metric CSV header {CSV_HEADER!r}")
+        cols: dict[str, list[float]] = {h: [] for h in _COLUMNS}
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.strip().split(",")
+            if len(cells) != len(_COLUMNS):
+                raise ValueError(f"{path}: line {lineno} has {len(cells)} fields, expected {len(_COLUMNS)}")
+            for h, tok in zip(_COLUMNS, cells):
                 cols[h].append(float(tok) if tok else math.nan)
     return {h: np.asarray(v) for h, v in cols.items()}
 
@@ -336,8 +350,8 @@ def read_csv(path: str) -> dict[str, np.ndarray]:
 def fit_rate(csv_path: str, t_lo: int, t_hi: int) -> SlopeFit:
     """Least-squares slope of log(gap) against log(t) on a step window.
 
-    Uses only rows with a strictly positive gap; requires at least 20 of
-    them inside [t_lo, t_hi].
+    Uses only rows with a finite, strictly positive gap; requires at least
+    20 of them inside [t_lo, t_hi].
     """
     return _fit_columns(read_csv(csv_path), t_lo, t_hi, csv_path)
 
@@ -348,7 +362,7 @@ def _fit_columns(cols: dict[str, np.ndarray], t_lo: int, t_hi: int, csv_path: st
         raise ValueError("t_lo must be below t_hi")
     t = cols["t"]
     gap = cols["gap_to_gamma"]
-    sel = (t >= t_lo) & (t <= t_hi) & (gap > 0.0)
+    sel = (t >= t_lo) & (t <= t_hi) & (gap > 0.0) & (gap < np.inf)
     if int(sel.sum()) < 20:
         raise ValueError(
             f"{csv_path}: only {int(sel.sum())} positive-gap rows in [{t_lo}, {t_hi}]; need >= 20"
@@ -406,7 +420,7 @@ def _check_scale_skewed(ds: Dataset):
     on_label = np.arange(ds.d)[:, None] == ds.y
     bad = (np.sign(ds.x) != on_label).any(axis=0) | (ds.y >= ds.d)
     if bad.any():
-        raise ConfigError(
+        raise ValueError(
             f"persample protocol needs orthogonal scale-skewed data; sample {int(np.argmax(bad))} is not alpha * e_y"
         )
 
@@ -422,20 +436,20 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
     the verdict dict (also written next to the CSV as <out_csv>.verdict.json).
     """
     cfg = load_config(config_path)
-    if cfg.opt.batch_size != 1:
-        raise ConfigError("persample protocol requires batch_size = 1")
-    if cfg.opt.momentum_on or cfg.opt.vr_on:
-        raise ConfigError("persample protocol requires momentum and vr off")
-    kind = _PERSAMPLE_KINDS.get(str(cfg.opt.norm))
-    if kind is None:
-        raise ConfigError(f"persample norm must be one of {sorted(_PERSAMPLE_KINDS)}")
-    if np.any(cfg.w0):
-        raise ConfigError("persample protocol requires w0 = zeros")
     ds = cfg.dataset
-    _check_scale_skewed(ds)
-
-    if cfg.wbar_kind not in (None, kind):
-        raise ConfigError(f"persample with norm {cfg.opt.norm} uses wbar_kind {kind!r}, not {cfg.wbar_kind!r}")
+    kind = _PERSAMPLE_KINDS.get(str(cfg.opt.norm))
+    with _naming(config_path):
+        if cfg.opt.batch_size != 1:
+            raise ValueError("persample protocol requires batch_size = 1")
+        if cfg.opt.momentum_on or cfg.opt.vr_on:
+            raise ValueError("persample protocol requires momentum and vr off")
+        if kind is None:
+            raise ValueError(f"persample norm must be one of {sorted(_PERSAMPLE_KINDS)}")
+        if np.any(cfg.w0):
+            raise ValueError("persample protocol requires w0 = zeros")
+        _check_scale_skewed(ds)
+        if cfg.wbar_kind not in (None, kind):
+            raise ValueError(f"persample with norm {cfg.opt.norm} uses wbar_kind {kind!r}, not {cfg.wbar_kind!r}")
     verdict_path = cfg.out_csv + ".verdict.json"
     _remove(cfg.out_csv)
     _remove(verdict_path)

@@ -89,12 +89,6 @@ class Svd:
     sigma: np.ndarray
     v: np.ndarray
 
-    def rank(self) -> int:
-        """Numerical rank under the shared RANK_CUTOFF convention."""
-        if self.sigma.size == 0 or self.sigma[0] == 0.0:
-            return 0
-        return int(np.sum(self.sigma > RANK_CUTOFF * self.sigma[0]))
-
 
 class NonFiniteError(ValueError, FloatingPointError):
     """A matrix with a NaN or infinite entry.

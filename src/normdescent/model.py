@@ -209,30 +209,18 @@ class MarginReport:
     unnormalized_min: float
     weight_norm: float
     normalized: float
-    argmin_sample: int
-    argmin_class: int
 
 
 def margin_report(w, ds: Dataset, spec: NormSpec) -> MarginReport:
     """Minimum of (e_y - e_c)^T W x_i over all i and c != y_i.
 
-    Ties break toward the lexicographically smallest (sample, class). When
-    ``w`` is zero the normalized margin is reported as -inf.
+    When ``w`` is zero the normalized margin is reported as -inf.
     """
     wm = as_matrix(w)
-    flat = pair_gaps(wm, ds).T.reshape(-1)  # sample-major so argmin tie-break is (i, c)
-    pos = int(np.argmin(flat))
-    i, c = divmod(pos, ds.k)
-    unnorm = float(flat[pos])
+    unnorm = float(pair_gaps(wm, ds).min())
     wnorm = matrix_norm(wm, spec)
     normalized = unnorm / wnorm if wnorm > 0.0 else -np.inf
-    return MarginReport(
-        unnormalized_min=unnorm,
-        weight_norm=wnorm,
-        normalized=normalized,
-        argmin_sample=i,
-        argmin_class=c,
-    )
+    return MarginReport(unnormalized_min=unnorm, weight_norm=wnorm, normalized=normalized)
 
 
 # --- text serialization ----------------------------------------------------

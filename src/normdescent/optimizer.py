@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NormSpec, as_matrix
-from .model import ALL, CROSS_ENTROPY, Dataset, LossOverflowError, grad, _check_kind
+from .model import ALL, CROSS_ENTROPY, Dataset, grad, _check_kind
 from .steepest import steepest_map
 
 
@@ -195,7 +195,7 @@ def run(cfg: OptimizerConfig, ds: Dataset, w0, metrics_hook=None) -> TrainState:
         for batch in batches:
             try:
                 applied = step(state, cfg, ds, batch)
-            except (LossOverflowError, FloatingPointError) as exc:
+            except ArithmeticError as exc:
                 raise TrainingError(state.t, exc) from exc
             if metrics_hook is not None:
                 metrics_hook(state.t, state.w, *applied)

@@ -29,6 +29,10 @@ BIAS_NORMALIZED = "normalized"
 _TAU_LADDER_START = 1.0
 _TAU_LADDER_FACTOR = 0.3
 
+# the solver's default budget, shared by the margin CLI and the run config
+DEFAULT_TOL = 1e-3
+DEFAULT_MAX_ITERS = 120_000
+
 
 class MaxMarginNonConvergence(RuntimeError):
     """Iteration budget exhausted with a Frank-Wolfe gap above 10x tol."""
@@ -68,7 +72,9 @@ def _softmin_grad(gaps: np.ndarray, ds: Dataset, tau: float) -> np.ndarray:
     return g
 
 
-def max_margin(ds: Dataset, spec: NormSpec, tol: float = 1e-3, max_iters: int = 120_000) -> MaxMarginSolution:
+def max_margin(
+    ds: Dataset, spec: NormSpec, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS
+) -> MaxMarginSolution:
     """Norm-induced max-margin pair (gamma, W*) with a Frank-Wolfe certificate.
 
     ``max_iters`` is the total budget across all temperature stages; each
@@ -79,12 +85,15 @@ def max_margin(ds: Dataset, spec: NormSpec, tol: float = 1e-3, max_iters: int = 
     Non-separable data is reported by ``separable=False`` (gamma <= tol),
     never raised. Raises MaxMarginNonConvergence only when the budget was
     exhausted while the final certificate gap still exceeds 10 * tol, and
-    ValueError unless tol is finite and positive and max_iters >= 1.
+    ValueError unless tol is finite and positive, max_iters >= 1 and the
+    data has at least two classes.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"max_margin tol must be finite and positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_margin max_iters must be at least 1, got {max_iters}")
+    if ds.k < 2:
+        raise ValueError(f"max_margin needs at least two classes to separate, got k = {ds.k}")
     taus = []
     tau = _TAU_LADDER_START
     while tau >= tol:

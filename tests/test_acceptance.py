@@ -179,7 +179,6 @@ def vr_runs(gauss, refs, workdir):
 @pytest.fixture(scope="module")
 def skewed(workdir):
     spec = SkewedSpec(
-        k=5,
         counts=(6, 3, 3, 2, 1),
         alpha_ranges=((0.8, 1.2), (0.5, 1.5), (1.0, 2.0), (0.6, 0.9), (1.5, 2.5)),
         seed=42,

@@ -50,15 +50,13 @@ class TestGaussian:
 
 class TestSkewed:
     def test_degenerate_ranges(self):
-        spec = SkewedSpec(k=2, counts=(1, 1), alpha_ranges=((1.0, 1.0), (1.0, 1.0)), seed=0)
+        spec = SkewedSpec(counts=(1, 1), alpha_ranges=((1.0, 1.0), (1.0, 1.0)), seed=0)
         ds = gen_skewed(spec)
         assert np.array_equal(ds.x, np.eye(2))
         assert np.array_equal(ds.y, [0, 1])
 
     def test_single_positive_coordinate(self):
-        spec = SkewedSpec(
-            k=3, counts=(4, 2, 3), alpha_ranges=((0.5, 1.5), (1.0, 2.0), (0.2, 0.4)), seed=5
-        )
+        spec = SkewedSpec(counts=(4, 2, 3), alpha_ranges=((0.5, 1.5), (1.0, 2.0), (0.2, 0.4)), seed=5)
         ds = gen_skewed(spec)
         assert ds.d == 3
         for i in range(ds.n):
@@ -68,14 +66,12 @@ class TestSkewed:
             assert ds.x[nz[0], i] > 0
 
     def test_r_bound_is_max_alpha(self):
-        spec = SkewedSpec(
-            k=3, counts=(4, 2, 3), alpha_ranges=((0.5, 1.5), (1.0, 2.0), (0.2, 0.4)), seed=5
-        )
+        spec = SkewedSpec(counts=(4, 2, 3), alpha_ranges=((0.5, 1.5), (1.0, 2.0), (0.2, 0.4)), seed=5)
         ds = gen_skewed(spec)
         assert ds.r_bound == ds.x.max()
 
     def test_counts_must_cover_every_class(self):
         with pytest.raises(ValueError):
-            SkewedSpec(k=2, counts=(1, 0), alpha_ranges=((1.0, 1.0), (1.0, 1.0)), seed=0)
+            SkewedSpec(counts=(1, 0), alpha_ranges=((1.0, 1.0), (1.0, 1.0)), seed=0)
         with pytest.raises(ValueError):
-            SkewedSpec(k=2, counts=(1, 1), alpha_ranges=((0.0, 1.0), (1.0, 1.0)), seed=0)
+            SkewedSpec(counts=(1, 1), alpha_ranges=((0.0, 1.0), (1.0, 1.0)), seed=0)

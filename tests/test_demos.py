@@ -1,16 +1,36 @@
-"""Every name a demo imports from the package still exists.
+"""Every name a demo imports from the package still exists, and the fast
+demos run.
 
 The demos are scripts, not tests, so an API removal would otherwise only
-show when one is run by hand. Each demo is parsed, not executed.
+show when one is run by hand. Each demo is parsed; demos 01, 05 and 06
+(a few seconds each) also run in a child process and must exit 0, and the
+stdout of 01 and 05 must keep its sha256. Those digests were recorded with
+numpy 2.4.6 and OpenBLAS 0.3.31 and depend on the numpy version, BLAS build
+and thread count as the pins in ``test_reproducibility.py`` do. Demo 06
+prints its temporary directory, so only its exit code is checked. Demos
+02-04 take 9-30 s each and are run by hand.
 """
 
 import ast
+import hashlib
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import normdescent
+
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+# demo -> sha256 of its stdout, or None where the output names a temporary directory
+FAST_DEMOS = {
+    "01_norm_geometry.py": "35c583ab60f315421af62d6d07b1e2d3887ffcdb44cb69ee5c190a4f6e917319",
+    "05_per_sample_bias.py": "759d055100191d56b0926fb6e09021956cc608e79c9b13105c3a2e7980c90d67",
+    "06_cli_workflow.py": None,
+}
 
 
 def package_imports(path):
@@ -34,3 +54,16 @@ def test_demo_imports_resolve(demo):
     assert names, f"{demo.name} imports nothing from normdescent"
     missing = [f"{mod}.{name}" for mod, name in names if not hasattr(importlib.import_module(mod), name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", sorted(FAST_DEMOS))
+def test_fast_demo_runs(tmp_path, name):
+    src = str(Path(normdescent.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["TMPDIR"] = str(tmp_path)  # demo 06 works in a temporary directory
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS[0].parent / name)], capture_output=True, cwd=tmp_path, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    if FAST_DEMOS[name] is not None:
+        assert hashlib.sha256(proc.stdout).hexdigest() == FAST_DEMOS[name]

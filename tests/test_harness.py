@@ -19,6 +19,7 @@ from normdescent import (
     persample_cmd,
     read_csv,
     save_dataset,
+    save_matrix,
     sweep_cmd,
     train_cmd,
 )
@@ -285,6 +286,19 @@ class TestTrainCmd:
         capsys.readouterr()
         assert not (tmp_path / "out.csv").exists()
 
+    def test_zero_w_row_leaves_the_cosine_cells_empty(self, tmp_path):
+        # eta0 = 0: the first step leaves W at zero, so row t = 1 has no
+        # direction to compare with W* or W-bar; later rows do
+        cfg = write_config(tmp_path, eta0=0.0, epochs=10, log_every=1, wbar_kind="sign")
+        out = train_cmd(cfg)
+        rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+        assert [row[0] for row in rows] == [str(t) for t in range(1, 11)]
+        assert rows[0][7:11] == ["-inf", "inf", "", ""]
+        assert all(cell != "" for row in rows[1:] for cell in row[9:11])
+        # the zero-W row's infinite gap is not a fit point
+        with pytest.raises(ValueError, match="only 9 positive-gap rows"):
+            fit_rate(out, 1, 10)
+
     def test_gap_column_consistent_with_target(self, tmp_path):
         # full-batch run: the stored target is gamma itself
         out = train_cmd(write_config(tmp_path))
@@ -533,6 +547,28 @@ class TestPersample:
         assert verdict["wbar_kind"] == kind
         assert open(tmp_path / "ps.csv", "rb").read() == expect_csv
 
+    @pytest.mark.parametrize(
+        "over,reason",
+        [
+            (dict(batch_size=5), "persample protocol requires batch_size = 1"),
+            (dict(vr=True), "persample protocol requires momentum and vr off"),
+            (dict(norm="ew:3"), "persample norm must be one of ['ew:2', 'ew:inf', 'sch:inf']"),
+            (dict(w0="ones"), "persample protocol requires w0 = zeros"),
+            (dict(wbar_kind="sign"), "persample with norm ew:2 uses wbar_kind 'normalized', not 'sign'"),
+            (dict(dataset_path="toy"), "persample protocol needs orthogonal scale-skewed data; sample 0 is not"),
+        ],
+        ids=["batch_size", "vr", "norm", "w0", "wbar_kind", "dataset"],
+    )
+    def test_precondition_errors_name_the_config(self, tmp_path, capsys, over, reason):
+        if over.get("w0") == "ones":
+            save_matrix(np.ones((3, 3)), tmp_path / "w0.txt")
+            over = dict(w0=str(tmp_path / "w0.txt"))
+        if over.get("dataset_path") == "toy":
+            over = dict(dataset_path=toy_dataset_file(tmp_path))
+        cfg = self._cfg(tmp_path, epochs=1, log_every=1, gamma=0.3, **over)
+        assert cli_main(["persample", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: {reason}")
+
     def test_rejects_non_skewed_dataset(self, tmp_path):
         cfg = self._cfg(tmp_path, dataset_path=toy_dataset_file(tmp_path), batch_size=1, name="g.json")
         with pytest.raises(ConfigError):
@@ -609,6 +645,34 @@ class TestCli:
         assert probes == []
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "family,flags,foreign",
+        [
+            ("skewed", ["--k", "3", "--sigma", "5", "--d", "9"], "--sigma"),
+            ("gaussian", ["--counts", "1,2"], "--counts"),
+        ],
+    )
+    def test_gen_data_rejects_the_other_familys_flags(self, tmp_path, capsys, family, flags, foreign):
+        out = tmp_path / "d.txt"
+        rc = cli_main(["gen-data", family, "--out", str(out), *flags])
+        assert rc == EXIT_CONFIG
+        assert foreign in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "margin"])
+    def test_one_class_data_is_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "out.txt"
+        if command == "gen-data":
+            argv = ["gen-data", "gaussian", "--k", "1", "--per-class", "3", "--d", "2", "--sigma", "0", "--seed", "1",
+                    "--out", str(out)]
+        else:
+            data = tmp_path / "one.txt"
+            save_dataset(Dataset.from_arrays(np.array([[1.0, 2.0, 3.0]]), np.zeros(3), 1), data)
+            argv = ["margin", "--dataset", str(data), "--norm", "ew:2", "--out", str(out)]
+        assert cli_main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: max_margin needs at least two classes to separate, got k = 1\n"
+        assert not out.exists()
+
     def test_sweep_prints_the_summary_it_writes(self, tmp_path, capsys):
         cfg_dir = tmp_path / "cfgs"
         cfg_dir.mkdir()
@@ -679,14 +743,27 @@ class TestCli:
         assert rc == (EXIT_OK if ok else EXIT_CONFIG)
         assert ok or err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "key,text,reason",
+        [
+            ("dataset_path", "2 2 3\n0 1.0 0.2\n1 -1.0 0.1\n", "every class must appear at least once; missing [2]"),
+            ("w0", "2 2\n1.5\n1 2\n", "{bad}: row 0 has 1 fields, expected 2"),
+        ],
+        ids=["dataset_path", "w0"],
+    )
+    def test_loader_errors_name_the_config(self, tmp_path, capsys, key, text, reason):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        cfg = write_config(tmp_path, epochs=2, log_every=1, gamma=0.5, **{key: str(bad)})
+        assert cli_main(["train", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {cfg}: {reason.format(bad=bad)}\n"
+
     def test_bad_flags_exit_config(self):
         assert cli_main(["train"]) == EXIT_CONFIG
 
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
         # a far-off init overflows the exponential loss on the first
         # gradient evaluation and must exit 3
-        from normdescent import save_matrix
-
         w0_path = tmp_path / "w0.txt"
         save_matrix(np.array([[-800.0, 0.0], [800.0, 0.0]]), w0_path)
         cfg = write_config(
@@ -782,6 +859,25 @@ class TestCli:
         first_row = open(out).read().splitlines()[1].split(",")
         header = CSV_HEADER.split(",")
         assert first_row[header.index("cos_wbar")] == ""
+
+    @pytest.mark.parametrize(
+        "case,line",
+        [("foreign_header", 1), ("cut_last_row", 31), ("extra_field", 5)],
+    )
+    def test_fit_rate_rejects_a_malformed_csv(self, tmp_path, capsys, case, line):
+        rows = [f"{t},0,0.1,0.1,0.1,0.0,1.0,0.0,{t ** -0.5!r},,,0.0" for t in range(10, 310, 10)]
+        if case == "foreign_header":
+            text = "a,b\n1,2\n"
+        elif case == "cut_last_row":  # a killed run's last line
+            text = "\n".join([CSV_HEADER, *rows[:-1], rows[-1][:9]]) + "\n"
+        else:
+            rows[3] += ",7.0"
+            text = "\n".join([CSV_HEADER, *rows]) + "\n"
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        rc = cli_main(["fit-rate", "--csv", str(path), "--t-lo", "10", "--t-hi", "300"])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {path}: line {line} ")
 
     def test_fit_rate_cli(self, tmp_path, capsys):
         ts = np.arange(10, 3000, 10)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -181,7 +182,6 @@ class TestMarginReport:
             rep = margin_report(w, ds, self.SPEC)
             z = w @ ds.x  # shared logits; the oracle enumerates every pair
             best = math.inf
-            arg = None
             for i in range(ds.n):
                 for c in range(ds.k):
                     if c == ds.y[i]:
@@ -189,20 +189,18 @@ class TestMarginReport:
                     v = z[ds.y[i], i] - z[c, i]
                     if v < best:
                         best = v
-                        arg = (i, c)
             assert rep.unnormalized_min == best
-            assert (rep.argmin_sample, rep.argmin_class) == arg
             if rep.weight_norm > 0:
                 assert abs(rep.normalized * rep.weight_norm - rep.unnormalized_min) <= 1e-10
 
-    def test_lexicographic_tie_break(self):
-        # all pair margins are zero at w = 0: the (0, c) pair with the
-        # smallest class index must win
+    def test_all_pairs_tied_at_zero_w(self):
+        # every pair margin is zero at w = 0: the report is exactly
+        # (min 0.0, norm 0.0, normalized -inf) and nothing else
         x = np.eye(3)
         ds = Dataset.from_arrays(x, np.array([0, 1, 2]), 3)
         rep = margin_report(np.zeros((3, 3)), ds, self.SPEC)
-        assert rep.argmin_sample == 0
-        assert rep.argmin_class == 1
+        assert dataclasses.astuple(rep) == (0.0, 0.0, -math.inf)
+        assert math.copysign(1.0, rep.unnormalized_min) == 1.0
 
 
 def gradient_noise_bound_check(w, ds: Dataset, batch) -> tuple[float, float]:
