@@ -42,6 +42,7 @@ from .model import (
     CROSS_ENTROPY,
     EXPONENTIAL,
     Dataset,
+    _labelled,
     load_dataset,
     load_matrix,
     loss as loss_fn,
@@ -332,7 +333,8 @@ def read_csv(path: str) -> dict[str, np.ndarray]:
     """Metric CSV columns as float arrays (empty optional cells become NaN).
 
     Raises ValueError, naming the file and line, for a header other than
-    CSV_HEADER or a row whose field count differs from the header's.
+    CSV_HEADER, a row whose field count differs from the header's, or a
+    cell that is not a number.
     """
     with open(path, "r", encoding="ascii") as fh:
         if fh.readline().strip() != CSV_HEADER:
@@ -342,8 +344,9 @@ def read_csv(path: str) -> dict[str, np.ndarray]:
             cells = line.strip().split(",")
             if len(cells) != len(_COLUMNS):
                 raise ValueError(f"{path}: line {lineno} has {len(cells)} fields, expected {len(_COLUMNS)}")
-            for h, tok in zip(_COLUMNS, cells):
-                cols[h].append(float(tok) if tok else math.nan)
+            with _labelled(f"{path}: line {lineno}"):
+                for h, tok in zip(_COLUMNS, cells):
+                    cols[h].append(float(tok) if tok else math.nan)
     return {h: np.asarray(v) for h, v in cols.items()}
 
 

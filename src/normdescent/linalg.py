@@ -1,10 +1,13 @@
 """Dense matrix norms, SVD, and polar factors.
 
 Everything in this module is a pure function of float64 numpy arrays. The
-SVD is LAPACK's (``np.linalg.svd``) under a fixed sign convention, so the
-same input gives the same bytes given the same numpy version, BLAS/LAPACK
-build and thread count; the training loop and the reproducibility contract
-of the experiment harness rely on exactly that.
+SVD is LAPACK's (``np.linalg.svd``), so the same input gives the same bytes
+given the same numpy version, BLAS/LAPACK build and thread count; the
+reproducibility contract of the experiment harness rests on exactly that.
+``jacobi_svd`` also fixes the factors' signs, but no training or solver
+output reads them: the Schatten norms use only the singular values, and the
+Schatten steepest map sums terms u_j v_j^T, which a paired sign flip leaves
+unchanged.
 
 Inputs are validated once, at the public boundary: each public function
 passes its argument through ``as_matrix`` (2-D, float64, finite), and the

@@ -20,6 +20,8 @@ Numerical conventions that matter here:
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +58,9 @@ def _check_kind(kind: str):
 class Dataset:
     """Classification data: columns of ``x`` are samples, ``y`` class ids.
 
-    ``r_bound`` caches max_i ||x_i||_1, the data-scale constant appearing in
-    every noise and stability bound.
+    Each of the k >= 2 classes appears, so every sample has an off-target
+    pair (i, c != y_i). ``r_bound`` caches max_i ||x_i||_1, the data-scale
+    constant appearing in every noise and stability bound.
     """
 
     x: np.ndarray
@@ -79,7 +82,9 @@ class Dataset:
         ya = np.asarray(y, dtype=np.int64)
         if ya.ndim != 1 or ya.shape[0] != xm.shape[1]:
             raise ValueError("y must be 1-D with one label per column of x")
-        if k < 1 or ya.min(initial=0) < 0 or (ya.size and ya.max() >= k):
+        if k < 2:
+            raise ValueError(f"a dataset needs at least two classes, got k = {k}")
+        if ya.min(initial=0) < 0 or (ya.size and ya.max() >= k):
             raise ValueError("labels must lie in [0, k)")
         present = np.unique(ya)
         if present.size != k:
@@ -228,8 +233,9 @@ def margin_report(w, ds: Dataset, spec: NormSpec) -> MarginReport:
 # Dataset files: first line "d n k", then n lines "label v1 ... vd".
 # Matrix files: first line "rows cols", then one line per row.
 # Values are written with repr(), which round-trips float64 exactly.
-# Loaders reject a line with the wrong field count, a non-finite value, and
-# anything but blank lines after the last expected line.
+# Loaders reject a line with the wrong field count, a token that does not
+# parse, a non-finite value, and anything but blank lines after the last
+# expected line. Each error names the file, and the line where it has one.
 
 
 def _fmt(v: float) -> str:
@@ -244,29 +250,50 @@ def save_dataset(ds: Dataset, path):
             fh.write(f"{int(ds.y[i])} {vals}\n")
 
 
-def _fields(fh, path, what: str, count: int) -> list[str]:
+@contextlib.contextmanager
+def _labelled(label):
+    """Re-raise a ValueError with ``label: `` in front of its message."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from exc
+
+
+def _ints(parts: list[str]) -> list[int]:
+    return [int(t) for t in parts]
+
+
+def _finites(parts: list[str]) -> list[float]:
+    vals = [float(t) for t in parts]
+    for t, v in zip(parts, vals):
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite value {t!r}")
+    return vals
+
+
+def _fields(fh, what: str, count: int, parse):
+    """``parse`` of the next line's ``count`` fields; its errors name the line ``what``."""
     parts = fh.readline().split()
     if len(parts) != count:
-        raise ValueError(f"{path}: {what} has {len(parts)} fields, expected {count}")
-    return parts
+        raise ValueError(f"{what} has {len(parts)} fields, expected {count}")
+    with _labelled(what):
+        return parse(parts)
 
 
-def _no_trailing(fh, path):
+def _no_trailing(fh):
     if fh.read().strip():
-        raise ValueError(f"{path}: unexpected content after the last expected line")
+        raise ValueError("unexpected content after the last expected line")
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="ascii") as fh:
-        d, n, k = (int(t) for t in _fields(fh, path, "header 'd n k'", 3))
+    with _labelled(path), open(path, "r", encoding="ascii") as fh:
+        d, n, k = _fields(fh, "header 'd n k'", 3, _ints)
         x = np.zeros((d, n))
         y = np.zeros(n, dtype=np.int64)
         for i in range(n):
-            parts = _fields(fh, path, f"sample line {i}", d + 1)
-            y[i] = int(parts[0])
-            x[:, i] = [float(t) for t in parts[1:]]
-        _no_trailing(fh, path)
-    return Dataset.from_arrays(x, y, k)
+            y[i], x[:, i] = _fields(fh, f"sample line {i}", d + 1, lambda p: (int(p[0]), _finites(p[1:])))
+        _no_trailing(fh)
+        return Dataset.from_arrays(x, y, k)
 
 
 def save_matrix(w, path):
@@ -278,12 +305,10 @@ def save_matrix(w, path):
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        rows, cols = (int(t) for t in _fields(fh, path, "header 'rows cols'", 2))
+    with _labelled(path), open(path, "r", encoding="ascii") as fh:
+        rows, cols = _fields(fh, "header 'rows cols'", 2, _ints)
         out = np.zeros((rows, cols))
         for r in range(rows):
-            out[r] = [float(t) for t in _fields(fh, path, f"row {r}", cols)]
-        _no_trailing(fh, path)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{path}: non-finite value")
+            out[r] = _fields(fh, f"row {r}", cols, _finites)
+        _no_trailing(fh)
     return out

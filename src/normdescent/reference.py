@@ -60,9 +60,8 @@ class MaxMarginSolution:
 def _softmin_grad(gaps: np.ndarray, ds: Dataset, tau: float) -> np.ndarray:
     """Gradient of f(W) = -tau log sum exp(-margin_pair / tau), given the
     pair gaps of W."""
-    a = -gaps / tau
-    amax = float(a[np.isfinite(a)].max())
-    p = np.where(np.isfinite(a), np.exp(a - amax), 0.0)
+    a = -gaps / tau  # -inf at each target entry, so exp gives it weight 0
+    p = np.exp(a - float(a.max()))
     p /= float(p.sum())
     # grad f = sum_(i,c) p_ic (e_(y_i) - e_c) x_i^T
     wi = p.sum(axis=0)
@@ -85,15 +84,12 @@ def max_margin(
     Non-separable data is reported by ``separable=False`` (gamma <= tol),
     never raised. Raises MaxMarginNonConvergence only when the budget was
     exhausted while the final certificate gap still exceeds 10 * tol, and
-    ValueError unless tol is finite and positive, max_iters >= 1 and the
-    data has at least two classes.
+    ValueError unless tol is finite and positive and max_iters >= 1.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"max_margin tol must be finite and positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_margin max_iters must be at least 1, got {max_iters}")
-    if ds.k < 2:
-        raise ValueError(f"max_margin needs at least two classes to separate, got k = {ds.k}")
     taus = []
     tau = _TAU_LADDER_START
     while tau >= tol:

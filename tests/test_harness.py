@@ -659,19 +659,32 @@ class TestCli:
         assert foreign in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["gen-data", "margin"])
+    @pytest.mark.parametrize(
+        "command",
+        ["gen-data", "gen-data-skewed", "margin", "train", "train-gamma", "persample-gamma"],
+    )
     def test_one_class_data_is_rejected(self, tmp_path, capsys, command):
-        out = tmp_path / "out.txt"
-        if command == "gen-data":
-            argv = ["gen-data", "gaussian", "--k", "1", "--per-class", "3", "--d", "2", "--sigma", "0", "--seed", "1",
-                    "--out", str(out)]
+        # no pair (i, c != y_i) exists, so gamma, W* and every gap are undefined
+        data = tmp_path / "one.txt"
+        data.write_text("1 3 1\n0 1.0\n0 2.0\n0 3.0\n")
+        out = tmp_path / "out.csv"
+        out.write_text("previous run\n")
+        reason = "a dataset needs at least two classes, got k = 1"
+        if command.startswith("gen-data"):
+            flags = (["gaussian", "--k", "1", "--per-class", "3", "--d", "2", "--sigma", "0", "--seed", "1"]
+                     if command == "gen-data" else ["skewed", "--counts", "3", "--alpha-ranges", "1:2"])
+            argv, expected = ["gen-data", *flags, "--out", str(out)], reason
+        elif command == "margin":
+            argv, expected = ["margin", "--dataset", str(data), "--norm", "ew:2", "--out", str(out)], f"{data}: {reason}"
         else:
-            data = tmp_path / "one.txt"
-            save_dataset(Dataset.from_arrays(np.array([[1.0, 2.0, 3.0]]), np.zeros(3), 1), data)
-            argv = ["margin", "--dataset", str(data), "--norm", "ew:2", "--out", str(out)]
+            gamma = 0.5 if command.endswith("-gamma") else None
+            cfg = write_config(tmp_path, batch_size=1, epochs=1, log_every=1, gamma=gamma, dataset_path=str(data))
+            argv, expected = [command.removesuffix("-gamma"), "--config", cfg], f"{cfg}: {data}: {reason}"
+        before = sorted(os.listdir(tmp_path))
         assert cli_main(argv) == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: max_margin needs at least two classes to separate, got k = 1\n"
-        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert out.read_text() == "previous run\n"
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_sweep_prints_the_summary_it_writes(self, tmp_path, capsys):
         cfg_dir = tmp_path / "cfgs"
@@ -746,7 +759,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "key,text,reason",
         [
-            ("dataset_path", "2 2 3\n0 1.0 0.2\n1 -1.0 0.1\n", "every class must appear at least once; missing [2]"),
+            ("dataset_path", "2 2 3\n0 1.0 0.2\n1 -1.0 0.1\n", "{bad}: every class must appear at least once; missing [2]"),
             ("w0", "2 2\n1.5\n1 2\n", "{bad}: row 0 has 1 fields, expected 2"),
         ],
         ids=["dataset_path", "w0"],
@@ -757,6 +770,43 @@ class TestCli:
         cfg = write_config(tmp_path, epochs=2, log_every=1, gamma=0.5, **{key: str(bad)})
         assert cli_main(["train", "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {cfg}: {reason.format(bad=bad)}\n"
+
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ("2 q 2\n0 1.0 0.2\n1 -1.0 0.1\n", "header 'd n k': invalid literal for int() with base 10: 'q'"),
+            ("2 2 2\nq 1.0 0.2\n1 -1.0 0.1\n", "sample line 0: invalid literal for int() with base 10: 'q'"),
+            ("2 2 2\n0 1.0 x\n1 -1.0 0.1\n", "sample line 0: could not convert string to float: 'x'"),
+            ("2 2 2\n0 1.0 0.2\n1 nan 0.1\n", "sample line 1: non-finite value 'nan'"),
+            ("2 2 2\n0 1.0 0.2\n1 -1.0 1e400\n", "sample line 1: non-finite value '1e400'"),
+            ("2 2 3\n0 1.0 0.2\n1 -1.0 0.1\n", "every class must appear at least once; missing [2]"),
+        ],
+        ids=["header", "label", "value", "nan", "overflow", "missing-class"],
+    )
+    def test_dataset_errors_name_the_file_and_line(self, tmp_path, capsys, text, reason):
+        data = tmp_path / "data.txt"
+        data.write_text(text)
+        out = tmp_path / "w.txt"
+        assert cli_main(["margin", "--dataset", str(data), "--norm", "ew:2", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {data}: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ("2 x\n1 2\n3 4\n", "header 'rows cols': invalid literal for int() with base 10: 'x'"),
+            ("2 2\n1 x\n3 4\n", "row 0: could not convert string to float: 'x'"),
+            ("2 2\n1 2\ninf 4\n", "row 1: non-finite value 'inf'"),
+        ],
+        ids=["header", "value", "inf"],
+    )
+    def test_w0_errors_name_the_file_and_row(self, tmp_path, capsys, text, reason):
+        w0 = tmp_path / "w0.txt"
+        w0.write_text(text)
+        cfg = write_config(tmp_path, epochs=2, log_every=1, gamma=0.5, w0=str(w0))
+        assert cli_main(["train", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {cfg}: {w0}: {reason}\n"
+        assert not (tmp_path / "out.csv").exists()
 
     def test_bad_flags_exit_config(self):
         assert cli_main(["train"]) == EXIT_CONFIG
@@ -878,6 +928,16 @@ class TestCli:
         rc = cli_main(["fit-rate", "--csv", str(path), "--t-lo", "10", "--t-hi", "300"])
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"error: {path}: line {line} ")
+
+    @pytest.mark.parametrize("column,token,line", [("eta", "x", 2), ("t", "q", 5)])
+    def test_fit_rate_names_a_bad_cell(self, tmp_path, capsys, column, token, line):
+        rows = [f"{t},0,0.1,0.1,0.1,0.0,1.0,0.0,{t ** -0.5!r},,,0.0".split(",") for t in range(10, 310, 10)]
+        rows[line - 2][CSV_HEADER.split(",").index(column)] = token
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join([CSV_HEADER, *(",".join(r) for r in rows)]) + "\n")
+        rc = cli_main(["fit-rate", "--csv", str(path), "--t-lo", "10", "--t-hi", "300"])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {path}: line {line}: could not convert string to float: {token!r}\n"
 
     def test_fit_rate_cli(self, tmp_path, capsys):
         ts = np.arange(10, 3000, 10)

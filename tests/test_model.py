@@ -368,7 +368,7 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def datasets(draw):
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 4))
     d = draw(st.integers(1, 4))
     n = draw(st.integers(k, 8))
     y = draw(st.permutations(list(range(k)) + draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))))
@@ -381,6 +381,12 @@ def datasets(draw):
 def _dataset_text(ds: Dataset, path) -> str:
     save_dataset(ds, path)
     return path.read_text()
+
+
+def _raw_dataset_text(x: np.ndarray, y: np.ndarray, k: int) -> str:
+    """Dataset file text for arrays that ``Dataset.from_arrays`` may reject."""
+    lines = (f"{y[i]} " + " ".join(repr(float(v)) for v in x[:, i]) for i in range(x.shape[1]))
+    return f"{x.shape[0]} {x.shape[1]} {k}\n" + "".join(line + "\n" for line in lines)
 
 
 def _matrix_text(w: np.ndarray, path) -> str:
@@ -457,15 +463,28 @@ class TestSerializationProperties:
     )
     def test_overflowing_column_rejected(self, tmp_path, data, big, signs):
         # two entries of magnitude >= 1e308 in one column: finite values, infinite L1 norm
-        d, n = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 4))
+        d, n = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
         x = data.draw(arrays(np.float64, (d, n), elements=st.floats(-1e3, 1e3)))
         col = data.draw(st.integers(0, n - 1))
         rows = data.draw(st.permutations(range(d)))[:2]
         x[rows, col] = np.multiply(big, signs)
-        y = np.zeros(n, dtype=np.int64)
+        y = np.arange(n) % 2
         with pytest.raises(ValueError, match="not finite"):
-            Dataset.from_arrays(x, y, 1)
+            Dataset.from_arrays(x, y, 2)
         path = tmp_path / "data.txt"
-        path.write_text(f"{d} {n} 1\n" + "".join("0 " + " ".join(repr(float(v)) for v in x[:, i]) + "\n" for i in range(n)))
+        path.write_text(_raw_dataset_text(x, y, 2))
         with pytest.raises(ValueError, match="not finite"):
             load_dataset(path)
+
+    @_FILE_PROPERTY
+    @given(x=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 4)), elements=_FINITE))
+    def test_one_class_rejected(self, tmp_path, x):
+        # no pair (i, c != y_i) exists, so no margin is defined
+        n = x.shape[1]
+        with pytest.raises(ValueError, match="^a dataset needs at least two classes, got k = 1$"):
+            Dataset.from_arrays(x, np.zeros(n), 1)
+        path = tmp_path / "data.txt"
+        path.write_text(_raw_dataset_text(x, np.zeros(n, dtype=np.int64), 1))
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: a dataset needs at least two classes, got k = 1"

@@ -165,6 +165,22 @@ class TestMaxMargin:
 # w_star.tobytes()) at tol=1e-2, max_iters=20000 on the pinned instance;
 # recorded with numpy 2.4.6 and OpenBLAS 0.3.31 (see test_reproducibility)
 PINNED_SOLVES = {
+    # ew:1 and sch:1 pin the tie-breaking maps: the first maximal entry and
+    # the leading singular dyad
+    "ew:1": (
+        0.1986024290574011,
+        691,
+        0.001338908320734175,
+        (0.0, 0.1381279259021963, 0.1800787309279904, 0.1986024290574011),
+        "19c393148b2a3cf6ca2a65f0a4db1ff092ec3cf27744ffed3cffbf94aef9cb2c",
+    ),
+    "sch:1": (
+        0.2937512132315234,
+        3371,
+        0.0013496166158477388,
+        (-0.07361532501516949, 0.2035532489842455, 0.27682234670663974, 0.2937512132315234),
+        "2cb3d70626a1a6ebc1a4a45971808c4474c0ff3886dde2f4ad637dfdadc3760a",
+    ),
     "ew:2": (
         0.40191196525515765,
         766,
