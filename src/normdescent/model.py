@@ -146,6 +146,13 @@ def _exp_weights(w: np.ndarray, x: np.ndarray, target, idx: np.ndarray) -> np.nd
     return np.exp(-gaps)
 
 
+def _pair_sum(coeff: np.ndarray, x: np.ndarray, target) -> np.ndarray:
+    """sum_i sum_(c != y_i) coeff_ic (e_c - e_(y_i)) x_i^T, shape (k, d); ``coeff``
+    (zero at the target entries) gets minus its column sums written there."""
+    coeff[target] = -coeff.sum(axis=0)  # exact column-sum-zero identity
+    return coeff @ x.T
+
+
 def loss(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
     """Average loss over the full dataset.
 
@@ -185,9 +192,7 @@ def grad(w, ds: Dataset, batch=ALL, kind: str = CROSS_ENTROPY) -> np.ndarray:
         coeff = _offtarget_probs(wm, x, target)
     else:
         coeff = _exp_weights(wm, x, target, idx)
-    # target entry = -(sum of off-target mass): exact column-sum-zero identity
-    coeff[target] = -coeff.sum(axis=0)
-    return (coeff @ x.T) / idx.size
+    return _pair_sum(coeff, x, target) / idx.size
 
 
 def proxy_g(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:

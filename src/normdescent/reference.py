@@ -7,9 +7,10 @@ linear-minimization oracle is the steepest-descent map itself, the step
 size is the classic 2/(j+2) with j the steps taken across all stages, and
 the smoothing temperature is annealed down a x0.3 ladder with warm starts.
 Each iterate's pair gaps are computed once and serve both its exact
-normalized margin and the next softmin gradient. Because every iterate is
-feasible, the exact margin of the best normalized iterate is a certified
-lower bound on gamma; that is what gets reported.
+normalized margin and the next softmin gradient; that gradient is
+assembled by ``model``'s pair-sum kernel, the one the loss gradient uses.
+Because every iterate is feasible, the exact margin of the best normalized
+iterate is a certified lower bound on gamma; that is what gets reported.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NormSpec, entrywise_norm, matrix_norm
-from .model import Dataset, margin_report, pair_gaps
+from .model import Dataset, _pair_sum, margin_report, pair_gaps
 from .steepest import steepest_map
 
 BIAS_SIGN = "sign"
@@ -58,17 +59,12 @@ class MaxMarginSolution:
 
 
 def _softmin_grad(gaps: np.ndarray, ds: Dataset, tau: float) -> np.ndarray:
-    """Gradient of f(W) = -tau log sum exp(-margin_pair / tau), given the
-    pair gaps of W."""
+    """Gradient of f(W) = -tau log sum exp(-margin_pair / tau), given the pair
+    gaps of W: sum_(i,c) p_ic (e_(y_i) - e_c) x_i^T, minus the pair sum."""
     a = -gaps / tau  # -inf at each target entry, so exp gives it weight 0
     p = np.exp(a - float(a.max()))
     p /= float(p.sum())
-    # grad f = sum_(i,c) p_ic (e_(y_i) - e_c) x_i^T
-    wi = p.sum(axis=0)
-    g = np.zeros((ds.k, ds.d))
-    np.add.at(g, ds.y, wi[:, None] * ds.x.T)
-    g -= p @ ds.x.T
-    return g
+    return -_pair_sum(p, ds.x, (ds.y, np.arange(ds.n)))
 
 
 def max_margin(
@@ -82,9 +78,12 @@ def max_margin(
     computed once, for the zero start and after every step, and feed both
     the iterate's exact normalized margin and the next softmin gradient.
     Non-separable data is reported by ``separable=False`` (gamma <= tol),
-    never raised. Raises MaxMarginNonConvergence only when the budget was
-    exhausted while the final certificate gap still exceeds 10 * tol, and
-    ValueError unless tol is finite and positive and max_iters >= 1.
+    never raised. ``tol`` and that verdict are absolute, in the data's
+    units: separable data with gamma 1e-300 is reported as not separable.
+    Raises MaxMarginNonConvergence only when the budget was exhausted while
+    the final certificate gap still exceeds 10 * tol, and ValueError unless
+    tol is finite and positive and max_iters >= 1, or when the softmin
+    argument 2 * r_bound / tau overflows at the last temperature.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"max_margin tol must be finite and positive, got {tol}")
@@ -97,6 +96,12 @@ def max_margin(
         tau *= _TAU_LADDER_FACTOR
     if not taus:
         taus = [tol]
+    # every iterate lies in the unit ball, so |pair gap| <= 2 r_bound
+    if not math.isfinite(2.0 * ds.r_bound / taus[-1]):
+        raise ValueError(
+            f"softmin argument 2 * r_bound / tau overflows at r_bound = {ds.r_bound:.6g}, "
+            f"tau = {taus[-1]:.6g}; rescale the data"
+        )
 
     w = np.zeros((ds.k, ds.d))
     gaps = pair_gaps(w, ds)

@@ -1,7 +1,19 @@
+import os
+
 import numpy as np
 import pytest
 
 from normdescent import Dataset
+
+
+def pytest_report_header(config):
+    """The inputs every sha256 pin depends on: numpy, its BLAS, the BLAS thread count."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return (
+        f"numpy {np.__version__}, BLAS {blas.get('name', '?')} {blas.get('version', '?')}, "
+        f"OPENBLAS_NUM_THREADS={threads}"
+    )
 
 
 def random_dataset(rng, k=None, d=None, n=None):

@@ -4,6 +4,18 @@ import pytest
 from normdescent import GaussianSpec, SkewedSpec, gen_gaussian, gen_skewed
 
 
+# GaussianSpec fields and the attempt whose draw gen_gaussian accepts
+DRAWS = [
+    (10, 20, 5, 0.1, 12345, 0),
+    (4, 1, 3, 0.1, 0, 0),
+    (3, 4, 2, 0.05, 7, 0),
+    (5, 3, 6, 0.0, 99, 0),
+    # the separability probe rejects the first draw(s): these pin its verdicts
+    (3, 4, 2, 0.3, 3, 1),
+    (3, 4, 2, 0.3, 1, 3),  # attempt 1's probe gamma is 5.7e-4, just under the 1e-3 bar
+]
+
+
 class TestGaussian:
     def test_noiseless_limit_is_class_means(self):
         spec = GaussianSpec(k=4, per_class=3, d=6, sigma=0.0, seed=7)
@@ -27,14 +39,11 @@ class TestGaussian:
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.y, b.y)
 
-    @pytest.mark.parametrize(
-        "k,per_class,d,sigma,seed",
-        [(10, 20, 5, 0.1, 12345), (4, 1, 3, 0.1, 0), (3, 4, 2, 0.05, 7), (5, 3, 6, 0.0, 99)],
-    )
-    def test_matches_per_class_draws(self, k, per_class, d, sigma, seed):
-        # reference: the first attempt's stream, one (d, per_class) noise draw
-        # per class into a C-ordered (d, n) array
-        rng = np.random.default_rng([seed, 0])
+    @pytest.mark.parametrize("k,per_class,d,sigma,seed,attempt", DRAWS, ids=["-".join(map(str, r[:5])) for r in DRAWS])
+    def test_matches_per_class_draws(self, k, per_class, d, sigma, seed, attempt):
+        # reference: the accepted attempt's stream, one (d, per_class) noise
+        # draw per class into a C-ordered (d, n) array
+        rng = np.random.default_rng([seed, attempt])
         means = rng.standard_normal((k, d))
         means /= np.linalg.norm(means, axis=1, keepdims=True)
         x = np.zeros((d, k * per_class))

@@ -791,6 +791,27 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {data}: {reason}\n"
         assert not out.exists()
 
+    def test_margin_rejects_data_whose_softmin_argument_overflows(self, tmp_path, capsys):
+        # 2 * r_bound / tau at the default ladder's last rung, 0.3**5, is past the float range
+        data = tmp_path / "huge.txt"
+        data.write_text("1 2 2\n0 1e306\n1 -1e306\n")
+        out = tmp_path / "w.txt"
+        assert cli_main(["margin", "--dataset", str(data), "--norm", "ew:2", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: softmin argument 2 * r_bound / tau overflows at r_bound = 1e+306, tau = 0.00243; "
+            "rescale the data\n"
+        )
+        assert not out.exists()
+
+    # the ew:2 norm's unscaled sum of squares overflows and takes the scaled path
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_margin_solves_data_inside_the_softmin_range(self, tmp_path, capsys):
+        data = tmp_path / "big.txt"
+        data.write_text("1 2 2\n0 1e300\n1 -1e300\n")
+        out = tmp_path / "w.txt"
+        assert cli_main(["margin", "--dataset", str(data), "--norm", "ew:2", "--out", str(out)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["separable"] is True
+
     @pytest.mark.parametrize(
         "text,reason",
         [

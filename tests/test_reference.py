@@ -27,6 +27,8 @@ from normdescent import (
 from normdescent import reference
 from normdescent.cli import EXIT_NONCONVERGENCE, main as cli_main
 from normdescent.linalg import as_matrix
+from normdescent.model import pair_gaps
+from tests.conftest import random_dataset
 
 EW2 = NormSpec("entrywise", 2.0)
 EWINF = NormSpec("entrywise", math.inf)
@@ -161,6 +163,44 @@ class TestMaxMargin:
         assert sol.gamma <= 1e-2
 
 
+def scatter_softmin_grad(gaps, ds, tau):
+    """The softmin gradient assembled sample by sample: each sample's total
+    weight is scattered into its target row, then the weighted samples are
+    subtracted from every off-target row."""
+    a = -gaps / tau
+    p = np.exp(a - float(a.max()))
+    p /= float(p.sum())
+    g = np.zeros((ds.k, ds.d))
+    np.add.at(g, ds.y, p.sum(axis=0)[:, None] * ds.x.T)
+    return g - p @ ds.x.T
+
+
+def softmin(w, ds, tau):
+    """f(W) = -tau log sum_(i, c != y_i) exp(-gap_ic / tau), shifted by its max."""
+    a = -pair_gaps(w, ds) / tau
+    top = float(a.max())
+    return -tau * (top + math.log(float(np.exp(a - top).sum())))
+
+
+class TestSoftminGrad:
+    @pytest.mark.parametrize("tau", [1.0, 0.09, 0.0081])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_finite_differences_and_the_scatter_formula(self, seed, tau):
+        rng = np.random.default_rng([seed, 31])
+        ds = random_dataset(rng)  # k in 2..5, n <= 24
+        w = rng.standard_normal((ds.k, ds.d))
+        gaps = pair_gaps(w, ds)
+        g = reference._softmin_grad(gaps, ds, tau)
+        np.testing.assert_allclose(g, scatter_softmin_grad(gaps, ds, tau), rtol=1e-12)
+        h = 1e-6
+        fd = np.zeros_like(w)
+        for idx in np.ndindex(*w.shape):
+            e = np.zeros_like(w)
+            e[idx] = h
+            fd[idx] = (softmin(w + e, ds, tau) - softmin(w - e, ds, tau)) / (2.0 * h)
+        np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
+
+
 # norm -> (gamma, iterations_used, certificate_gap, stage_margins, sha256 of
 # w_star.tobytes()) at tol=1e-2, max_iters=20000 on the pinned instance;
 # recorded with numpy 2.4.6 and OpenBLAS 0.3.31 (see test_reproducibility)
@@ -170,37 +210,37 @@ PINNED_SOLVES = {
     "ew:1": (
         0.1986024290574011,
         691,
-        0.001338908320734175,
+        0.0013389083207342029,
         (0.0, 0.1381279259021963, 0.1800787309279904, 0.1986024290574011),
         "19c393148b2a3cf6ca2a65f0a4db1ff092ec3cf27744ffed3cffbf94aef9cb2c",
     ),
     "sch:1": (
-        0.2937512132315234,
-        3371,
-        0.0013496166158477388,
-        (-0.07361532501516949, 0.2035532489842455, 0.27682234670663974, 0.2937512132315234),
-        "2cb3d70626a1a6ebc1a4a45971808c4474c0ff3886dde2f4ad637dfdadc3760a",
+        0.29384423059894976,
+        3382,
+        0.001349796966172991,
+        (-0.07361532501516987, 0.2035532489842459, 0.2768223467066398, 0.2938442305989498),
+        "f9311fa11845d55126d0eb1eee88f91986f8cd88e98ca6d926a6b30b5ab1a61f",
     ),
     "ew:2": (
         0.40191196525515765,
         766,
-        0.0013484059982671087,
-        (0.13895635857974564, 0.3509730601744917, 0.36955120809541514, 0.4019119652551577),
-        "b7ce59ad975728637df18e35365817ce8e6032067555ed2dc616352e1bc04d21",
+        0.0013484059982670437,
+        (0.13895635857974556, 0.35097306017449204, 0.3695512080954128, 0.4019119652551577),
+        "fa7d4c8aef3989e31f134a413d4b6b4a462014885b8a4f40cd45cb2dffbaaebd",
     ),
     "ew:inf": (
         0.7954061159116637,
         7965,
-        0.0013120008831473498,
+        0.0013120008831474163,
         (0.663090095758391, 0.7022014832016671, 0.7778380518176331, 0.7954061159116637),
         "0e8fd4ea22b9eb4fc7cd787d615008f1e61d28538ede27450eee56a7cd12a6de",
     ),
     "sch:inf": (
-        0.4628924166095051,
+        0.462892416612148,
         499,
-        0.0013485940263394587,
-        (0.4305430214499708, 0.43864666749066245, 0.44978441046697776, 0.4628924166095051),
-        "b9258a9d6c439b23f40b1d325ff6fa491493eeb85a4e7a4be5eef8eb0600c1f5",
+        0.0013485940263393919,
+        (0.4305430214499711, 0.43864666749066267, 0.44978441046697754, 0.462892416612148),
+        "bd522229f731430ec9042e62bb538c257829b9cb3463b06858388e4ed22e2259",
     ),
 }
 
