@@ -123,9 +123,10 @@ def entrywise_norm(a, p: float) -> float:
 def _entrywise_norm(m: np.ndarray, p: float) -> float:
     """``entrywise_norm`` of a validated matrix and exponent."""
     if p == 2.0:
-        sq = float(np.sum(m * m))
+        with np.errstate(over="ignore"):
+            sq = float(np.sum(m * m))
         # the unscaled shortcut is accurate unless the sum of squares drops
-        # below the normal range or overflows (numpy warns about the latter)
+        # below the normal range or overflows
         if _TINY <= sq < math.inf:
             return math.sqrt(sq)
     absm = np.abs(m)
@@ -197,7 +198,12 @@ def newton_schulz_polar(a, iters: int = 40, tol: float = 1e-8) -> np.ndarray:
 
 
 def frobenius_cosine(a, b) -> float:
-    """<a, b> / (||a||_F ||b||_F); both inputs must be nonzero."""
+    """<a, b> / (||a||_F ||b||_F); both inputs must be nonzero.
+
+    When <a, b> overflows or ||a||_F ||b||_F leaves the normal range, both
+    are first rescaled by powers of two, so huge, tiny and subnormal inputs
+    keep full precision.
+    """
     ma = as_matrix(a)
     mb = as_matrix(b)
     if ma.shape != mb.shape:
@@ -206,5 +212,11 @@ def frobenius_cosine(a, b) -> float:
     nb = _entrywise_norm(mb, 2.0)
     if na == 0.0 or nb == 0.0:
         raise ValueError("frobenius_cosine requires nonzero matrices")
-    c = float(np.sum(ma * mb)) / (na * nb)
-    return min(1.0, max(-1.0, c))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf: nan
+        dot = float(np.sum(ma * mb))
+    if not (math.isfinite(dot) and _TINY <= na * nb < math.inf):
+        # scale each by the power of two that puts its largest |entry| in
+        # [0.5, 1), which is exact for every entry left in the normal range
+        ma, mb = (np.ldexp(m, -math.frexp(float(np.abs(m).max()))[1]) for m in (ma, mb))
+        dot, na, nb = float(np.sum(ma * mb)), _entrywise_norm(ma, 2.0), _entrywise_norm(mb, 2.0)
+    return min(1.0, max(-1.0, dot / (na * nb)))

@@ -24,8 +24,11 @@ reshuffle draws its n-1 Fisher-Yates swap indices in one
 ``integers(0, [n, n-1, ..., 2])`` call, which yields the same values and
 leaves the generator in the same state as one scalar ``integers(0, i+1)``
 call per swap, i = n-1 down to 1 (the tests pin both, plus golden
-permutations). Identical configs therefore produce bit-identical
-trajectories given the same numpy version, BLAS build and thread count.
+permutations). A full-batch run (b = n) draws nothing from the generator:
+gradients evaluate a batch in sorted index order, so every permutation of
+the full batch gives the full gradient bit for bit, and each epoch steps on
+ALL instead. Identical configs therefore produce bit-identical trajectories
+given the same numpy version, BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -166,7 +169,8 @@ def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> tuple[n
     eta = cfg.schedule.eta(state.t)
     delta = steepest_map(h, cfg.norm)
     if delta.any():
-        w = state.w - eta * delta
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            w = state.w - eta * delta
         if not np.isfinite(w).all():
             raise FloatingPointError(f"non-finite iterate after a step of size {eta!r}")
         state.w = w
@@ -184,11 +188,12 @@ def run(cfg: OptimizerConfig, ds: Dataset, w0, metrics_hook=None) -> TrainState:
     momentum/signal matrix H_t, the step size that was applied, and the
     unit-norm direction ``steepest_map(H_t)`` the step moved against
     (W <- W - eta * delta; zero when the signal was zero).
-    Fully deterministic given (cfg.seed, w0, ds).
+    Fully deterministic given (cfg.seed, w0, ds). A full-batch run draws
+    nothing from the generator: each epoch is one step on ALL.
     """
     state = init_state(cfg, ds, w0)
     for _ in range(cfg.epochs):
-        batches = reshuffle(state, ds.n, cfg.batch_size)
+        batches = (ALL,) if cfg.batch_size == ds.n else reshuffle(state, ds.n, cfg.batch_size)
         if cfg.vr_on:
             state.snapshot_w = state.w.copy()
             state.snapshot_full_grad = grad(state.w, ds, ALL, cfg.loss)

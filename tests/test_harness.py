@@ -37,6 +37,13 @@ def toy_dataset_file(tmp_path, name="toy.txt"):
     return str(path)
 
 
+def child_env():
+    """Environment for a CLI child process that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {
         "norm": "ew:2",
@@ -105,6 +112,15 @@ class TestTrainCmd:
         first = open(train_cmd(cfg), "rb").read()
         second = open(train_cmd(cfg), "rb").read()
         assert first == second
+
+    def test_subnormal_wstar_gives_the_unit_scale_cosine(self, tmp_path):
+        # equal-magnitude W* entries are exact at any scale, and so is the cosine
+        cos = {}
+        for scale in (1.0, 1e-320):
+            save_matrix(scale * np.array([[1.0, -1.0], [-1.0, -1.0]]), tmp_path / "wstar.txt")
+            cfg = write_config(tmp_path, gamma=0.5, wstar_path=str(tmp_path / "wstar.txt"))
+            cos[scale] = read_csv(train_cmd(cfg))["cos_wstar"]
+        assert np.abs(cos[1e-320] - cos[1.0]).max() <= 1e-15
 
     def test_unknown_keys_rejected(self, tmp_path):
         cfg = write_config(tmp_path, wildcard=True)
@@ -804,13 +820,26 @@ class TestCli:
         assert not out.exists()
 
     # the ew:2 norm's unscaled sum of squares overflows and takes the scaled path
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
     def test_margin_solves_data_inside_the_softmin_range(self, tmp_path, capsys):
         data = tmp_path / "big.txt"
         data.write_text("1 2 2\n0 1e300\n1 -1e300\n")
         out = tmp_path / "w.txt"
         assert cli_main(["margin", "--dataset", str(data), "--norm", "ew:2", "--out", str(out)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["separable"] is True
+
+    def test_margin_on_huge_data_prints_no_warning(self, tmp_path):
+        # a child process with Python's default warning filters, which print
+        # every RuntimeWarning to stderr
+        data = tmp_path / "big.txt"
+        data.write_text("1 2 2\n0 1e300\n1 -1e300\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "normdescent.cli", "margin", "--dataset", str(data), "--norm", "ew:2",
+             "--out", str(tmp_path / "w.txt")],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["separable"] is True
 
     @pytest.mark.parametrize(
         "text,reason",
@@ -888,14 +917,11 @@ class TestCli:
         # a solver that accepts tol <= 0 never leaves its temperature ladder,
         # so the CLI runs in a child process with a time limit and a 1.5 GB
         # address-space cap
-        src = os.path.dirname(os.path.dirname(harness.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
         cap = 1536 * 2**20
         proc = subprocess.run(
             [sys.executable, "-m", "normdescent.cli", "margin", "--dataset", toy_dataset_file(tmp_path),
              "--norm", "ew:2", "--out", str(tmp_path / "w.txt"), f"--tol={tol}"],
-            capture_output=True, text=True, timeout=60, env=env,
+            capture_output=True, text=True, timeout=60, env=child_env(),
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
         )
         assert proc.returncode == EXIT_CONFIG

@@ -49,7 +49,6 @@ class TestEntrywiseNorm:
         with pytest.raises(ValueError):
             entrywise_norm([[np.nan]], 2.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
     def test_p2_tiny_and_huge_entries(self):
         # sum(m*m) loses precision below ~1e-154, underflows to 0 below
         # ~1e-162 and overflows above ~1e154
@@ -60,7 +59,6 @@ class TestEntrywiseNorm:
         assert schatten_norm([[1e-200]], 2.0) == 1e-200
         assert schatten_norm([[3e300, -4e300]], 2.0) == pytest.approx(5e300, rel=1e-15)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=1, max_size=12),
@@ -241,6 +239,30 @@ class TestFrobeniusCosine:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             frobenius_cosine(np.zeros((2, 2)), np.eye(2))
+
+    def test_normal_range_is_the_direct_quotient(self, rng):
+        # the formula every pinned cos_wstar / cos_wbar cell was written with
+        for _ in range(20):
+            a, b = rng.standard_normal((2, 4, 3))
+            direct = float(np.sum(a * b)) / (entrywise_norm(a, 2.0) * entrywise_norm(b, 2.0))
+            assert frobenius_cosine(a, b) == min(1.0, max(-1.0, direct))
+
+    def test_overflowing_inner_product(self):
+        a = [[1e300, 2e300]]
+        assert frobenius_cosine(a, a) == pytest.approx(1.0, rel=0.0, abs=1e-15)
+        assert frobenius_cosine(a, [[-2e300, -4e300]]) == pytest.approx(-1.0, rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-200, 1e-300, 1e300])
+    def test_scale_invariant_where_the_norm_product_leaves_the_normal_range(self, rng, scale):
+        a, b = rng.standard_normal((2, 4, 3))
+        assert frobenius_cosine(scale * a, scale * b) == pytest.approx(frobenius_cosine(a, b), rel=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-320, 5e-324])
+    def test_subnormal_reference_keeps_full_precision(self, rng, scale):
+        # equal-magnitude entries stay exact at any scale, so the cosine must too
+        w = rng.standard_normal((4, 3))
+        signs = np.where(rng.standard_normal((4, 3)) < 0.0, -1.0, 1.0)
+        assert frobenius_cosine(w, scale * signs) == pytest.approx(frobenius_cosine(w, signs), rel=1e-15)
 
 
 class TestNormSpec:

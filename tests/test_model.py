@@ -138,6 +138,16 @@ class TestGrad:
         with pytest.raises(ValueError):
             grad(np.zeros((ds.k, ds.d)), ds, np.array([], dtype=int))
 
+    @pytest.mark.parametrize("kind", [CROSS_ENTROPY, EXPONENTIAL])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_permuted_full_batch_is_the_full_gradient_bitwise(self, rng, kind, order):
+        # a full-batch run steps on ALL instead of a drawn permutation
+        for _ in range(10):
+            ds = random_dataset(rng)
+            ds = Dataset.from_arrays(np.asarray(ds.x, order=order), ds.y, ds.k)
+            w = 0.5 * rng.standard_normal((ds.k, ds.d))
+            assert np.array_equal(grad(w, ds, rng.permutation(ds.n), kind), grad(w, ds, ALL, kind))
+
 
 class TestProxy:
     def test_uniform_softmax_value(self, rng):

@@ -181,7 +181,6 @@ class TestStep:
 
 
 class TestRun:
-    @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
     def test_non_finite_iterate_is_a_training_error(self):
         # subnormal features keep the logits small, so the gradient keeps
         # its sign and the second step of size c = 1e308 overflows W
@@ -292,6 +291,40 @@ class TestRun:
         ds = divisible_dataset(rng, k=2, d=2, n=10)
         with pytest.raises(ValueError):
             run(make_cfg(ds, 3), ds, np.zeros((2, 2)))
+
+
+FULL_BATCH_MODES = pytest.mark.parametrize(
+    "momentum,vr", [(False, False), (True, False), (False, True)], ids=["plain", "momentum", "vr"]
+)
+
+
+class TestFullBatchDrawsNothing:
+    @FULL_BATCH_MODES
+    def test_full_batch_run_leaves_the_generator_untouched(self, rng, momentum, vr):
+        ds = divisible_dataset(rng, k=3, d=2, n=8)
+        cfg = make_cfg(ds, 8, epochs=5, momentum=momentum, beta1=0.5 * momentum, vr=vr, seed=19)
+        state = run(cfg, ds, np.zeros((3, 2)))
+        assert state.t == 5
+        assert state.rng.bit_generator.state == np.random.PCG64(19).state
+
+    def test_mini_batch_run_advances_the_generator(self, rng):
+        ds = divisible_dataset(rng, k=3, d=2, n=8)
+        state = run(make_cfg(ds, 4, epochs=1, seed=19), ds, np.zeros((3, 2)))
+        assert state.rng.bit_generator.state != np.random.PCG64(19).state
+
+    @FULL_BATCH_MODES
+    def test_full_batch_run_matches_stepping_through_reshuffled_epochs(self, rng, momentum, vr):
+        # the trajectory a full-batch run took when each epoch drew its permutation
+        ds = divisible_dataset(rng, k=3, d=4, n=10)
+        cfg = make_cfg(ds, 10, epochs=6, momentum=momentum, beta1=0.5 * momentum, vr=vr, norm=EWINF)
+        seen = []
+        run(cfg, ds, np.zeros((3, 4)), metrics_hook=lambda t, w, h, eta, delta: seen.append(w.copy()))
+        state = init_state(cfg, ds, np.zeros((3, 4)))
+        for t in range(cfg.epochs):
+            (perm,) = reshuffle(state, ds.n, ds.n)
+            state.snapshot_w, state.snapshot_full_grad = state.w.copy(), grad(state.w, ds, ALL)
+            step(state, cfg, ds, perm)
+            assert np.array_equal(state.w, seen[t])
 
 
 class TestScheduleConstants:

@@ -44,7 +44,6 @@ class TestClosedForms:
             assert not np.any(steepest_map(np.zeros((3, 2)), spec))
 
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
     def test_tiny_and_huge_frobenius_maps(self):
         spec = NormSpec("entrywise", 2.0)
         assert np.array_equal(steepest_map([[1e-200, 0.0]], spec), [[1.0, 0.0]])
