@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -40,6 +41,17 @@ def _parse_ranges(text: str) -> tuple[tuple[float, float], ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated lo:hi pairs, got {text!r}") from None
 
 
+def _check_out(path: str, flag: str):
+    """Reject an output path that cannot be written, before any work runs."""
+    if os.path.isdir(path):
+        raise ValueError(f"{flag} {path!r} names a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"{flag} {path!r}: directory {parent!r} does not exist")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise ValueError(f"{flag} {path!r} is not writable")
+
+
 def _cmd_gen_data(args) -> int:
     if args.family == "gaussian":
         spec = GaussianSpec(k=args.k, per_class=args.per_class, d=args.d, sigma=args.sigma, seed=args.seed)
@@ -53,6 +65,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_margin(args) -> int:
+    _check_out(args.out, "--out")
     ds = load_dataset(args.dataset)
     spec = NormSpec.parse(args.norm)
     sol = max_margin(ds, spec, tol=args.tol, max_iters=args.max_iters)
@@ -77,6 +90,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.out_summary:
+        _check_out(args.out_summary, "--out-summary")
     summary = sweep_cmd(args.config_dir, summary_path=args.out_summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK

@@ -11,7 +11,9 @@ unchanged.
 
 Inputs are validated once, at the public boundary: each public function
 passes its argument through ``as_matrix`` (2-D, float64, finite), and the
-underscored internals trust their caller to have done so.
+underscored internals trust their caller to have done so. ``matrix_norm``
+validates once and dispatches to ``_matrix_norm``, which the Frank-Wolfe
+loop calls directly on its iterates.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ def _entrywise_norm(m: np.ndarray, p: float) -> float:
     """``entrywise_norm`` of a validated matrix and exponent."""
     if p == 2.0:
         with np.errstate(over="ignore"):
-            sq = float(np.sum(m * m))
+            sq = float((m * m).sum())
         # the unscaled shortcut is accurate unless the sum of squares drops
         # below the normal range or overflows
         if _TINY <= sq < math.inf:
@@ -159,16 +161,20 @@ def jacobi_svd(a) -> Svd:
 
 def schatten_norm(a, p: float) -> float:
     """Schatten p-norm: p-norm of the singular value vector."""
-    if p == 2.0:
-        # Frobenius identity; skip the SVD
-        return entrywise_norm(a, 2.0)
-    return entrywise_norm(jacobi_svd(a).sigma[None, :], p)
+    return matrix_norm(a, NormSpec(SCHATTEN, p))
 
 
 def matrix_norm(a, spec: NormSpec) -> float:
-    if spec.family == ENTRYWISE:
-        return entrywise_norm(a, spec.p)
-    return schatten_norm(a, spec.p)
+    """Norm of ``a`` under ``spec``; ``a`` is validated once, here."""
+    return _matrix_norm(as_matrix(a), spec)
+
+
+def _matrix_norm(m: np.ndarray, spec: NormSpec) -> float:
+    """``matrix_norm`` of a validated matrix."""
+    if spec.family == ENTRYWISE or spec.p == 2.0:  # Schatten-2 is Frobenius: skip the SVD
+        return _entrywise_norm(m, spec.p)
+    # the p-norm of the singular values; jacobi_svd is looked up here at call time
+    return _entrywise_norm(jacobi_svd(m).sigma[None, :], spec.p)
 
 
 def dual_norm(a, spec: NormSpec) -> float:

@@ -7,8 +7,12 @@ linear-minimization oracle is the steepest-descent map itself, the step
 size is the classic 2/(j+2) with j the steps taken across all stages, and
 the smoothing temperature is annealed down a x0.3 ladder with warm starts.
 Each iterate's pair gaps are computed once and serve both its exact
-normalized margin and the next softmin gradient; that gradient is
-assembled by ``model``'s pair-sum kernel, the one the loss gradient uses.
+normalized margin and the next softmin gradient; the gradient's max shift
+reuses the min gap the margin already took, and the gradient is assembled
+by ``model``'s pair-sum kernel, the one the loss gradient uses. The loop
+calls the validated internals: ``steepest_map`` is the one checked call per
+iterate, and the iterate, a convex combination of finite unit-norm maps,
+gets its norm from ``linalg._matrix_norm``.
 Because every iterate is feasible, the exact margin of the best normalized
 iterate is a certified lower bound on gamma; that is what gets reported.
 """
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NormSpec, entrywise_norm, matrix_norm
+from .linalg import NormSpec, _matrix_norm, entrywise_norm, matrix_norm
 from .model import Dataset, _pair_sum, margin_report, pair_gaps
 from .steepest import steepest_map
 
@@ -58,12 +62,18 @@ class MaxMarginSolution:
     stage_margins: tuple[float, ...]
 
 
-def _softmin_grad(gaps: np.ndarray, ds: Dataset, tau: float) -> np.ndarray:
+def _softmin_grad(gaps: np.ndarray, gmin: float, ds: Dataset, tau: float) -> np.ndarray:
     """Gradient of f(W) = -tau log sum exp(-margin_pair / tau), given the pair
-    gaps of W: sum_(i,c) p_ic (e_(y_i) - e_c) x_i^T, minus the pair sum."""
-    a = -gaps / tau  # -inf at each target entry, so exp gives it weight 0
-    p = np.exp(a - float(a.max()))
-    p /= float(p.sum())
+    gaps of W and their minimum: sum_(i,c) p_ic (e_(y_i) - e_c) x_i^T, minus
+    the pair sum.
+
+    ``gaps / -tau`` has the bytes of ``-gaps / tau``, and rounding is monotone,
+    so its max is ``gmin / -tau`` exactly; the shift needs no second pass.
+    """
+    a = gaps / -tau  # -inf at each target entry, so exp gives it weight 0
+    a -= gmin / -tau
+    p = np.exp(a, out=a)
+    p /= p.sum()
     return -_pair_sum(p, ds.x, (ds.y, np.arange(ds.n)))
 
 
@@ -83,7 +93,8 @@ def max_margin(
     Raises MaxMarginNonConvergence only when the budget was exhausted while
     the final certificate gap still exceeds 10 * tol, and ValueError unless
     tol is finite and positive and max_iters >= 1, or when the softmin
-    argument 2 * r_bound / tau overflows at the last temperature.
+    argument 2 * r_bound / tau overflows at the last temperature, which is
+    never far above tol: huge data or a tiny tol.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"max_margin tol must be finite and positive, got {tol}")
@@ -100,11 +111,12 @@ def max_margin(
     if not math.isfinite(2.0 * ds.r_bound / taus[-1]):
         raise ValueError(
             f"softmin argument 2 * r_bound / tau overflows at r_bound = {ds.r_bound:.6g}, "
-            f"tau = {taus[-1]:.6g}; rescale the data"
+            f"tau = {taus[-1]:.6g} (tol = {tol!r}); raise tol or rescale the data"
         )
 
     w = np.zeros((ds.k, ds.d))
     gaps = pair_gaps(w, ds)
+    gmin = float(gaps.min())
     used = 0
     best_margin = -math.inf
     best_w = w
@@ -114,17 +126,18 @@ def max_margin(
     for s, tau in enumerate(taus):
         stage_budget = (max_iters - used) // (len(taus) - s)
         for _ in range(stage_budget):
-            g = _softmin_grad(gaps, ds, tau)
+            g = _softmin_grad(gaps, gmin, ds, tau)
             lmo = steepest_map(g, spec)
-            gap = float(np.sum(g * (lmo - w)))
+            gap = float((g * (lmo - w)).sum())
             if gap <= 0.05 * tau:
                 break
             stepsize = 2.0 / (used + 2.0)
             w = (1.0 - stepsize) * w + stepsize * lmo
             used += 1
             gaps = pair_gaps(w, ds)
-            nw = matrix_norm(w, spec)
-            nm = float(gaps.min()) / nw if nw != 0.0 else -math.inf
+            gmin = float(gaps.min())
+            nw = _matrix_norm(w, spec)
+            nm = gmin / nw if nw != 0.0 else -math.inf
             if nm > best_margin:
                 best_margin = nm
                 best_w = w
@@ -141,7 +154,7 @@ def max_margin(
         # report a fixed unit-norm direction so the solution invariants hold
         best_w = np.zeros((ds.k, ds.d))
         best_w[0, 0] = 1.0
-        norm_best = matrix_norm(best_w, spec)
+        norm_best = _matrix_norm(best_w, spec)
     w_star = best_w / norm_best
     gamma = margin_report(w_star, ds, spec).unnormalized_min
     return MaxMarginSolution(

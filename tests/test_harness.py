@@ -23,7 +23,7 @@ from normdescent import (
     sweep_cmd,
     train_cmd,
 )
-from normdescent import data, harness, optimizer, reference
+from normdescent import cli, data, harness, optimizer, reference
 from normdescent.cli import EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_NUMERIC, EXIT_OK, main as cli_main
 from normdescent.harness import load_config
 
@@ -814,10 +814,46 @@ class TestCli:
         out = tmp_path / "w.txt"
         assert cli_main(["margin", "--dataset", str(data), "--norm", "ew:2", "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "error: softmin argument 2 * r_bound / tau overflows at r_bound = 1e+306, tau = 0.00243; "
-            "rescale the data\n"
+            "error: softmin argument 2 * r_bound / tau overflows at r_bound = 1e+306, tau = 0.00243 (tol = 0.001); "
+            "raise tol or rescale the data\n"
         )
         assert not out.exists()
+
+    def test_softmin_overflow_from_a_tiny_tol_names_tol(self, tmp_path, capsys):
+        # r_bound 1.95 is ordinary data; the ladder's last rung, near tol, is what overflows
+        data = tmp_path / "small.txt"
+        data.write_text("1 2 2\n0 1.95\n1 -1.0\n")
+        out = tmp_path / "w.txt"
+        argv = ["margin", "--dataset", str(data), "--norm", "ew:2", "--out", str(out), "--tol", "1e-320"]
+        assert cli_main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: softmin argument 2 * r_bound / tau overflows at r_bound = 1.95, tau = ")
+        assert err.endswith(" (tol = 1e-320); raise tol or rescale the data\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["margin", "sweep"])
+    def test_unwritable_output_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        solves, runs = [], []
+        monkeypatch.setattr(cli, "max_margin", lambda *a, **kw: solves.append(a))
+        monkeypatch.setattr(harness, "train_cmd", lambda path: runs.append(path))
+        missing = tmp_path / "nodir"
+        if command == "margin":
+            flag, out = "--out", str(missing / "w.txt")
+            argv = ["margin", "--dataset", toy_dataset_file(tmp_path), "--norm", "ew:inf", flag, out]
+        else:
+            (tmp_path / "cfgs").mkdir()
+            write_config(tmp_path, name="cfgs/good.json")
+            flag, out = "--out-summary", str(missing / "s.json")
+            argv = ["sweep", "--config-dir", str(tmp_path / "cfgs"), flag, out]
+        assert cli_main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {flag} {out!r}: directory {str(missing)!r} does not exist\n"
+        assert solves == [] and runs == []
+        assert not missing.exists()
+
+    def test_margin_out_naming_a_directory_exits_2(self, tmp_path, capsys):
+        argv = ["margin", "--dataset", toy_dataset_file(tmp_path), "--norm", "ew:2", "--out", str(tmp_path)]
+        assert cli_main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --out {str(tmp_path)!r} names a directory\n"
 
     # the ew:2 norm's unscaled sum of squares overflows and takes the scaled path
     def test_margin_solves_data_inside_the_softmin_range(self, tmp_path, capsys):
