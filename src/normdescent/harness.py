@@ -11,12 +11,9 @@ The CSV schema is fixed:
 
 ``train`` and ``persample`` share one run driver, which streams a row to
 the CSV every log_every steps, so a run that fails keeps the header and
-the rows logged before the failure. The gap column is measured against
-the command's target: for ``train`` the solver's gamma for
-variance-reduced and full-batch runs, and the effective margin (rho_nomom
-or rho_mom) for mini-batch runs, matching the distinct targets of the
-large-batch and momentum regimes; for ``persample`` gamma, plus a
-per-step check of the applied direction.
+the rows logged before the failure. The gap column is gamma minus the
+normalized margin in every run; ``persample`` adds a per-step check of
+the applied direction.
 Optional fields serialize as empty strings. Floats are written with
 repr(), so reruns of the same config are byte-identical. A row with a
 non-finite cell (other than the -inf margin and inf gap of a zero W, whose
@@ -49,7 +46,7 @@ from .model import (
     margin_report,
     proxy_g,
 )
-from .optimizer import OptimizerConfig, Schedule, TrainingError, effective_margin_thresholds, run
+from .optimizer import OptimizerConfig, Schedule, TrainingError, run
 from .reference import (
     BIAS_NORMALIZED,
     BIAS_SIGN,
@@ -254,16 +251,7 @@ def _resolve_references(cfg: RunConfig):
     return sol.gamma, sol.w_star if cfg.wstar is None else cfg.wstar
 
 
-def _gap_target(cfg: RunConfig, gamma: float) -> float:
-    """Margin-gap target: gamma for VR/full-batch, effective margin otherwise."""
-    ds = cfg.dataset
-    if cfg.opt.vr_on or cfg.opt.batch_size == ds.n:
-        return gamma
-    thr = effective_margin_thresholds(gamma, ds.r_bound, ds.n, cfg.opt.batch_size, cfg.opt.beta1)
-    return thr.rho_mom if cfg.opt.momentum_on else thr.rho_nomom
-
-
-def _drive(cfg: RunConfig, target: float, wstar, wbar, check=None):
+def _drive(cfg: RunConfig, gamma: float, wstar, wbar, check=None):
     """Run the configured optimizer and stream a metric row to the CSV every
     log_every steps; returns the final TrainState. A run that fails leaves
     the header and the rows logged before the failure.
@@ -296,7 +284,7 @@ def _drive(cfg: RunConfig, target: float, wstar, wbar, check=None):
                 rep.unnormalized_min,
                 rep.weight_norm,
                 rep.normalized,
-                target - rep.normalized,
+                gamma - rep.normalized,
                 None if wstar is None or zero else frobenius_cosine(w, wstar),
                 None if wbar is None or zero else frobenius_cosine(w, wbar),
                 dual_norm(h, cfg.opt.norm),
@@ -325,7 +313,7 @@ def train_cmd(config_path: str) -> str:
     _remove(cfg.out_csv)
     gamma, wstar = _resolve_references(cfg)
     wbar = bias_matrix(cfg.dataset, cfg.wbar_kind) if cfg.wbar_kind else None
-    _drive(cfg, _gap_target(cfg, gamma), wstar, wbar)
+    _drive(cfg, gamma, wstar, wbar)
     return cfg.out_csv
 
 

@@ -11,13 +11,17 @@ unchanged.
 
 Inputs are validated once, at the public boundary: each public function
 passes its argument through ``as_matrix`` (2-D, float64, finite), and the
-underscored internals trust their caller to have done so. ``matrix_norm``
+underscored internals trust their caller to have done so. The finite check
+counts the finite entries, ``np.count_nonzero(np.isfinite(m)) == m.size``,
+which tests the same thing as ``np.isfinite(m).all()`` at about half the
+cost on the small matrices of the training loop. ``matrix_norm``
 validates once and dispatches to ``_matrix_norm``, which the Frank-Wolfe
 loop calls directly on its iterates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +45,7 @@ class NormSpec:
     """A matrix norm: entry-wise or Schatten, with exponent p in [1, inf].
 
     The textual form used in configs and on the command line is
-    ``"ew:p"`` / ``"sch:p"`` with ``p`` a decimal or ``"inf"``.
+    ``"ew:p"`` / ``"sch:p"`` with ``p`` a finite decimal or ``"inf"``.
     """
 
     family: str
@@ -62,7 +66,7 @@ class NormSpec:
             return 1.0
         return self.p / (self.p - 1.0)
 
-    @property
+    @functools.cached_property
     def dual(self) -> "NormSpec":
         return NormSpec(self.family, self.q)
 
@@ -71,7 +75,9 @@ class NormSpec:
         try:
             fam, pstr = text.strip().split(":")
             family = _FAMILY_ALIASES[fam]
-            p = math.inf if pstr == "inf" else float(pstr)
+            p = float(pstr)
+            if not math.isfinite(p) and pstr != "inf":
+                raise ValueError  # only the literal "inf" means p = inf, not 1e400
         except (ValueError, KeyError):
             raise ValueError(f"bad norm spec {text!r}; expected 'ew:p' or 'sch:p'")
         return cls(family, p)
@@ -109,7 +115,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
+    if np.count_nonzero(np.isfinite(m)) != m.size:
         raise NonFiniteError("matrix has non-finite entries")
     return m
 
@@ -122,11 +128,15 @@ def entrywise_norm(a, p: float) -> float:
     return _entrywise_norm(m, p)
 
 
+@np.errstate(over="ignore")  # an overflow to inf is handled by the caller
+def _sum_of_squares(m: np.ndarray) -> float:
+    return float((m * m).sum())
+
+
 def _entrywise_norm(m: np.ndarray, p: float) -> float:
     """``entrywise_norm`` of a validated matrix and exponent."""
     if p == 2.0:
-        with np.errstate(over="ignore"):
-            sq = float((m * m).sum())
+        sq = _sum_of_squares(m)
         # the unscaled shortcut is accurate unless the sum of squares drops
         # below the normal range or overflows
         if _TINY <= sq < math.inf:

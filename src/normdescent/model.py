@@ -21,8 +21,10 @@ Numerical conventions that matter here:
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,13 +62,19 @@ class Dataset:
 
     Each of the k >= 2 classes appears, so every sample has an off-target
     pair (i, c != y_i). ``r_bound`` caches max_i ||x_i||_1, the data-scale
-    constant appearing in every noise and stability bound.
+    constant appearing in every noise and stability bound. ``full`` caches
+    the full batch on first use, so ``x`` and ``y`` must not change in place.
     """
 
     x: np.ndarray
     y: np.ndarray
     k: int
     r_bound: float
+
+    @functools.cached_property
+    def full(self) -> "FullBatch":
+        """The full batch, gathered on first use (see ``_full_batch``)."""
+        return _full_batch(self)
 
     @property
     def d(self) -> int:
@@ -97,9 +105,19 @@ class Dataset:
         return Dataset(x=xm, y=ya, k=k, r_bound=r)
 
 
+class FullBatch(NamedTuple):
+    """Every sample as a batch: the gathered columns and their target index."""
+
+    x: np.ndarray
+    target: np.ndarray
+
+
+def _full_batch(ds: Dataset) -> FullBatch:
+    cols = np.arange(ds.n)
+    return FullBatch(x=ds.x[:, cols], target=ds.y * ds.n + cols)
+
+
 def _as_batch(ds: Dataset, batch) -> np.ndarray:
-    if batch is ALL:
-        return np.arange(ds.n)
     # batches are index sets: evaluate in sorted order so the result does
     # not depend on shuffle order (a full permuted batch then reproduces
     # the full gradient bit for bit)
@@ -111,29 +129,39 @@ def _as_batch(ds: Dataset, batch) -> np.ndarray:
     return idx
 
 
-# The helpers below take the samples as gathered columns x = ds.x[:, idx]
-# (shape (d, m); the gather fixes the memory layout, and with it the bytes of
-# W @ x) and target = (ds.y[idx], arange(m)), which indexes each sample's
-# target entry of a (k, m) array.
+# The helpers below take the samples of a batch of m as x (d, m) and
+# ``target`` = y * m + arange(m), the flat index of each sample's target
+# entry in a C-ordered (k, m) array. They read and write target entries as
+# a.ravel()[target]; every array written that way is freshly allocated and
+# C-contiguous, because ravel() of any other array returns a copy and the
+# write would be lost.
+#
+# x comes in two layouts: the gathered ds.x[:, idx], which numpy returns
+# F-ordered, and the C-ordered ds.x itself. The gradient (mini-batch and
+# full, through ds.full.x), proxy_g and the exponential loss use the gather;
+# the cross-entropy loss, pair_gaps and the solver's softmin gradient use
+# ds.x. Do not swap them: BLAS sums coeff @ x.T in a different order for
+# each layout, so the pair sum's bytes, and the solver's pinned outputs
+# with them, depend on it.
 
 
-def _offtarget_probs(w: np.ndarray, x: np.ndarray, target) -> np.ndarray:
+def _offtarget_probs(w: np.ndarray, x: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Softmax probabilities with the target entry zeroed, shape (k, m)."""
     z = w @ x
     p = np.exp(z - z.max(axis=0, keepdims=True))
     p /= p.sum(axis=0, keepdims=True)
-    p[target] = 0.0
+    p.ravel()[target] = 0.0
     return p
 
 
-def _gaps(z: np.ndarray, target) -> np.ndarray:
+def _gaps(z: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Pairwise logit gaps z_y - z_c of the logits ``z``, +inf at the target entry."""
-    gaps = z[target][None, :] - z
-    gaps[target] = np.inf
+    gaps = z.ravel()[target][None, :] - z
+    gaps.ravel()[target] = np.inf
     return gaps
 
 
-def _exp_weights(w: np.ndarray, x: np.ndarray, target, idx: np.ndarray) -> np.ndarray:
+def _exp_weights(w: np.ndarray, x: np.ndarray, target: np.ndarray, idx) -> np.ndarray:
     """exp(z_c - z_y) = exp(-gap) for c != y (zero at the target entry),
     shape (k, m); raises for the lowest-index sample whose exp argument
     exceeds the guard, named through ``idx``. Negation is exact, so this is
@@ -146,10 +174,10 @@ def _exp_weights(w: np.ndarray, x: np.ndarray, target, idx: np.ndarray) -> np.nd
     return np.exp(-gaps)
 
 
-def _pair_sum(coeff: np.ndarray, x: np.ndarray, target) -> np.ndarray:
+def _pair_sum(coeff: np.ndarray, x: np.ndarray, target: np.ndarray) -> np.ndarray:
     """sum_i sum_(c != y_i) coeff_ic (e_c - e_(y_i)) x_i^T, shape (k, d); ``coeff``
     (zero at the target entries) gets minus its column sums written there."""
-    coeff[target] = -coeff.sum(axis=0)  # exact column-sum-zero identity
+    coeff.ravel()[target] = -coeff.sum(axis=0)  # exact column-sum-zero identity
     return coeff @ x.T
 
 
@@ -162,14 +190,14 @@ def loss(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
     """
     _check_kind(kind)
     wm = as_matrix(w)
-    cols = np.arange(ds.n)
+    x, target = ds.full
     if kind == EXPONENTIAL:
-        return float(_exp_weights(wm, ds.x[:, cols], (ds.y, cols), cols).sum() / ds.n)
+        return float(_exp_weights(wm, x, target, range(ds.n)).sum() / ds.n)
     z = wm @ ds.x
-    zy = z[ds.y, cols]
+    zy = z.ravel()[target]
     zmax = z.max(axis=0)
     rel = np.exp(z - zmax[None, :])
-    rel[ds.y, cols] = 0.0
+    rel.ravel()[target] = 0.0
     off = rel.sum(axis=0)
     # -log softmax_y = (zmax - z_y) + log(exp(z_y - zmax) + off)
     at_top = zy == zmax
@@ -185,14 +213,18 @@ def grad(w, ds: Dataset, batch=ALL, kind: str = CROSS_ENTROPY) -> np.ndarray:
     """Mean loss gradient over ``batch`` (ALL for the full dataset)."""
     _check_kind(kind)
     wm = as_matrix(w)
-    idx = _as_batch(ds, batch)
-    x = ds.x[:, idx]
-    target = (ds.y[idx], np.arange(idx.size))
+    if batch is ALL:
+        idx = range(ds.n)
+        x, target = ds.full
+    else:
+        idx = _as_batch(ds, batch)
+        x = ds.x[:, idx]
+        target = ds.y[idx] * idx.size + np.arange(idx.size)
     if kind == CROSS_ENTROPY:
         coeff = _offtarget_probs(wm, x, target)
     else:
         coeff = _exp_weights(wm, x, target, idx)
-    return _pair_sum(coeff, x, target) / idx.size
+    return _pair_sum(coeff, x, target) / len(idx)
 
 
 def proxy_g(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
@@ -201,15 +233,14 @@ def proxy_g(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
     wm = as_matrix(w)
     if kind == EXPONENTIAL:
         return loss(wm, ds, kind)
-    cols = np.arange(ds.n)
-    p = _offtarget_probs(wm, ds.x[:, cols], (ds.y, cols))
+    p = _offtarget_probs(wm, *ds.full)
     return float(p.sum() / ds.n)
 
 
 def pair_gaps(w: np.ndarray, ds: Dataset) -> np.ndarray:
     """Pairwise logit gaps gaps[c, i] = z_y - z_c of z = W x_i, with +inf
     on the target row (c = y_i), shape (k, n)."""
-    return _gaps(w @ ds.x, (ds.y, np.arange(ds.n)))
+    return _gaps(w @ ds.x, ds.full.target)
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,11 @@ def reshuffle(state: TrainState, n: int, b: int) -> np.ndarray:
     return np.array(order).reshape(n // b, b)
 
 
+@np.errstate(over="ignore")  # step reports an overflow as a non-finite iterate
+def _descend(w: np.ndarray, eta: float, delta: np.ndarray) -> np.ndarray:
+    return w - eta * delta
+
+
 def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> tuple[np.ndarray, float, np.ndarray]:
     """One update on ``batch``; advances the step counter even on zero signal.
 
@@ -168,13 +173,12 @@ def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> tuple[n
         h = g
     eta = cfg.schedule.eta(state.t)
     delta = steepest_map(h, cfg.norm)
-    if delta.any():
-        with np.errstate(over="ignore"):  # an overflow is reported just below
-            w = state.w - eta * delta
-        if not np.isfinite(w).all():
+    if np.count_nonzero(delta):
+        w = _descend(state.w, eta, delta)
+        if np.count_nonzero(np.isfinite(w)) != w.size:
             raise FloatingPointError(f"non-finite iterate after a step of size {eta!r}")
         state.w = w
-    elif h.any():
+    elif np.count_nonzero(h):
         raise FloatingPointError("zero direction for a nonzero signal")
     state.t += 1
     return h, eta, delta

@@ -74,7 +74,7 @@ def _softmin_grad(gaps: np.ndarray, gmin: float, ds: Dataset, tau: float) -> np.
     a -= gmin / -tau
     p = np.exp(a, out=a)
     p /= p.sum()
-    return -_pair_sum(p, ds.x, (ds.y, np.arange(ds.n)))
+    return -_pair_sum(p, ds.x, ds.full.target)
 
 
 def max_margin(

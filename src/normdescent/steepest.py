@@ -49,6 +49,11 @@ def _entrywise_map(g: np.ndarray, spec: NormSpec) -> np.ndarray:
         out.flat[flat] = math.copysign(1.0, g.flat[flat])
         return out
     dual = _entrywise_norm(g, spec.q)
+    if spec.q == 2.0:
+        # the bytes of the general form at q - 1 = 1: adding +0.0 turns -0.0
+        # into the +0.0 of sign(-0.0) = 0, and a tiny negative entry that the
+        # division underflows still gives -0.0, as the sign form does
+        return (g + 0.0) / dual
     return np.sign(g) * (np.abs(g) / dual) ** (spec.q - 1.0)
 
 
@@ -71,7 +76,7 @@ def steepest_map(g, spec: NormSpec) -> np.ndarray:
     Returns the zero matrix when ``g`` is zero.
     """
     m = as_matrix(g)
-    if not m.any():
+    if not np.count_nonzero(m):
         return np.zeros_like(m)
     if spec.family == ENTRYWISE:
         return _entrywise_map(m, spec)

@@ -113,6 +113,26 @@ class TestTrainCmd:
         second = open(train_cmd(cfg), "rb").read()
         assert first == second
 
+    @pytest.mark.parametrize("momentum", [False, True], ids=["plain", "momentum"])
+    def test_mini_batch_gap_is_measured_against_gamma(self, tmp_path, momentum):
+        # b = 20 of n = 200: the effective margins are far below zero here,
+        # so only gamma itself is a target the gap can approach
+        ds = data.gen_gaussian(data.GaussianSpec(k=10, per_class=20, d=5, sigma=0.1, seed=12345))
+        save_dataset(ds, tmp_path / "gauss.txt")
+        gamma = 0.1124209
+        cfg = write_config(tmp_path, dataset_path=str(tmp_path / "gauss.txt"), batch_size=20,
+                           momentum=momentum, beta1=0.99 if momentum else 0.0, epochs=3, gamma=gamma)
+        cols = read_csv(train_cmd(cfg))
+        assert cols["t"].size == 6
+        assert np.array_equal(cols["gap_to_gamma"], gamma - cols["norm_margin"])
+        assert np.abs(cols["gap_to_gamma"] + cols["norm_margin"] - gamma).max() <= 1e-15
+
+    def test_norm_exponent_that_overflows_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, norm="ew:1e400")
+        assert cli_main(["train", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {cfg}: bad norm spec 'ew:1e400'; expected 'ew:p' or 'sch:p'\n"
+        assert not (tmp_path / "out.csv").exists()
+
     def test_subnormal_wstar_gives_the_unit_scale_cosine(self, tmp_path):
         # equal-magnitude W* entries are exact at any scale, and so is the cosine
         cos = {}
@@ -849,6 +869,14 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {flag} {out!r}: directory {str(missing)!r} does not exist\n"
         assert solves == [] and runs == []
         assert not missing.exists()
+
+    @pytest.mark.parametrize("norm", ["ew:1e400", "sch:1e999", "ew:Infinity", "ew:nan"])
+    def test_margin_rejects_a_non_finite_exponent_other_than_inf(self, tmp_path, capsys, norm):
+        out = tmp_path / "w.txt"
+        argv = ["margin", "--dataset", toy_dataset_file(tmp_path), "--norm", norm, "--out", str(out)]
+        assert cli_main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: bad norm spec {norm!r}; expected 'ew:p' or 'sch:p'\n"
+        assert not out.exists()
 
     def test_margin_out_naming_a_directory_exits_2(self, tmp_path, capsys):
         argv = ["margin", "--dataset", toy_dataset_file(tmp_path), "--norm", "ew:2", "--out", str(tmp_path)]

@@ -275,6 +275,12 @@ class TestNormSpec:
             with pytest.raises(ValueError):
                 NormSpec.parse(bad)
 
+    @pytest.mark.parametrize("text", ["ew:1e400", "sch:-1e400", "ew:Infinity", "sch:INF", "ew:nan"])
+    def test_parse_takes_only_the_literal_inf_as_infinity(self, text):
+        assert NormSpec.parse("ew:inf").p == math.inf
+        with pytest.raises(ValueError, match="^bad norm spec"):
+            NormSpec.parse(text)
+
 
 class TestNormFamilyProperties:
     def test_norm_dominance(self, rng):

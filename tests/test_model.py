@@ -25,6 +25,8 @@ from normdescent import (
     save_dataset,
     save_matrix,
 )
+from normdescent import model
+from normdescent.optimizer import OptimizerConfig, Schedule, run
 from tests.conftest import divisible_dataset, random_dataset
 from tests.test_linalg import ALL_SPECS
 
@@ -147,6 +149,98 @@ class TestGrad:
             ds = Dataset.from_arrays(np.asarray(ds.x, order=order), ds.y, ds.k)
             w = 0.5 * rng.standard_normal((ds.k, ds.d))
             assert np.array_equal(grad(w, ds, rng.permutation(ds.n), kind), grad(w, ds, ALL, kind))
+
+
+def tuple_offtarget_probs(w, x, y):
+    """``model._offtarget_probs`` with the target entries indexed by (row, column)."""
+    z = w @ x
+    p = np.exp(z - z.max(axis=0, keepdims=True))
+    p /= p.sum(axis=0, keepdims=True)
+    p[y, np.arange(y.size)] = 0.0
+    return p
+
+
+def tuple_gaps(z, y):
+    cols = np.arange(y.size)
+    gaps = z[y, cols][None, :] - z
+    gaps[y, cols] = np.inf
+    return gaps
+
+
+def tuple_pair_sum(coeff, x, y):
+    coeff[y, np.arange(y.size)] = -coeff.sum(axis=0)
+    return coeff @ x.T
+
+
+class TestFlatTargetKernels:
+    """The kernels index each target entry by its flat position y * m + j in
+    the C-ordered (k, m) array; that must be the (y_j, j) entry, bit for bit."""
+
+    @staticmethod
+    def batches(ds, rng):
+        yield "b=1", np.array([int(rng.integers(ds.n))])
+        # a sorted half of the samples: with n >= 3k some class repeats
+        yield "repeated classes", np.sort(rng.choice(ds.n, ds.n // 2 + 1, replace=False))
+        yield "full", np.arange(ds.n)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kernels_equal_the_tuple_indexed_formulas(self, seed):
+        rng = np.random.default_rng([seed, 17])
+        k = int(rng.integers(2, 5))
+        ds = random_dataset(rng, k=k, n=int(rng.integers(3 * k, 4 * k + 1)))
+        w = rng.standard_normal((ds.k, ds.d))
+        for name, idx in self.batches(ds, rng):
+            y, m = ds.y[idx], idx.size
+            if name == "repeated classes":
+                assert np.unique(y).size < m
+            x = ds.x[:, idx]
+            flat = y * m + np.arange(m)
+            if name == "full":
+                assert np.array_equal(flat, ds.full.target)
+                x = ds.full.x
+            p = model._offtarget_probs(w, x, flat)
+            assert p.tobytes() == tuple_offtarget_probs(w, x, y).tobytes(), name
+            z = w @ x
+            assert model._gaps(z, flat).tobytes() == tuple_gaps(z, y).tobytes(), name
+            coeff, expect = p.copy(), p.copy()
+            got = model._pair_sum(coeff, x, flat)
+            assert got.tobytes() == tuple_pair_sum(expect, x, y).tobytes(), name
+            assert coeff.tobytes() == expect.tobytes(), name
+
+
+class TestFullBatchView:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_view_is_the_gather_in_its_layout(self, rng, order):
+        ds = random_dataset(rng)
+        ds = Dataset.from_arrays(np.asarray(ds.x, order=order), ds.y, ds.k)
+        gathered = ds.x[:, np.arange(ds.n)]
+        x, target = ds.full
+        assert x.flags.f_contiguous and x.strides == gathered.strides
+        assert x.tobytes(order="A") == gathered.tobytes(order="A")
+        assert np.array_equal(target, ds.y * ds.n + np.arange(ds.n))
+
+    def test_view_is_built_once_per_dataset(self, rng, monkeypatch):
+        calls = []
+        real = model._full_batch
+        monkeypatch.setattr(model, "_full_batch", lambda ds: calls.append(ds) or real(ds))
+        ds = random_dataset(rng)
+        assert ds.full is ds.full
+        w = rng.standard_normal((ds.k, ds.d))
+        loss(w, ds), proxy_g(w, ds), grad(w, ds), margin_report(w, ds, NormSpec("entrywise", 2.0))
+        assert calls == [ds]
+        other = Dataset.from_arrays(ds.x, ds.y, ds.k)
+        assert other.full is not ds.full and len(calls) == 2
+
+    def test_full_batch_vr_run_gathers_once(self, rng, monkeypatch):
+        calls = []
+        real = model._full_batch
+        monkeypatch.setattr(model, "_full_batch", lambda ds: calls.append(ds) or real(ds))
+        ds = divisible_dataset(rng, k=3, d=2, n=9)
+        cfg = OptimizerConfig(batch_size=9, momentum_on=False, beta1=0.0, vr_on=True,
+                              schedule=Schedule(0.5, 0.5, 0.5), epochs=20, seed=3,
+                              norm=NormSpec("entrywise", 2.0))
+        run(cfg, ds, np.zeros((3, 2)))
+        assert calls == [ds]
 
 
 class TestProxy:

@@ -1,6 +1,5 @@
 import hashlib
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from normdescent import (
 from normdescent import reference
 from normdescent.cli import EXIT_NONCONVERGENCE, main as cli_main
 from normdescent.linalg import as_matrix
-from normdescent.model import _pair_sum, pair_gaps
+from normdescent.model import pair_gaps
 from tests.conftest import random_dataset
 
 EW2 = NormSpec("entrywise", 2.0)
@@ -206,11 +205,13 @@ class TestSoftminGrad:
 
 
 def three_line_softmin_grad(gaps, ds, tau):
-    """The softmin gradient as written before the shift reused the min gap."""
+    """The softmin gradient as written before the shift reused the min gap,
+    with the pair sum's target entries indexed by (row, column) pairs."""
     a = -gaps / tau
     p = np.exp(a - float(a.max()))
     p /= float(p.sum())
-    return -_pair_sum(p, ds.x, (ds.y, np.arange(ds.n)))
+    p[ds.y, np.arange(ds.n)] = -p.sum(axis=0)
+    return -(p @ ds.x.T)
 
 
 def tau_ladder(tol):
@@ -235,7 +236,8 @@ def gaps_instances(draw):
     gaps = draw(arrays(np.float64, (k, n), elements=entry))
     gaps[y, np.arange(n)] = np.inf
     assume(np.isfinite(gaps).any())
-    ds = SimpleNamespace(x=x, y=y, n=n, k=k, d=d)
+    # built directly: y need not hold every class, which from_arrays requires
+    ds = Dataset(x=x, y=y, k=k, r_bound=float(np.abs(x).sum(axis=0).max()))
     return ds, gaps
 
 

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from normdescent import (
     Dataset,
     NormSpec,
     dual_norm,
+    entrywise_norm,
     grad,
     jacobi_svd,
     matrix_norm,
@@ -50,6 +54,37 @@ class TestClosedForms:
         assert np.array_equal(steepest_map([[1e300, 0.0]], spec), [[1.0, 0.0]])
         out = steepest_map([[3e300, -4e300]], spec)
         assert np.abs(out - [[0.6, -0.8]]).max() <= 1e-15
+
+
+@st.composite
+def ew2_signals(draw):
+    """Nonzero matrices with signed zeros, at unit scale or at a scale where the
+    sum of squares underflows or overflows (the scaled path of the 2-norm), or
+    spanning the whole float range, where some quotients underflow to zero."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    zero = st.sampled_from([0.0, -0.0])
+    if draw(st.booleans()):
+        unit = draw(arrays(np.float64, shape, elements=st.one_of(st.floats(-1.0, 1.0), zero)))
+        g = unit * draw(st.sampled_from([1.0, 1e-160, 1e-300, 1e160, 1e300]))
+    else:
+        g = draw(arrays(np.float64, shape, elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False), zero)))
+    return g
+
+
+class TestFrobeniusClosedForm:
+    @settings(max_examples=300, deadline=None)
+    @given(g=ew2_signals())
+    @example(g=np.array([[-0.0, 1.0]]))
+    @example(g=np.array([[1e-200, -0.0]]))
+    @example(g=np.array([[1e300, -1e-30]]))  # -1e-30 / 1e300 underflows to -0.0
+    @example(g=np.array([[3e300, -4e300]]))
+    def test_map_is_the_general_form_bit_for_bit(self, g):
+        out = steepest_map(g, NormSpec("entrywise", 2.0))
+        if not np.count_nonzero(g):
+            assert not np.count_nonzero(out)
+            return
+        general = np.sign(g) * (np.abs(g) / entrywise_norm(g, 2.0)) ** 1.0
+        assert np.array_equal(out.view(np.int64), general.view(np.int64))
 
 
 def _reference_schatten_map(g, p):

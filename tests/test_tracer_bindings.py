@@ -47,3 +47,53 @@ def test_schatten_dual_norm_reaches_the_svd_through_linalg(monkeypatch, rng):
     nuclear = float(np.linalg.svd(g, compute_uv=False).sum())
     assert dual_norm(g, NormSpec("schatten", math.inf)) == pytest.approx(nuclear, rel=1e-12)
     assert len(calls) >= 1
+
+
+def count_calls(monkeypatch, module, names) -> dict:
+    """Replace each ``module.<name>`` with a wrapper that counts its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "b,momentum,vr",
+    [(12, False, False), (12, False, True), (4, False, False), (4, True, False), (4, False, True)],
+    ids=["full", "full-vr", "mini", "mini-momentum", "mini-vr"],
+)
+def test_each_step_reaches_grad_and_the_map_through_optimizer(monkeypatch, b, momentum, vr):
+    # the tracer times model.grad_* and steepest.* only through these bindings
+    from normdescent import OptimizerConfig, Schedule, optimizer, run
+    from tests.conftest import divisible_dataset
+
+    calls = count_calls(monkeypatch, optimizer, ("grad", "steepest_map"))
+    ds = divisible_dataset(np.random.default_rng(6), k=3, d=2, n=12)
+    epochs = 5
+    cfg = OptimizerConfig(batch_size=b, momentum_on=momentum, beta1=0.9 if momentum else 0.0, vr_on=vr,
+                          schedule=Schedule(0.5, 0.5, 0.5), epochs=epochs, seed=2,
+                          norm=NormSpec("entrywise", 2.0))
+    run(cfg, ds, np.zeros((3, 2)))
+    steps = epochs * ds.n // b
+    assert calls["steepest_map"] == steps
+    # with VR, a step takes the batch gradient at W and at the snapshot, and
+    # every epoch takes the snapshot's full gradient
+    assert calls["grad"] == (2 * steps + epochs if vr else steps)
+
+
+def test_each_metric_row_reaches_the_metrics_through_harness(monkeypatch, tmp_path):
+    from normdescent import harness, read_csv, train_cmd
+    from tests.test_harness import write_config
+
+    names = ("margin_report", "loss_fn", "proxy_g", "dual_norm", "frobenius_cosine")
+    calls = count_calls(monkeypatch, harness, names)
+    out = train_cmd(write_config(tmp_path, gamma=0.5, wbar_kind="sign"))
+    rows = read_csv(out)["t"].size
+    assert rows == 6
+    assert calls == dict.fromkeys(names, rows)
