@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config error, 3 numeric failure, 4 non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -169,10 +170,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, which matches the config-error code
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK

@@ -405,6 +405,10 @@ def _write_json(path: str, obj: dict):
 # the norms the protocol supports -> the bias kind each implies
 _PERSAMPLE_KINDS = {"ew:inf": BIAS_SIGN, "ew:2": BIAS_NORMALIZED, "sch:inf": BIAS_NORMALIZED}
 
+# steps whose (h, delta) the persample check buffers before it compares
+# them with their expected directions in one vectorised pass
+_CHECK_CHUNK = 256
+
 
 def _check_scale_skewed(ds: Dataset):
     """Each sample must be alpha * e_y with alpha > 0: sign +1 on row y, 0 elsewhere."""
@@ -419,6 +423,13 @@ def _check_scale_skewed(ds: Dataset):
 def persample_cmd(config_path: str) -> tuple[str, dict]:
     """Batch-size-one protocol: train, track the bias-matrix cosine, and
     check the invariant update direction at every step.
+
+    The check copies each step's signal and direction into a buffer of
+    ``_CHECK_CHUNK`` steps. Whenever the buffer fills, and once after the
+    run, it compares every buffered direction with minus the closed-form
+    update of the step's class, entry by entry within 1e-9 * (1 + its
+    largest entry); a step with a zero signal is exempt. One step off
+    makes ``invariant_gradient_ok`` false.
 
     Preconditions: scale-skewed dataset, b = 1, momentum and VR off, zero
     init, and a norm in {ew:inf, ew:2, sch:inf}. The norm implies the bias
@@ -448,21 +459,34 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
     wbar = bias_matrix(ds, kind)
     # every sample of a class has the same closed-form update; keep the
     # first's, with the tolerance of the check against it
-    expect_of_class = []
-    for c in range(ds.k):
-        expect = canonical_update_matrix(ds, int(np.nonzero(ds.y == c)[0][0]), kind)
-        expect_of_class.append((expect, 1e-9 * (1.0 + float(np.abs(expect).max()))))
+    firsts = [int(np.nonzero(ds.y == c)[0][0]) for c in range(ds.k)]
+    expects = np.stack([canonical_update_matrix(ds, i, kind) for i in firsts])
+    bounds = 1e-9 * (1.0 + np.abs(expects).max(axis=(1, 2)))
+    hs = np.empty((_CHECK_CHUNK, ds.k, ds.d))
+    deltas = np.empty_like(hs)
+    filled = 0
     invariant_ok = True
 
+    def flush():
+        nonlocal filled, invariant_ok
+        h, delta = hs[:filled], deltas[:filled]
+        # h is a per-sample gradient; its support column identifies the class
+        cls = np.abs(h).sum(axis=1).argmax(axis=1)
+        off = np.abs(delta + expects[cls]).max(axis=(1, 2)) > bounds[cls]
+        if (off & h.any(axis=(1, 2))).any():
+            invariant_ok = False
+        filled = 0
+
     def check(h, delta):
-        nonlocal invariant_ok
-        if h.any():
-            # h is the per-sample gradient; its support column identifies the class
-            expect, bound = expect_of_class[np.abs(h).sum(axis=0).argmax()]
-            if np.abs(delta + expect).max() > bound:
-                invariant_ok = False
+        nonlocal filled
+        hs[filled] = h
+        deltas[filled] = delta
+        filled += 1
+        if filled == _CHECK_CHUNK:
+            flush()
 
     state = _drive(cfg, gamma, wstar, wbar, check)
+    flush()
     verdict = {
         "final_loss": loss_fn(state.w, ds, cfg.opt.loss),
         "final_cos_wbar": frobenius_cosine(state.w, wbar),

@@ -24,7 +24,6 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -72,9 +71,10 @@ class Dataset:
     r_bound: float
 
     @functools.cached_property
-    def full(self) -> "FullBatch":
-        """The full batch, gathered on first use (see ``_full_batch``)."""
-        return _full_batch(self)
+    def full(self) -> "Batch":
+        """Every sample as one batch, gathered on first use."""
+        (batch,) = gather_batches(self, np.arange(self.n)[None, :])
+        return batch
 
     @property
     def d(self) -> int:
@@ -105,28 +105,53 @@ class Dataset:
         return Dataset(x=xm, y=ya, k=k, r_bound=r)
 
 
-class FullBatch(NamedTuple):
-    """Every sample as a batch: the gathered columns and their target index."""
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """Samples of a batch in sorted index order: their indices ``idx``, their
+    columns ``x`` (d, m) in the gather layout, and the flat index ``target``
+    of each sample's target entry (see the layout note below). ``len`` is the
+    sample count m."""
 
+    idx: np.ndarray
     x: np.ndarray
     target: np.ndarray
 
-
-def _full_batch(ds: Dataset) -> FullBatch:
-    cols = np.arange(ds.n)
-    return FullBatch(x=ds.x[:, cols], target=ds.y * ds.n + cols)
+    def __len__(self) -> int:
+        return self.idx.size
 
 
-def _as_batch(ds: Dataset, batch) -> np.ndarray:
-    # batches are index sets: evaluate in sorted order so the result does
-    # not depend on shuffle order (a full permuted batch then reproduces
-    # the full gradient bit for bit)
-    idx = np.sort(np.asarray(batch, dtype=np.int64))
+def gather_batches(ds: Dataset, order: np.ndarray) -> list[Batch]:
+    """The rows of the (m, b) index array ``order`` as m Batches, in one pass.
+
+    Batches are index sets: each row is evaluated in sorted order, so the
+    result does not depend on shuffle order (a full permuted batch then
+    reproduces the full gradient bit for bit). Rows must be nonempty and
+    hold distinct integer indices; this checks only their range.
+    """
+    rows = np.sort(order, axis=1)
+    if rows.min() < 0 or rows.max() >= ds.n:
+        raise ValueError("batch indices out of range")
+    b = rows.shape[1]
+    # (m, b, d) -> (m, d, b): each row's columns with the strides of ds.x[:, row]
+    xs = ds.x.T[rows].transpose(0, 2, 1)
+    targets = ds.y[rows] * b + np.arange(b)
+    return [Batch(idx, x, target) for idx, x, target in zip(rows, xs, targets)]
+
+
+def _as_batch(ds: Dataset, batch) -> Batch:
+    """The Batch of a 1-D array of distinct integer sample indices."""
+    idx = np.asarray(batch)
+    if idx.ndim != 1:
+        raise ValueError(f"batch must be a 1-D array of sample indices, got shape {idx.shape}")
     if idx.size == 0:
         raise ValueError("batch must be nonempty")
-    if idx[0] < 0 or idx[-1] >= ds.n:
-        raise ValueError("batch indices out of range")
-    return idx
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"batch indices must be integers, got dtype {idx.dtype}")
+    (out,) = gather_batches(ds, idx.astype(np.int64)[None, :])
+    repeats = out.idx[1:] == out.idx[:-1]
+    if repeats.any():
+        raise ValueError(f"batch indices must be distinct; {int(out.idx[1:][repeats][0])} repeats")
+    return out
 
 
 # The helpers below take the samples of a batch of m as x (d, m) and
@@ -136,13 +161,16 @@ def _as_batch(ds: Dataset, batch) -> np.ndarray:
 # C-contiguous, because ravel() of any other array returns a copy and the
 # write would be lost.
 #
-# x comes in two layouts: the gathered ds.x[:, idx], which numpy returns
-# F-ordered, and the C-ordered ds.x itself. The gradient (mini-batch and
-# full, through ds.full.x), proxy_g and the exponential loss use the gather;
-# the cross-entropy loss, pair_gaps and the solver's softmin gradient use
-# ds.x. Do not swap them: BLAS sums coeff @ x.T in a different order for
-# each layout, so the pair sum's bytes, and the solver's pinned outputs
-# with them, depend on it.
+# x comes in two layouts: the gather, which is F-ordered (d, m) with the
+# strides numpy gives ds.x[:, idx], and the C-ordered ds.x itself. The
+# gather has three consumers: the gradient of a prepared Batch (the views
+# gather_batches cuts from one ds.x.T[rows] per epoch), the gradient of an
+# index array or of ALL (through _as_batch and ds.full, which are Batches
+# too), and proxy_g and the exponential loss (through ds.full.x). The
+# cross-entropy loss, pair_gaps and the solver's softmin gradient use ds.x.
+# Do not swap them: BLAS sums coeff @ x.T in a different order for each
+# layout, so the pair sum's bytes, and the solver's pinned outputs with
+# them, depend on it.
 
 
 def _offtarget_probs(w: np.ndarray, x: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -190,14 +218,14 @@ def loss(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
     """
     _check_kind(kind)
     wm = as_matrix(w)
-    x, target = ds.full
+    full = ds.full
     if kind == EXPONENTIAL:
-        return float(_exp_weights(wm, x, target, range(ds.n)).sum() / ds.n)
+        return float(_exp_weights(wm, full.x, full.target, full.idx).sum() / ds.n)
     z = wm @ ds.x
-    zy = z.ravel()[target]
+    zy = z.ravel()[full.target]
     zmax = z.max(axis=0)
     rel = np.exp(z - zmax[None, :])
-    rel.ravel()[target] = 0.0
+    rel.ravel()[full.target] = 0.0
     off = rel.sum(axis=0)
     # -log softmax_y = (zmax - z_y) + log(exp(z_y - zmax) + off)
     at_top = zy == zmax
@@ -210,21 +238,20 @@ def loss(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
 
 
 def grad(w, ds: Dataset, batch=ALL, kind: str = CROSS_ENTROPY) -> np.ndarray:
-    """Mean loss gradient over ``batch`` (ALL for the full dataset)."""
+    """Mean loss gradient over ``batch``: ALL for the full dataset, a
+    prepared Batch, or a 1-D array of distinct sample indices."""
     _check_kind(kind)
     wm = as_matrix(w)
     if batch is ALL:
-        idx = range(ds.n)
-        x, target = ds.full
-    else:
-        idx = _as_batch(ds, batch)
-        x = ds.x[:, idx]
-        target = ds.y[idx] * idx.size + np.arange(idx.size)
+        batch = ds.full
+    elif not isinstance(batch, Batch):
+        batch = _as_batch(ds, batch)
+    x, target = batch.x, batch.target
     if kind == CROSS_ENTROPY:
         coeff = _offtarget_probs(wm, x, target)
     else:
-        coeff = _exp_weights(wm, x, target, idx)
-    return _pair_sum(coeff, x, target) / len(idx)
+        coeff = _exp_weights(wm, x, target, batch.idx)
+    return _pair_sum(coeff, x, target) / len(batch)
 
 
 def proxy_g(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
@@ -233,7 +260,7 @@ def proxy_g(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
     wm = as_matrix(w)
     if kind == EXPONENTIAL:
         return loss(wm, ds, kind)
-    p = _offtarget_probs(wm, *ds.full)
+    p = _offtarget_probs(wm, ds.full.x, ds.full.target)
     return float(p.sum() / ds.n)
 
 

@@ -13,11 +13,15 @@ W <- W - eta_t * direction:
 
 Epochs reshuffle the dataset into m = n/b disjoint mini-batches; with vr on,
 the snapshot weights and their full gradient are refreshed at the start of
-every epoch (including epoch 0). The momentum buffer is never reset across
-epochs. A zero signal skips the weight update but still advances the step
-counter so the learning-rate schedule stays aligned. A non-finite signal or
-iterate, or a zero direction for a nonzero signal, aborts the run with a
-``TrainingError`` naming the step.
+every epoch (including epoch 0). A mini-batch epoch gathers its m batches
+once, before its first step: ``model.gather_batches`` sorts each row of the
+reshuffled (m, b) permutation, checks the range once, and takes every
+batch's columns and target index from one gather, so a step (and VR's two
+batch gradients) reuses its prepared Batch. The momentum buffer is never
+reset across epochs. A zero signal skips the weight update but still
+advances the step counter so the learning-rate schedule stays aligned. A
+non-finite signal or iterate, or a zero direction for a nonzero signal,
+aborts the run with a ``TrainingError`` naming the step.
 
 Reproducibility: the PRNG is numpy's PCG64, seeded from the config. Each
 reshuffle draws its n-1 Fisher-Yates swap indices in one
@@ -27,8 +31,9 @@ call per swap, i = n-1 down to 1 (the tests pin both, plus golden
 permutations). A full-batch run (b = n) draws nothing from the generator:
 gradients evaluate a batch in sorted index order, so every permutation of
 the full batch gives the full gradient bit for bit, and each epoch steps on
-ALL instead. Identical configs therefore produce bit-identical trajectories
-given the same numpy version, BLAS build and thread count.
+the dataset's cached full Batch instead. Identical configs therefore
+produce bit-identical trajectories given the same numpy version, BLAS
+build and thread count.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NormSpec, as_matrix
-from .model import ALL, CROSS_ENTROPY, Dataset, grad, _check_kind
+from .model import ALL, CROSS_ENTROPY, Dataset, gather_batches, grad, _check_kind
 from .steepest import steepest_map
 
 
@@ -154,7 +159,8 @@ def _descend(w: np.ndarray, eta: float, delta: np.ndarray) -> np.ndarray:
 
 
 def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> tuple[np.ndarray, float, np.ndarray]:
-    """One update on ``batch``; advances the step counter even on zero signal.
+    """One update on ``batch`` (anything ``grad`` takes); advances the step
+    counter even on zero signal.
 
     Returns what the step applied: the signal H_t, the step size eta and
     the direction delta = steepest_map(H_t), with W <- W - eta * delta.
@@ -193,11 +199,14 @@ def run(cfg: OptimizerConfig, ds: Dataset, w0, metrics_hook=None) -> TrainState:
     unit-norm direction ``steepest_map(H_t)`` the step moved against
     (W <- W - eta * delta; zero when the signal was zero).
     Fully deterministic given (cfg.seed, w0, ds). A full-batch run draws
-    nothing from the generator: each epoch is one step on ALL.
+    nothing from the generator: each epoch is one step on ``ds.full``.
     """
     state = init_state(cfg, ds, w0)
     for _ in range(cfg.epochs):
-        batches = (ALL,) if cfg.batch_size == ds.n else reshuffle(state, ds.n, cfg.batch_size)
+        if cfg.batch_size == ds.n:
+            batches = (ds.full,)
+        else:
+            batches = gather_batches(ds, reshuffle(state, ds.n, cfg.batch_size))
         if cfg.vr_on:
             state.snapshot_w = state.w.copy()
             state.snapshot_full_grad = grad(state.w, ds, ALL, cfg.loss)

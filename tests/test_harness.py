@@ -550,6 +550,28 @@ class TestPersample:
         with open(csv_path + ".verdict.json") as fh:
             assert json.load(fh)["invariant_gradient_ok"] is False
 
+    @pytest.mark.parametrize("norm", ["ew:inf", "ew:2", "sch:inf"])
+    def test_batched_check_sees_every_step(self, tmp_path, monkeypatch, norm):
+        # n = 5: 110 epochs are two full chunks and a partial one
+        chunk, steps = harness._CHECK_CHUNK, 5 * 110
+        assert steps > 2 * chunk and steps % chunk
+        real = optimizer.steepest_map
+        for off in (None, 0, chunk - 1, chunk, steps - 1):
+            calls = []
+
+            def steepest_map(h, spec):
+                delta = real(h, spec)
+                if len(calls) == off:
+                    delta = delta.copy()
+                    delta[0, 0] += 1e-6
+                calls.append(1)
+                return delta
+
+            monkeypatch.setattr(optimizer, "steepest_map", steepest_map)
+            _, verdict = persample_cmd(self._cfg(tmp_path, norm=norm, epochs=110, gamma=0.3))
+            assert len(calls) == steps
+            assert verdict["invariant_gradient_ok"] is (off is None), off
+
     def test_rejects_batch_size_above_one(self, tmp_path):
         with pytest.raises(ConfigError):
             persample_cmd(self._cfg(tmp_path, batch_size=5, name="b5.json"))
@@ -648,6 +670,31 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["gamma"] > 0
         assert os.path.exists(wstar_path)
+
+    def test_parser_is_built_once_and_reused_cleanly(self, tmp_path, capsys, monkeypatch):
+        out = str(tmp_path / "d.txt")
+        good = ["gen-data", "skewed", "--out", out, "--seed", "3"]
+        bad = ["gen-data", "skewed", "--out", out, "--bogus", "1"]
+
+        def outcomes(*calls):
+            res = []
+            for argv in calls:
+                rc = cli_main(argv)
+                captured = capsys.readouterr()
+                res.append((rc, captured.out, captured.err))
+            return res
+
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        shared = outcomes(bad, good, good, bad)
+        assert built == [1]
+        monkeypatch.setattr(cli, "_parser", real)  # a fresh parser for every call
+        fresh = outcomes(bad, good, good, bad)
+        assert shared == fresh
+        assert [rc for rc, _, _ in shared] == [EXIT_CONFIG, EXIT_OK, EXIT_OK, EXIT_CONFIG]
+        assert "--bogus" in shared[0][2] and json.loads(shared[1][1])["n"] == 15
 
     def test_gen_data_gaussian(self, tmp_path, capsys):
         out = tmp_path / "g.txt"

@@ -214,15 +214,15 @@ class TestFullBatchView:
         ds = random_dataset(rng)
         ds = Dataset.from_arrays(np.asarray(ds.x, order=order), ds.y, ds.k)
         gathered = ds.x[:, np.arange(ds.n)]
-        x, target = ds.full
+        x, target = ds.full.x, ds.full.target
         assert x.flags.f_contiguous and x.strides == gathered.strides
         assert x.tobytes(order="A") == gathered.tobytes(order="A")
         assert np.array_equal(target, ds.y * ds.n + np.arange(ds.n))
 
     def test_view_is_built_once_per_dataset(self, rng, monkeypatch):
         calls = []
-        real = model._full_batch
-        monkeypatch.setattr(model, "_full_batch", lambda ds: calls.append(ds) or real(ds))
+        real = model.gather_batches
+        monkeypatch.setattr(model, "gather_batches", lambda ds, order: calls.append(ds) or real(ds, order))
         ds = random_dataset(rng)
         assert ds.full is ds.full
         w = rng.standard_normal((ds.k, ds.d))
@@ -233,14 +233,100 @@ class TestFullBatchView:
 
     def test_full_batch_vr_run_gathers_once(self, rng, monkeypatch):
         calls = []
-        real = model._full_batch
-        monkeypatch.setattr(model, "_full_batch", lambda ds: calls.append(ds) or real(ds))
+        real = model.gather_batches
+        monkeypatch.setattr(model, "gather_batches", lambda ds, order: calls.append(ds) or real(ds, order))
         ds = divisible_dataset(rng, k=3, d=2, n=9)
         cfg = OptimizerConfig(batch_size=9, momentum_on=False, beta1=0.0, vr_on=True,
                               schedule=Schedule(0.5, 0.5, 0.5), epochs=20, seed=3,
                               norm=NormSpec("entrywise", 2.0))
         run(cfg, ds, np.zeros((3, 2)))
         assert calls == [ds]
+
+
+class TestBatchValidation:
+    """An index batch is a nonempty 1-D set of distinct integer sample indices."""
+
+    @pytest.mark.parametrize(
+        "batch,message",
+        [
+            (np.array([True, False, True, False, False, False]), "batch indices must be integers, got dtype bool"),
+            ([1.7], "batch indices must be integers, got dtype float64"),
+            (np.array([[0, 1], [2, 3]]), "batch must be a 1-D array of sample indices, got shape (2, 2)"),
+            (3, "batch must be a 1-D array of sample indices, got shape ()"),
+            ([4, 0, 4], "batch indices must be distinct; 4 repeats"),
+            ([], "batch must be nonempty"),
+            ([0, 6], "batch indices out of range"),
+            ([-1, 2], "batch indices out of range"),
+        ],
+        ids=["mask", "float", "2-D", "scalar", "duplicate", "empty", "above", "negative"],
+    )
+    def test_malformed_batch_is_rejected(self, rng, batch, message):
+        ds = divisible_dataset(rng, k=2, d=3, n=6)
+        with pytest.raises(ValueError) as err:
+            grad(np.zeros((2, 3)), ds, batch)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("batch", [[3, 1], np.array([3, 1], dtype=np.uint8), range(1, 4, 2)])
+    def test_integer_index_sets_are_accepted(self, rng, batch):
+        ds = divisible_dataset(rng, k=2, d=3, n=6)
+        w = rng.standard_normal((2, 3))
+        assert grad(w, ds, batch).tobytes() == grad(w, ds, np.array([1, 3])).tobytes()
+
+
+class TestPreparedBatches:
+    """A mini-batch epoch steps on Batches cut from one gather of its permutation."""
+
+    @pytest.mark.parametrize("kind", [CROSS_ENTROPY, EXPONENTIAL])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("b", [1, 4, 12])
+    def test_prepared_gradient_is_the_index_gradient_bitwise(self, rng, kind, order, b):
+        ds = divisible_dataset(rng, k=3, d=4, n=12)
+        ds = Dataset.from_arrays(np.asarray(ds.x, order=order), ds.y, ds.k)
+        w = 0.5 * rng.standard_normal((ds.k, ds.d))
+        perm = rng.permutation(ds.n).reshape(-1, b)
+        batches = model.gather_batches(ds, perm)
+        assert len(batches) == ds.n // b
+        for row, batch in zip(perm, batches):
+            idx = np.sort(row)
+            gathered = ds.x[:, idx]
+            target = ds.y[idx] * b + np.arange(b)
+            assert len(batch) == b and np.array_equal(batch.idx, idx)
+            assert batch.x.strides == gathered.strides
+            assert batch.x.tobytes(order="A") == gathered.tobytes(order="A")
+            assert np.array_equal(batch.target, target)
+            got = grad(w, ds, batch, kind)
+            assert got.tobytes() == grad(w, ds, row, kind).tobytes()
+            # the kernels on the direct gather ds.x[:, idx]
+            if kind == CROSS_ENTROPY:
+                coeff = model._offtarget_probs(w, gathered, target)
+            else:
+                coeff = model._exp_weights(w, gathered, target, idx)
+            assert got.tobytes() == (model._pair_sum(coeff, gathered, target) / b).tobytes()
+
+    def test_mini_batch_vr_run_gathers_once_per_epoch(self, rng, monkeypatch):
+        from normdescent import optimizer
+
+        gathers, indexed, grads = [], [], []
+        real_gather, real_as_batch, real_grad = optimizer.gather_batches, model._as_batch, optimizer.grad
+        monkeypatch.setattr(optimizer, "gather_batches",
+                            lambda ds, order: gathers.append(order.shape) or real_gather(ds, order))
+        monkeypatch.setattr(model, "_as_batch", lambda ds, batch: indexed.append(batch) or real_as_batch(ds, batch))
+        monkeypatch.setattr(optimizer, "grad",
+                            lambda w, ds, batch, kind: grads.append(batch) or real_grad(w, ds, batch, kind))
+        ds = divisible_dataset(rng, k=3, d=2, n=9)
+        cfg = OptimizerConfig(batch_size=3, momentum_on=False, beta1=0.0, vr_on=True,
+                              schedule=Schedule(0.5, 0.5, 0.5), epochs=20, seed=3,
+                              norm=NormSpec("entrywise", 2.0))
+        run(cfg, ds, np.zeros((3, 2)))
+        assert gathers == [(3, 3)] * 20
+        assert indexed == []
+        # per epoch: the snapshot's full gradient, then two gradients per step on one prepared Batch
+        assert len(grads) == 20 * 7
+        for e in range(20):
+            epoch = grads[7 * e : 7 * (e + 1)]
+            assert epoch[0] is ALL
+            assert all(isinstance(b, model.Batch) for b in epoch[1:])
+            assert [epoch[i] is epoch[i + 1] for i in (1, 3, 5)] == [True] * 3
 
 
 class TestProxy:
