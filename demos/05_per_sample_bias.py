@@ -1,18 +1,18 @@
 """Batch size one converges to a different limit altogether.
 
 On orthogonal scale-skewed data (each sample a positive multiple of its
-class basis vector, classes deliberately imbalanced), per-sample SignSGD
-and per-sample Normalized-SGD do not maximize any norm margin. Their
-normalized updates are invariant matrices determined by the class label
-alone, so the weights align with a count-weighted bias matrix instead:
-frequent classes dominate, sample scales drop out entirely.
+class basis vector, classes deliberately imbalanced), per-sample steepest
+descent does not maximize any norm margin. At every norm its updates are
+invariant matrices determined by the class label alone, the norm's steepest
+map of the sample's gradient at W = 0, so the weights align with a
+count-weighted bias matrix instead: frequent classes dominate, sample
+scales drop out entirely. SignSGD (ew:inf) and Normalized-SGD (ew:2) have
+closed forms for that matrix; ew:3 has none and follows the same law.
 """
 
 import numpy as np
 
 from normdescent import (
-    BIAS_NORMALIZED,
-    BIAS_SIGN,
     NormSpec,
     OptimizerConfig,
     Schedule,
@@ -34,9 +34,9 @@ ds = gen_skewed(spec)
 print(f"skewed dataset: n = {ds.n}, class counts = {spec.counts}")
 print("every sample is alpha * e_class with class-specific scale ranges\n")
 
-for text, kind in [("ew:inf", BIAS_SIGN), ("ew:2", BIAS_NORMALIZED)]:
+for text, name in [("ew:inf", "SignSGD"), ("ew:2", "Normalized-SGD"), ("ew:3", "no closed form")]:
     norm = NormSpec.parse(text)
-    wbar = bias_matrix(ds, kind)
+    wbar = bias_matrix(ds, norm)
     sol = max_margin(ds, norm, tol=1e-2, max_iters=30_000)
     cfg = OptimizerConfig(
         batch_size=1,
@@ -48,7 +48,7 @@ for text, kind in [("ew:inf", BIAS_SIGN), ("ew:2", BIAS_NORMALIZED)]:
         seed=3,
         norm=norm,
     )
-    print(f"per-sample training under {text} ({'SignSGD' if kind == BIAS_SIGN else 'Normalized-SGD'}):")
+    print(f"per-sample training under {text} ({name}):")
     checkpoints = {int(v) for v in np.geomspace(ds.n, 2_000 * ds.n, 8).round()}
 
     def hook(t, w, h, eta, delta):

@@ -46,8 +46,6 @@ from .optimizer import (
     step,
 )
 from .reference import (
-    BIAS_NORMALIZED,
-    BIAS_SIGN,
     MaxMarginNonConvergence,
     MaxMarginSolution,
     bias_matrix,

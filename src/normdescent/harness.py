@@ -48,8 +48,6 @@ from .model import (
 )
 from .optimizer import OptimizerConfig, Schedule, TrainingError, run
 from .reference import (
-    BIAS_NORMALIZED,
-    BIAS_SIGN,
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     bias_matrix,
@@ -98,6 +96,9 @@ _KEYS = {
     "margin_tol": (*_NUMBER, DEFAULT_TOL),
     "margin_iters": (*_INTEGER, DEFAULT_MAX_ITERS),
 }
+
+# wbar_kind -> the norm whose steepest map builds the bias matrix
+_WBAR_NORMS = {"sign": NormSpec.parse("ew:inf"), "normalized": NormSpec.parse("ew:2")}
 
 _LOSS_ALIASES = {
     "cross_entropy": CROSS_ENTROPY,
@@ -212,7 +213,7 @@ def load_config(path: str) -> RunConfig:
         wstar = None if raw["wstar_path"] is None else _kd_matrix("wstar_path", raw["wstar_path"], ds)
 
         wbar_kind = raw["wbar_kind"]
-        if wbar_kind is not None and wbar_kind not in (BIAS_SIGN, BIAS_NORMALIZED):
+        if wbar_kind is not None and wbar_kind not in _WBAR_NORMS:
             raise ValueError("wbar_kind must be 'sign' or 'normalized'")
         if raw["log_every"] < 1:
             raise ValueError("log_every must be >= 1")
@@ -312,7 +313,7 @@ def train_cmd(config_path: str) -> str:
     cfg = load_config(config_path)
     _remove(cfg.out_csv)
     gamma, wstar = _resolve_references(cfg)
-    wbar = bias_matrix(cfg.dataset, cfg.wbar_kind) if cfg.wbar_kind else None
+    wbar = bias_matrix(cfg.dataset, _WBAR_NORMS[cfg.wbar_kind]) if cfg.wbar_kind else None
     _drive(cfg, gamma, wstar, wbar)
     return cfg.out_csv
 
@@ -402,9 +403,6 @@ def _write_json(path: str, obj: dict):
         fh.write("\n")
 
 
-# the norms the protocol supports -> the bias kind each implies
-_PERSAMPLE_KINDS = {"ew:inf": BIAS_SIGN, "ew:2": BIAS_NORMALIZED, "sch:inf": BIAS_NORMALIZED}
-
 # steps whose (h, delta) the persample check buffers before it compares
 # them with their expected directions in one vectorised pass
 _CHECK_CHUNK = 256
@@ -426,41 +424,42 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
 
     The check copies each step's signal and direction into a buffer of
     ``_CHECK_CHUNK`` steps. Whenever the buffer fills, and once after the
-    run, it compares every buffered direction with minus the closed-form
-    update of the step's class, entry by entry within 1e-9 * (1 + its
-    largest entry); a step with a zero signal is exempt. One step off
-    makes ``invariant_gradient_ok`` false.
+    run, it compares every buffered direction with minus the canonical
+    update of the step's class at the run's norm, entry by entry within
+    1e-9 * (1 + its largest entry); a step with a zero signal is exempt. One
+    step off makes ``invariant_gradient_ok`` false.
 
     Preconditions: scale-skewed dataset, b = 1, momentum and VR off, zero
-    init, and a norm in {ew:inf, ew:2, sch:inf}. The norm implies the bias
-    kind (sign for ew:inf, normalized otherwise); a config wbar_kind must
-    agree with it. Returns the CSV path and
-    the verdict dict (also written next to the CSV as <out_csv>.verdict.json).
+    init. Any norm is accepted, and the bias matrix is taken at that norm;
+    a config wbar_kind must name it (sign for ew:inf, normalized for ew:2).
+    Returns the CSV path and the verdict dict (also written next to the CSV
+    as <out_csv>.verdict.json), whose ``wbar_norm`` is the run's norm.
     """
     cfg = load_config(config_path)
     ds = cfg.dataset
-    kind = _PERSAMPLE_KINDS.get(str(cfg.opt.norm))
+    norm = cfg.opt.norm
     with _naming(config_path):
         if cfg.opt.batch_size != 1:
             raise ValueError("persample protocol requires batch_size = 1")
         if cfg.opt.momentum_on or cfg.opt.vr_on:
             raise ValueError("persample protocol requires momentum and vr off")
-        if kind is None:
-            raise ValueError(f"persample norm must be one of {sorted(_PERSAMPLE_KINDS)}")
         if np.any(cfg.w0):
             raise ValueError("persample protocol requires w0 = zeros")
         _check_scale_skewed(ds)
-        if cfg.wbar_kind not in (None, kind):
-            raise ValueError(f"persample with norm {cfg.opt.norm} uses wbar_kind {kind!r}, not {cfg.wbar_kind!r}")
+        if cfg.wbar_kind is not None and _WBAR_NORMS[cfg.wbar_kind] != norm:
+            raise ValueError(
+                f"persample takes the bias matrix at its norm {norm}; "
+                f"wbar_kind {cfg.wbar_kind!r} names {_WBAR_NORMS[cfg.wbar_kind]}"
+            )
     verdict_path = cfg.out_csv + ".verdict.json"
     _remove(cfg.out_csv)
     _remove(verdict_path)
     gamma, wstar = _resolve_references(cfg)
-    wbar = bias_matrix(ds, kind)
-    # every sample of a class has the same closed-form update; keep the
+    wbar = bias_matrix(ds, norm)
+    # every sample of a class has the same canonical update; keep the
     # first's, with the tolerance of the check against it
     firsts = [int(np.nonzero(ds.y == c)[0][0]) for c in range(ds.k)]
-    expects = np.stack([canonical_update_matrix(ds, i, kind) for i in firsts])
+    expects = np.stack([canonical_update_matrix(ds, i, norm) for i in firsts])
     bounds = 1e-9 * (1.0 + np.abs(expects).max(axis=(1, 2)))
     hs = np.empty((_CHECK_CHUNK, ds.k, ds.d))
     deltas = np.empty_like(hs)
@@ -492,7 +491,7 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
         "final_cos_wbar": frobenius_cosine(state.w, wbar),
         "final_cos_wstar": None if wstar is None else frobenius_cosine(state.w, wstar),
         "invariant_gradient_ok": bool(invariant_ok),
-        "wbar_kind": kind,
+        "wbar_norm": str(norm),
         "gamma": gamma,
     }
     _write_json(verdict_path, verdict)

@@ -15,6 +15,9 @@ iterate, and the iterate, a convex combination of finite unit-norm maps,
 gets its norm from ``linalg._matrix_norm``.
 Because every iterate is feasible, the exact margin of the best normalized
 iterate is a certified lower bound on gamma; that is what gets reported.
+
+The batch-size-one bias matrix at any norm sums, over the samples, the
+norm's steepest map of minus the sample's loss gradient at W = 0.
 """
 
 from __future__ import annotations
@@ -24,12 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NormSpec, _matrix_norm, entrywise_norm, matrix_norm
-from .model import Dataset, _pair_sum, margin_report, pair_gaps
+from .linalg import NormSpec, _matrix_norm, matrix_norm
+from .model import Dataset, _pair_sum, grad, margin_report, pair_gaps
 from .steepest import steepest_map
-
-BIAS_SIGN = "sign"
-BIAS_NORMALIZED = "normalized"
 
 _TAU_LADDER_START = 1.0
 _TAU_LADDER_FACTOR = 0.3
@@ -170,45 +170,31 @@ def max_margin(
 # --- batch-size-one bias targets -------------------------------------------
 
 
-def bias_matrix(ds: Dataset, kind: str) -> np.ndarray:
-    """Limit direction of per-sample SignSGD / Normalized-SGD updates.
+def bias_matrix(ds: Dataset, spec: NormSpec) -> np.ndarray:
+    """Limit direction of batch-size-one steepest descent under ``spec``
+    without momentum: the terms ``canonical_update_matrix(ds, i, spec)``,
+    added in sample order.
 
-    sign:       sum_i (2 e_(y_i) - 1) sign(x_i)^T
-    normalized: sum_i (e_(y_i) - 1/k) / ||e_(y_i) - 1/k||_2 * x_i^T / ||x_i||_2
-
-    The terms are ``canonical_update_matrix(ds, i, kind)``, added in sample
-    order.
+    At ew:inf this is the SignSGD bias sum_i (2 e_(y_i) - 1) sign(x_i)^T, and
+    at ew:2 the Normalized-SGD bias
+    sum_i (e_(y_i) - 1/k) / ||e_(y_i) - 1/k||_2 * x_i^T / ||x_i||_2.
     """
     w_bar = np.zeros((ds.k, ds.d))
     for i in range(ds.n):
-        w_bar += canonical_update_matrix(ds, i, kind)
+        w_bar += canonical_update_matrix(ds, i, spec)
     return w_bar
 
 
-def canonical_update_matrix(ds: Dataset, sample: int, kind: str) -> np.ndarray:
-    """Per-sample term of the bias matrix, a closed-form update direction.
+def canonical_update_matrix(ds: Dataset, sample: int, spec: NormSpec) -> np.ndarray:
+    """Per-sample term of the bias matrix: the steepest direction of one
+    sample's loss at W = 0, ``steepest_map(-grad(0, ds, [sample]), spec)``.
 
-    On orthogonal scale-skewed data, x_i = alpha e_(y_i), per-sample
-    SignSGD moves along (2 e_y - 1) sign(x_i)^T and per-sample
-    Normalized-SGD along (e_y - 1/k) / ||e_y - 1/k||_2 * e_y^T, independent
-    of alpha and of the current weights (from a zero start). The sample
-    norm falls back to the max-scaled ``entrywise_norm`` where the plain
-    one underflows to 0 or overflows; a zero sample raises ValueError for
-    the normalized kind.
+    That gradient is (1/k - e_y) x_i^T. On orthogonal scale-skewed data,
+    x_i = alpha e_(y_i), the logits of a class-y sample stay symmetric over
+    c != y, so every per-sample step from a zero start moves along this
+    term, independent of alpha and of the current weights. A zero sample
+    gives a zero term. ``sample`` goes through ``grad``'s batch checks, so
+    an index that is negative, not below n, or not an integer raises
+    ValueError.
     """
-    if kind not in (BIAS_SIGN, BIAS_NORMALIZED):
-        raise ValueError(f"unknown bias kind {kind!r}")
-    k = ds.k
-    e = np.zeros(k)
-    e[ds.y[sample]] = 1.0
-    xi = ds.x[:, sample]
-    if kind == BIAS_SIGN:
-        return np.outer(2.0 * e - np.ones(k), np.sign(xi))
-    with np.errstate(over="ignore"):
-        nx = float(np.linalg.norm(xi))
-        if nx == 0.0 or math.isinf(nx):
-            nx = entrywise_norm(xi[None, :], 2.0)
-    if nx == 0.0:
-        raise ValueError(f"sample {sample} is zero; normalized bias matrix undefined")
-    u = e - np.ones(k) / k
-    return np.outer(u / float(np.linalg.norm(u)), xi / nx)
+    return steepest_map(-grad(np.zeros((ds.k, ds.d)), ds, [sample]), spec)

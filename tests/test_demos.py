@@ -28,7 +28,7 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 # demo -> sha256 of its stdout, or None where the output names a temporary directory
 FAST_DEMOS = {
     "01_norm_geometry.py": "35c583ab60f315421af62d6d07b1e2d3887ffcdb44cb69ee5c190a4f6e917319",
-    "05_per_sample_bias.py": "759d055100191d56b0926fb6e09021956cc608e79c9b13105c3a2e7980c90d67",
+    "05_per_sample_bias.py": "5919ac6634f7b81cd6cf2215a693a00e021f50c48f24bb3f93619c9b0446f534",
     "06_cli_workflow.py": None,
 }
 

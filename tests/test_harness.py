@@ -14,7 +14,9 @@ from normdescent import (
     CSV_HEADER,
     ConfigError,
     Dataset,
+    SkewedSpec,
     fit_rate,
+    gen_skewed,
     load_dataset,
     persample_cmd,
     read_csv,
@@ -582,11 +584,27 @@ class TestPersample:
         with pytest.raises(ConfigError):
             persample_cmd(self._cfg(tmp_path, vr=True, name="v.json"))
 
-    def test_rejects_unsupported_norm(self, tmp_path):
-        with pytest.raises(ConfigError):
-            persample_cmd(self._cfg(tmp_path, norm="ew:3", name="n.json"))
+    def test_norms_with_no_closed_form_converge_to_their_bias(self, tmp_path):
+        # criterion 9's skewed instance; at 1000 epochs every norm measured
+        # cos 0.9999976 to its own bias matrix
+        spec = SkewedSpec(
+            counts=(6, 3, 3, 2, 1),
+            alpha_ranges=((0.8, 1.2), (0.5, 1.5), (1.0, 2.0), (0.6, 0.9), (1.5, 2.5)),
+            seed=42,
+        )
+        save_dataset(gen_skewed(spec), tmp_path / "c9.txt")
+        for norm in ("ew:1.5", "ew:3", "sch:1", "sch:3"):
+            cfg = self._cfg(tmp_path, norm=norm, dataset_path=str(tmp_path / "c9.txt"), epochs=1000,
+                            log_every=100, seed=3, gamma=1.0)
+            _, verdict = persample_cmd(cfg)
+            assert verdict["invariant_gradient_ok"] is True, norm
+            assert verdict["final_cos_wbar"] >= 0.99999, norm
+            assert verdict["wbar_norm"] == norm
 
-    @pytest.mark.parametrize("norm,kind", [("ew:2", "sign"), ("ew:inf", "normalized"), ("sch:inf", "sign")])
+    @pytest.mark.parametrize(
+        "norm,kind",
+        [("ew:2", "sign"), ("ew:inf", "normalized"), ("sch:inf", "sign"), ("sch:inf", "normalized"), ("ew:3", "sign")],
+    )
     def test_rejects_wbar_kind_the_norm_does_not_imply(self, tmp_path, capsys, norm, kind):
         cfg = self._cfg(tmp_path, norm=norm, wbar_kind=kind, epochs=3, gamma=0.3, name="k.json")
         with pytest.raises(ConfigError, match="wbar_kind"):
@@ -595,14 +613,14 @@ class TestPersample:
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(tmp_path / "ps.csv")
 
-    @pytest.mark.parametrize("norm,kind", [("ew:2", "normalized"), ("ew:inf", "sign"), ("sch:inf", "normalized")])
+    @pytest.mark.parametrize("norm,kind", [("ew:2", "normalized"), ("ew:inf", "sign")])
     def test_matching_wbar_kind_runs_unchanged(self, tmp_path, norm, kind):
         base = self._cfg(tmp_path, norm=norm, epochs=3, gamma=0.3, name="base.json")
         _, expect = persample_cmd(base)
         expect_csv = open(tmp_path / "ps.csv", "rb").read()
         _, verdict = persample_cmd(self._cfg(tmp_path, norm=norm, wbar_kind=kind, epochs=3, gamma=0.3, name="k.json"))
         assert verdict == expect
-        assert verdict["wbar_kind"] == kind
+        assert verdict["wbar_norm"] == norm
         assert open(tmp_path / "ps.csv", "rb").read() == expect_csv
 
     @pytest.mark.parametrize(
@@ -610,9 +628,10 @@ class TestPersample:
         [
             (dict(batch_size=5), "persample protocol requires batch_size = 1"),
             (dict(vr=True), "persample protocol requires momentum and vr off"),
-            (dict(norm="ew:3"), "persample norm must be one of ['ew:2', 'ew:inf', 'sch:inf']"),
+            (dict(norm="ew:3", wbar_kind="normalized"),
+             "persample takes the bias matrix at its norm ew:3; wbar_kind 'normalized' names ew:2"),
             (dict(w0="ones"), "persample protocol requires w0 = zeros"),
-            (dict(wbar_kind="sign"), "persample with norm ew:2 uses wbar_kind 'normalized', not 'sign'"),
+            (dict(wbar_kind="sign"), "persample takes the bias matrix at its norm ew:2; wbar_kind 'sign' names ew:inf"),
             (dict(dataset_path="toy"), "persample protocol needs orthogonal scale-skewed data; sample 0 is not"),
         ],
         ids=["batch_size", "vr", "norm", "w0", "wbar_kind", "dataset"],

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from normdescent import (
-    BIAS_NORMALIZED,
-    BIAS_SIGN,
     Dataset,
     GaussianSpec,
     MaxMarginNonConvergence,
@@ -35,6 +33,9 @@ from tests.conftest import random_dataset
 
 EW2 = NormSpec("entrywise", 2.0)
 EWINF = NormSpec("entrywise", math.inf)
+SCHINF = NormSpec("schatten", math.inf)
+EVERY_NORM = [NormSpec.parse(t) for t in ("ew:1", "ew:1.5", "ew:2", "ew:3", "ew:inf",
+                                          "sch:1", "sch:1.5", "sch:3", "sch:inf")]
 
 
 def two_class_2d_instance(rng):
@@ -385,11 +386,39 @@ class TestNonConvergence:
         assert not (tmp_path / "w.txt").exists()
 
 
+# Closed forms of the ew:inf (SignSGD) and ew:2 (Normalized-SGD) bias terms,
+# the reference the steepest-map terms are checked against below.
+def sign_term(ds, i):
+    """SignSGD term (2 e_(y_i) - 1) sign(x_i)^T."""
+    e = np.zeros(ds.k)
+    e[ds.y[i]] = 1.0
+    return np.outer(2.0 * e - np.ones(ds.k), np.sign(ds.x[:, i]))
+
+
+def normalized_term(ds, i):
+    """Normalized-SGD term (e_(y_i) - 1/k) / ||e_(y_i) - 1/k||_2 * x_i^T / ||x_i||_2."""
+    e = np.zeros(ds.k)
+    e[ds.y[i]] = 1.0
+    u = e - np.ones(ds.k) / ds.k
+    xi = ds.x[:, i]
+    return np.outer(u / float(np.linalg.norm(u)), xi / float(np.linalg.norm(xi)))
+
+
+def skewed_dataset():
+    x = np.zeros((3, 5))
+    alphas = [(0, 1.3), (1, 0.4), (2, 2.2), (0, 0.9), (1, 1.7)]
+    y = np.zeros(5, dtype=np.int64)
+    for i, (c, a) in enumerate(alphas):
+        x[c, i] = a
+        y[i] = c
+    return Dataset.from_arrays(x, y, 3)
+
+
 class TestBiasMatrix:
     def test_sign_two_class_single_samples(self):
         x = np.diag([3.0, 0.25])  # scales must not matter
         ds = Dataset.from_arrays(x, np.array([0, 1]), 2)
-        out = bias_matrix(ds, BIAS_SIGN)
+        out = bias_matrix(ds, EWINF)
         assert np.array_equal(out, [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_duplication_doubles(self, rng):
@@ -397,35 +426,64 @@ class TestBiasMatrix:
         y = np.array([0, 1, 2, 0, 1, 2])
         ds = Dataset.from_arrays(x, y, 3)
         ds2 = Dataset.from_arrays(np.hstack([x, x]), np.concatenate([y, y]), 3)
-        for kind in (BIAS_SIGN, BIAS_NORMALIZED):
-            a = bias_matrix(ds, kind)
-            b = bias_matrix(ds2, kind)
-            assert np.allclose(b, 2.0 * a, atol=1e-12)
+        for spec in EVERY_NORM:
+            a = bias_matrix(ds, spec)
+            b = bias_matrix(ds2, spec)
+            assert np.allclose(b, 2.0 * a, atol=1e-12), spec
 
     def test_normalized_two_class_closed_form(self):
         x = np.diag([3.0, 0.25])
         ds = Dataset.from_arrays(x, np.array([0, 1]), 2)
-        out = bias_matrix(ds, BIAS_NORMALIZED)
         expect = np.array([[1.0, -1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
-        assert np.abs(out - expect).max() <= 1e-12
+        for spec in (EW2, SCHINF):
+            assert np.abs(bias_matrix(ds, spec) - expect).max() <= 1e-12, spec
 
-    def test_zero_sample_rejected_for_normalized(self):
+    @pytest.mark.parametrize("data", ["random", "skewed"])
+    def test_ew_inf_is_the_sign_form_bit_for_bit(self, rng, data):
+        ds = random_dataset(rng, k=4, d=3, n=12) if data == "random" else skewed_dataset()
+        expect = np.zeros((ds.k, ds.d))
+        for i in range(ds.n):
+            assert np.array_equal(canonical_update_matrix(ds, i, EWINF), sign_term(ds, i))
+            expect += sign_term(ds, i)
+        assert np.array_equal(bias_matrix(ds, EWINF), expect)
+
+    @pytest.mark.parametrize("data", ["random", "skewed"])
+    def test_ew_2_and_sch_inf_are_the_normalized_form_to_1e_15(self, rng, data):
+        # the map rounds differently from the closed form: ew:2 divides by a
+        # max-scaled norm, sch:inf takes U V^T from an SVD
+        ds = random_dataset(rng, k=4, d=3, n=12) if data == "random" else skewed_dataset()
+        expect = np.zeros((ds.k, ds.d))
+        for i in range(ds.n):
+            expect += normalized_term(ds, i)
+        for spec in (EW2, SCHINF):
+            assert np.abs(bias_matrix(ds, spec) - expect).max() <= 1e-15, spec
+
+    @pytest.mark.parametrize("spec", EVERY_NORM, ids=str)
+    def test_zero_sample_gives_a_zero_term(self, spec):
         x = np.array([[1.0, 0.0], [0.0, 0.0]])
         ds = Dataset.from_arrays(x, np.array([0, 1]), 2)
-        with pytest.raises(ValueError, match="sample 1 is zero"):
-            bias_matrix(ds, BIAS_NORMALIZED)
-        with pytest.raises(ValueError, match="sample 1 is zero"):
-            canonical_update_matrix(ds, 1, BIAS_NORMALIZED)
+        assert np.array_equal(canonical_update_matrix(ds, 1, spec), np.zeros((2, 2)))
+        assert np.array_equal(bias_matrix(ds, spec), canonical_update_matrix(ds, 0, spec))
 
     @pytest.mark.parametrize("scale", [1e300, 1e-200])
     def test_normalized_terms_do_not_depend_on_the_sample_scale(self, scale):
         # the plain 2-norm of (1e300, 0) overflows and that of (1e-200, 0)
-        # underflows to 0; the max-scaled fallback gives the unit vector
+        # underflows to 0; the map's scaled norms keep the term a finite unit
+        # direction, equal to the unit-scale term up to rounding (ew:2 at
+        # 1e-200 is 1.1e-16 off)
         ds = Dataset.from_arrays(np.diag([scale, 1.0]), np.array([0, 1]), 2)
         unit = Dataset.from_arrays(np.eye(2), np.array([0, 1]), 2)
-        assert np.array_equal(canonical_update_matrix(ds, 0, BIAS_NORMALIZED),
-                              canonical_update_matrix(unit, 0, BIAS_NORMALIZED))
-        assert np.array_equal(bias_matrix(ds, BIAS_NORMALIZED), bias_matrix(unit, BIAS_NORMALIZED))
+        for spec in EVERY_NORM:
+            term = canonical_update_matrix(ds, 0, spec)
+            assert matrix_norm(term, spec) == pytest.approx(1.0, rel=1e-15, abs=0.0), spec
+            assert np.abs(term - canonical_update_matrix(unit, 0, spec)).max() <= 1e-15, spec
+            assert np.abs(bias_matrix(ds, spec) - bias_matrix(unit, spec)).max() <= 1e-15, spec
+
+    @pytest.mark.parametrize("sample", [-1, True, 2, 1.0], ids=["negative", "bool", "n", "float"])
+    def test_bad_sample_index_is_rejected(self, sample):
+        ds = Dataset.from_arrays(np.eye(2), np.array([0, 1]), 2)
+        with pytest.raises(ValueError, match="batch"):
+            canonical_update_matrix(ds, sample, EWINF)
 
 
 def check_column_symmetry(w, rel_tol: float = 1e-9) -> bool:
@@ -464,45 +522,38 @@ class TestColumnSymmetry:
 
 
 class TestPerSampleInvariance:
-    def _skewed(self):
-        x = np.zeros((3, 5))
-        alphas = [(0, 1.3), (1, 0.4), (2, 2.2), (0, 0.9), (1, 1.7)]
-        y = np.zeros(5, dtype=np.int64)
-        for i, (c, a) in enumerate(alphas):
-            x[c, i] = a
-            y[i] = c
-        return Dataset.from_arrays(x, y, 3)
-
     def test_normalized_updates_follow_canonical_matrices(self):
-        # every per-sample Normalized-SGD update from w0 = 0 equals the
-        # closed-form class matrix, independent of scale and weight size
-        ds = self._skewed()
-        cfg = OptimizerConfig(
-            batch_size=1,
-            momentum_on=False,
-            beta1=0.0,
-            vr_on=False,
-            schedule=Schedule(c=0.5, a=0.5, eta0=0.5),
-            epochs=40,
-            seed=9,
-            norm=EW2,
-        )
-        canon = {c: canonical_update_matrix(ds, int(np.nonzero(ds.y == c)[0][0]), BIAS_NORMALIZED) for c in range(3)}
+        # every per-sample steepest update from w0 = 0 equals minus the
+        # class's canonical matrix at the run's norm, independent of scale
+        # and weight size
+        ds = skewed_dataset()
+        for spec in EVERY_NORM:
+            cfg = OptimizerConfig(
+                batch_size=1,
+                momentum_on=False,
+                beta1=0.0,
+                vr_on=False,
+                schedule=Schedule(c=0.5, a=0.5, eta0=0.5),
+                epochs=40,
+                seed=9,
+                norm=spec,
+            )
+            canon = {c: canonical_update_matrix(ds, int(np.nonzero(ds.y == c)[0][0]), spec) for c in range(3)}
 
-        def hook(t, w, h, eta, delta):
-            assert check_column_symmetry(w)
-            assert np.array_equal(delta, steepest_map(h, EW2))
-            if np.any(h):
-                col = int(np.argmax(np.abs(h).sum(axis=0)))
-                assert np.abs(delta + canon[col]).max() <= 1e-9
+            def hook(t, w, h, eta, delta):
+                assert check_column_symmetry(w)
+                assert np.array_equal(delta, steepest_map(h, spec))
+                if np.any(h):
+                    col = int(np.argmax(np.abs(h).sum(axis=0)))
+                    assert np.abs(delta + canon[col]).max() <= 1e-9, spec
 
-        run(cfg, ds, np.zeros((3, 3)), metrics_hook=hook)
+            run(cfg, ds, np.zeros((3, 3)), metrics_hook=hook)
 
     def test_canonical_matrix_values(self):
-        ds = self._skewed()
-        m = canonical_update_matrix(ds, 0, BIAS_NORMALIZED)
+        ds = skewed_dataset()
         u = np.array([1.0, 0.0, 0.0]) - 1.0 / 3.0
         expect = np.outer(u / np.linalg.norm(u), [1.0, 0.0, 0.0])
-        assert np.abs(m - expect).max() <= 1e-15
-        msign = canonical_update_matrix(ds, 0, BIAS_SIGN)
+        for spec in (EW2, SCHINF):
+            assert np.abs(canonical_update_matrix(ds, 0, spec) - expect).max() <= 1e-15, spec
+        msign = canonical_update_matrix(ds, 0, EWINF)
         assert np.array_equal(msign, np.outer([1.0, -1.0, -1.0], [1.0, 0.0, 0.0]))

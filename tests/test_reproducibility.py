@@ -7,10 +7,11 @@ row every step) on a small Gaussian instance, a full-batch sch:inf run on a
 Gaussian instance with k > d (so every gradient has full rank and the
 Schatten map uses every singular pair), an ew:2 mini-batch run with
 momentum and variance reduction, a full-batch ew:2 run on the exponential
-loss, two full-batch ew:2 runs that also log the cosine to the sign and the
-normalized bias matrix, and three batch-size-one ``persample``
-runs (ew:inf, ew:2 and sch:inf, CSV and verdict) on a small orthogonal
-scale-skewed instance; gamma is given, so no reference solve runs. The
+loss, two full-batch ew:2 runs that also log the cosine to the sign (ew:inf)
+and the normalized (ew:2) bias matrix, and three batch-size-one ``persample``
+runs (ew:inf, ew:2 and sch:inf, CSV and verdict, each with the bias matrix
+at its own norm) on a small orthogonal scale-skewed instance; gamma is
+given, so no reference solve runs. The
 digests were recorded
 with numpy 2.4.6 and OpenBLAS 0.3.31; a numpy upgrade that changes the
 PCG64 ``integers`` stream or the float summation order, a different BLAS,
@@ -38,15 +39,15 @@ PINNED_SHA256 = {
 PINNED_PERSAMPLE_SHA256 = {
     "ew:inf": (
         "231759adfee0363ad8cc62728bd133e6d08a39a7b34657bf1c96b12968ad25e9",
-        "74a7a1b2c31efb2dda0529fef2d3cd1d4bcc9b212d03302342b9328859256559",
+        "e7a9f37ee2ff7eb574b9108e0695986d583b83f8c39df5cfe9244584a7b87606",
     ),
     "ew:2": (
-        "19fd77a8da81672adcf4659afc8688ca2026e6a8e46afcf0f5564e7532b4cb24",
-        "b03ae772a7093d972919e9d3c1c8109bedfbf776b7833bd66108931bbe04d9dc",
+        "f0274a6b1c2142669beed65fdd8c745872e5c26d5a4334a742ac2706263e71b1",
+        "0ae6420e9a577225a2e693f399c708eb9a90ba2d08409f407bbd013c7a75bd6c",
     ),
     "sch:inf": (
-        "aba07670999327c1c38cf74cff1aba005cc5c96969a41d83fe3df39723a4fe85",
-        "ec849c58f61971393c70d190ae6fdd06fd3b7536ee2f2ba0f5ab45e79c3f0595",
+        "2fc9aa3244ab545a4c2821faa3375176f21704cd5acb672b67cf9ae7e68e4339",
+        "26a80405577d2d18bf7c17d2709ebdb3bef094638024354ddb6612690af6591a",
     ),
 }
 
@@ -56,7 +57,7 @@ PINNED_EXPONENTIAL_SHA256 = "c8453634c0a1a85f0022e57b4d0e521f0d5802a98b08b26a98e
 
 # wbar_kind -> CSV digest
 PINNED_WBAR_SHA256 = {
-    "normalized": "8c5f18e571f3f29ec6ee2e20950f43d17746e6ac5ec4c6e758a276211b946a2f",
+    "normalized": "28fd139c7e8244aa3cd650f98df89d467f4571f57ced46b8970deabe2a6e3061",
     "sign": "d44a93e6a9a1f71db9597ff86b881fdbeef95d0c1d6b9f0ebb8851a2f5e6b7ed",
 }
 

@@ -37,6 +37,18 @@ def test_every_wrapped_binding_is_callable():
             assert callable(getattr(mod, attr, None)), f"normdescent.{module}.{attr}"
 
 
+@pytest.mark.parametrize("norm", ["ew:inf", "ew:2", "ew:3", "sch:inf"])
+def test_harness_bias_bindings_take_a_norm_spec(norm):
+    # the tracer wraps both on harness; persample calls them with the run's norm
+    from normdescent import Dataset, harness
+
+    x = np.array([[1.0, 0.0, 2.0], [0.0, 0.5, 0.0], [0.0, 0.0, -1.0]])  # d = 3, k = 2
+    ds = Dataset.from_arrays(x, np.array([0, 1, 0]), 2)
+    spec = NormSpec.parse(norm)
+    for out in (harness.bias_matrix(ds, spec), harness.canonical_update_matrix(ds, 1, spec)):
+        assert out.shape == (ds.k, ds.d) and np.isfinite(out).all() and out.any()
+
+
 def test_schatten_dual_norm_reaches_the_svd_through_linalg(monkeypatch, rng):
     # the tracer's dual_norm -> matrix_norm -> jacobi_svd span chain needs
     # schatten_norm to look jacobi_svd up in linalg's namespace at call time
