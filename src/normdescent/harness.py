@@ -374,7 +374,8 @@ def sweep_cmd(config_dir: str, summary_path: str | None = None) -> dict:
     """Run every *.json config in a directory; failures do not stop the sweep.
 
     Returns (and optionally writes) a summary mapping config name to
-    {final_gap, final_cos_wstar, slope} or {"error": reason}.
+    {final_gap, final_cos_wstar, slope} or {"error": reason}; a value that
+    is not finite (the gap of a zero W, the cosine it has none of) is null.
     """
     names = sorted(f for f in os.listdir(config_dir) if f.endswith(".json"))
     if not names:
@@ -389,7 +390,8 @@ def sweep_cmd(config_dir: str, summary_path: str | None = None) -> dict:
                 slope = _fit_columns(cols, 1000, int(cols["t"][-1]), csv_path).slope
             except ValueError:
                 slope = None
-            summary[name] = {"final_gap": gap, "final_cos_wstar": None if math.isnan(cos) else cos, "slope": slope}
+            summary[name] = {"final_gap": gap if math.isfinite(gap) else None,
+                             "final_cos_wstar": None if math.isnan(cos) else cos, "slope": slope}
         except Exception as exc:  # fault isolation across configs
             summary[name] = {"error": f"{type(exc).__name__}: {exc}"}
     if summary_path:
@@ -399,7 +401,7 @@ def sweep_cmd(config_dir: str, summary_path: str | None = None) -> dict:
 
 def _write_json(path: str, obj: dict):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

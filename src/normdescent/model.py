@@ -1,10 +1,11 @@
 """Multi-class linear classifier: datasets, losses, gradients, margins.
 
 The classifier is logits = W x with W of shape (k, d) and samples stored as
-columns of a (d, n) matrix. Cross-entropy and multi-class exponential loss
-are supported; both come with full-batch, mini-batch and per-sample
-gradients, the softmax-complement proxy used throughout the convergence
-analysis, and an exact minimum-margin report.
+columns of a (d, n) matrix, which a Dataset holds once, as its own read-only
+F-ordered copy, so no byte depends on the caller's layout. Cross-entropy
+and multi-class exponential loss are supported; both come with full-batch,
+mini-batch and per-sample gradients, the softmax-complement proxy used
+throughout the convergence analysis, and an exact minimum-margin report.
 
 Numerical conventions that matter here:
 
@@ -61,8 +62,9 @@ class Dataset:
 
     Each of the k >= 2 classes appears, so every sample has an off-target
     pair (i, c != y_i). ``r_bound`` caches max_i ||x_i||_1, the data-scale
-    constant appearing in every noise and stability bound. ``full`` caches
-    the full batch on first use, so ``x`` and ``y`` must not change in place.
+    constant appearing in every noise and stability bound. Building one takes
+    read-only copies, ``x`` F-ordered float64 (a gathered batch's layout, so
+    ``full`` is ``x`` itself) and ``y`` int64, which later writes cannot reach.
     """
 
     x: np.ndarray
@@ -70,11 +72,20 @@ class Dataset:
     k: int
     r_bound: float
 
+    def __post_init__(self):
+        y = np.asarray(self.y)
+        if not np.issubdtype(y.dtype, np.integer):
+            raise ValueError(f"labels must be integers, got dtype {y.dtype}")
+        x, y = np.array(self.x, dtype=np.float64, order="F"), y.astype(np.int64)
+        x.flags.writeable = y.flags.writeable = False
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
     @functools.cached_property
     def full(self) -> "Batch":
-        """Every sample as one batch, gathered on first use."""
-        (batch,) = gather_batches(self, np.arange(self.n)[None, :])
-        return batch
+        """Every sample as one batch: ``x`` itself, no gather."""
+        idx = np.arange(self.n)
+        return Batch(idx, self.x, self.y * self.n + idx)
 
     @property
     def d(self) -> int:
@@ -87,22 +98,24 @@ class Dataset:
     @staticmethod
     def from_arrays(x, y, k: int) -> "Dataset":
         xm = as_matrix(x)
-        ya = np.asarray(y, dtype=np.int64)
-        if ya.ndim != 1 or ya.shape[0] != xm.shape[1]:
-            raise ValueError("y must be 1-D with one label per column of x")
         if k < 2:
             raise ValueError(f"a dataset needs at least two classes, got k = {k}")
-        if ya.min(initial=0) < 0 or (ya.size and ya.max() >= k):
+        if xm.shape[0] == 0:
+            raise ValueError("a dataset needs at least one feature, got d = 0")
+        with np.errstate(over="ignore"):
+            r = float(np.abs(xm).sum(axis=0).max(initial=0.0))
+        ds = Dataset(x=xm, y=y, k=k, r_bound=r)
+        if ds.y.shape != (ds.n,):
+            raise ValueError("y must be 1-D with one label per column of x")
+        if ds.y.min(initial=0) < 0 or ds.y.max(initial=0) >= k:
             raise ValueError("labels must lie in [0, k)")
-        present = np.unique(ya)
+        present = np.unique(ds.y)
         if present.size != k:
             missing = sorted(set(range(k)) - set(present.tolist()))
             raise ValueError(f"every class must appear at least once; missing {missing}")
-        with np.errstate(over="ignore"):
-            r = float(np.abs(xm).sum(axis=0).max())
         if not np.isfinite(r):
             raise ValueError(f"r_bound = max_i ||x_i||_1 is not finite ({r})")
-        return Dataset(x=xm, y=ya, k=k, r_bound=r)
+        return ds
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,18 +172,8 @@ def _as_batch(ds: Dataset, batch) -> Batch:
 # entry in a C-ordered (k, m) array. They read and write target entries as
 # a.ravel()[target]; every array written that way is freshly allocated and
 # C-contiguous, because ravel() of any other array returns a copy and the
-# write would be lost.
-#
-# x comes in two layouts: the gather, which is F-ordered (d, m) with the
-# strides numpy gives ds.x[:, idx], and the C-ordered ds.x itself. The
-# gather has three consumers: the gradient of a prepared Batch (the views
-# gather_batches cuts from one ds.x.T[rows] per epoch), the gradient of an
-# index array or of ALL (through _as_batch and ds.full, which are Batches
-# too), and proxy_g and the exponential loss (through ds.full.x). The
-# cross-entropy loss, pair_gaps and the solver's softmin gradient use ds.x.
-# Do not swap them: BLAS sums coeff @ x.T in a different order for each
-# layout, so the pair sum's bytes, and the solver's pinned outputs with
-# them, depend on it.
+# write would be lost. Every x they see has the F-ordered layout of ds.x,
+# which a gather reproduces, so BLAS sums coeff @ x.T in one order for all.
 
 
 def _offtarget_probs(w: np.ndarray, x: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -260,7 +263,7 @@ def proxy_g(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
     wm = as_matrix(w)
     if kind == EXPONENTIAL:
         return loss(wm, ds, kind)
-    p = _offtarget_probs(wm, ds.full.x, ds.full.target)
+    p = _offtarget_probs(wm, ds.x, ds.full.target)
     return float(p.sum() / ds.n)
 
 

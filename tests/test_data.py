@@ -42,7 +42,7 @@ class TestGaussian:
     @pytest.mark.parametrize("k,per_class,d,sigma,seed,attempt", DRAWS, ids=["-".join(map(str, r[:5])) for r in DRAWS])
     def test_matches_per_class_draws(self, k, per_class, d, sigma, seed, attempt):
         # reference: the accepted attempt's stream, one (d, per_class) noise
-        # draw per class into a C-ordered (d, n) array
+        # draw per class into a (d, n) array; the Dataset holds an F-ordered copy
         rng = np.random.default_rng([seed, attempt])
         means = rng.standard_normal((k, d))
         means /= np.linalg.norm(means, axis=1, keepdims=True)
@@ -53,7 +53,7 @@ class TestGaussian:
             )
         ds = gen_gaussian(GaussianSpec(k=k, per_class=per_class, d=d, sigma=sigma, seed=seed))
         assert ds.x.tobytes() == x.tobytes()
-        assert ds.x.flags.c_contiguous
+        assert ds.x.flags.f_contiguous and not ds.x.flags.writeable
         assert ds.y.tolist() == [c for c in range(k) for _ in range(per_class)]
 
 

@@ -414,6 +414,23 @@ class TestSweep:
         assert error.startswith("ConfigError: ")
         assert "log_every 10 exceeds the run's 3 steps" in error
 
+    def test_zero_final_w_writes_strict_json(self, tmp_path, capsys):
+        # eta0 = 0 and one full-batch step leave W = 0, whose gap_to_gamma is inf
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        write_config(tmp_path, name="cfgs/zero.json", eta0=0.0, epochs=1, log_every=1)
+        summary = tmp_path / "summary.json"
+        assert cli_main(["sweep", "--config-dir", str(cfg_dir), "--out-summary", str(summary)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert printed == summary.read_text()
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        assert json.loads(printed, parse_constant=reject) == {
+            "zero.json": {"final_gap": None, "final_cos_wstar": None, "slope": None}
+        }
+
     def test_reference_grid_accounting(self, tmp_path):
         # the reference experiment sweeps 2 batch sizes x 3 momentum values
         # x vr on/off x 3 norms = 36 configs; tiny epochs keep this a pure
@@ -787,6 +804,15 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {expected}\n"
         assert out.read_text() == "previous run\n"
         assert sorted(os.listdir(tmp_path)) == before
+
+    def test_margin_rejects_zero_feature_data(self, tmp_path, capsys):
+        # the solver's fallback direction needs an entry W[0, 0]
+        data = tmp_path / "nofeatures.txt"
+        data.write_text("0 4 2\n0\n1\n0\n1\n")
+        out = tmp_path / "w.txt"
+        assert cli_main(["margin", "--dataset", str(data), "--norm", "ew:2", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {data}: a dataset needs at least one feature, got d = 0\n"
+        assert not out.exists()
 
     def test_sweep_prints_the_summary_it_writes(self, tmp_path, capsys):
         cfg_dir = tmp_path / "cfgs"

@@ -215,6 +215,7 @@ class TestFullBatchView:
         ds = Dataset.from_arrays(np.asarray(ds.x, order=order), ds.y, ds.k)
         gathered = ds.x[:, np.arange(ds.n)]
         x, target = ds.full.x, ds.full.target
+        assert x is ds.x
         assert x.flags.f_contiguous and x.strides == gathered.strides
         assert x.tobytes(order="A") == gathered.tobytes(order="A")
         assert np.array_equal(target, ds.y * ds.n + np.arange(ds.n))
@@ -227,11 +228,11 @@ class TestFullBatchView:
         assert ds.full is ds.full
         w = rng.standard_normal((ds.k, ds.d))
         loss(w, ds), proxy_g(w, ds), grad(w, ds), margin_report(w, ds, NormSpec("entrywise", 2.0))
-        assert calls == [ds]
+        assert calls == []
         other = Dataset.from_arrays(ds.x, ds.y, ds.k)
-        assert other.full is not ds.full and len(calls) == 2
+        assert other.full is not ds.full and other.x is not ds.x
 
-    def test_full_batch_vr_run_gathers_once(self, rng, monkeypatch):
+    def test_full_batch_vr_run_never_gathers(self, rng, monkeypatch):
         calls = []
         real = model.gather_batches
         monkeypatch.setattr(model, "gather_batches", lambda ds, order: calls.append(ds) or real(ds, order))
@@ -240,7 +241,7 @@ class TestFullBatchView:
                               schedule=Schedule(0.5, 0.5, 0.5), epochs=20, seed=3,
                               norm=NormSpec("entrywise", 2.0))
         run(cfg, ds, np.zeros((3, 2)))
-        assert calls == [ds]
+        assert calls == []
 
 
 class TestBatchValidation:
@@ -545,6 +546,26 @@ class TestSerialization:
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
             Dataset.from_arrays(np.eye(2), np.array([0, 0]), 2)
+
+    def test_zero_features_rejected(self, tmp_path):
+        reason = "a dataset needs at least one feature, got d = 0"
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            Dataset.from_arrays(np.zeros((0, 4)), np.array([0, 1, 0, 1]), 2)
+        path = tmp_path / "data.txt"
+        path.write_text("0 4 2\n0\n1\n0\n1\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: {reason}"
+
+    @pytest.mark.parametrize(
+        "labels,dtype",
+        [([0.9, 1.7], "float64"), (np.array([0.0, 1.0]), "float64"), (np.array([False, True]), "bool")],
+        ids=["fractional", "integral-float", "bool"],
+    )
+    def test_non_integer_labels_rejected(self, labels, dtype):
+        with pytest.raises(ValueError) as info:
+            Dataset.from_arrays(np.eye(2), labels, 2)
+        assert str(info.value) == f"labels must be integers, got dtype {dtype}"
 
     def test_r_bound_is_max_l1_column_norm(self, rng):
         ds = random_dataset(rng)

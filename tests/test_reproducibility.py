@@ -11,8 +11,9 @@ loss, two full-batch ew:2 runs that also log the cosine to the sign (ew:inf)
 and the normalized (ew:2) bias matrix, and three batch-size-one ``persample``
 runs (ew:inf, ew:2 and sch:inf, CSV and verdict, each with the bias matrix
 at its own norm) on a small orthogonal scale-skewed instance; gamma is
-given, so no reference solve runs. The
-digests were recorded
+given, so no reference solve runs. The bytes do not depend on the memory
+layout of the arrays a Dataset is built from: ``TestCallerLayout`` pins
+that for the solver and a training run. The digests were recorded
 with numpy 2.4.6 and OpenBLAS 0.3.31; a numpy upgrade that changes the
 PCG64 ``integers`` stream or the float summation order, a different BLAS,
 or a different thread count may change them. A failure here after such an
@@ -26,7 +27,21 @@ import pytest
 
 import numpy as np
 
-from normdescent import Dataset, GaussianSpec, gen_gaussian, save_dataset
+from normdescent import (
+    Dataset,
+    GaussianSpec,
+    NormSpec,
+    SkewedSpec,
+    gen_gaussian,
+    gen_skewed,
+    grad,
+    harness,
+    load_dataset,
+    loss,
+    max_margin,
+    proxy_g,
+    save_dataset,
+)
 from normdescent.cli import EXIT_OK, main as cli_main
 
 PINNED_SHA256 = {
@@ -158,3 +173,75 @@ def test_full_batch_wbar_csv_bytes_pinned(tmp_path, dataset_path, kind, capsys):
     )
     capsys.readouterr()
     assert digest == PINNED_WBAR_SHA256[kind]
+
+
+def _layouts(x: np.ndarray) -> dict:
+    """``x`` C-ordered, F-ordered, and as a strided view into a larger array."""
+    d, n = x.shape
+    big = np.zeros((2 * d, 3 * n))
+    big[1::2, ::3] = x
+    return {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x), "view": big[1::2, ::3]}
+
+
+class TestCallerLayout:
+    """Every Dataset holds its own read-only F-ordered copy of x, so neither the
+    layout of the caller's arrays nor later writes to them reach any result."""
+
+    @pytest.fixture(scope="class")
+    def acceptance(self):
+        return gen_gaussian(GaussianSpec(k=10, per_class=20, d=5, sigma=0.1, seed=12345))
+
+    @pytest.mark.parametrize("norm,tol", [("ew:2", 1e-3), ("sch:inf", 1e-2)])
+    def test_solver_bytes_ignore_the_caller_layout(self, acceptance, norm, tol):
+        digests = set()
+        for x in _layouts(np.array(acceptance.x)).values():
+            sol = max_margin(Dataset.from_arrays(x, acceptance.y, acceptance.k), NormSpec.parse(norm), tol=tol)
+            digests.add(hashlib.sha256(sol.w_star.tobytes()).hexdigest())
+        assert len(digests) == 1
+
+    def test_train_bytes_ignore_the_caller_layout(self, tmp_path, acceptance, monkeypatch, capsys):
+        path = tmp_path / "acceptance.txt"
+        save_dataset(acceptance, path)
+        digests = set()
+        for x in _layouts(np.array(acceptance.x)).values():
+            ds = Dataset.from_arrays(x, acceptance.y, acceptance.k)
+            monkeypatch.setattr(harness, "load_dataset", lambda _, ds=ds: ds)
+            # gamma is solved, so the CSV carries the solver's bytes too
+            digests.add(_train_csv(tmp_path, norm="sch:inf", batch_size=200, epochs=30, dataset_path=str(path),
+                                   gamma=None, margin_tol=1e-2))
+        capsys.readouterr()
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("build", ["from_arrays", "direct", "file", "gaussian", "skewed"])
+    def test_every_dataset_owns_one_layout(self, tmp_path, build):
+        x = np.ascontiguousarray([[1.0, -1.0, 0.5], [0.2, 0.3, -0.4]])
+        y = np.array([0, 1, 1])
+        if build == "from_arrays":
+            ds = Dataset.from_arrays(x, y, 2)
+        elif build == "direct":
+            ds = Dataset(x=x, y=y, k=2, r_bound=1.5)
+        elif build == "file":
+            save_dataset(Dataset.from_arrays(x, y, 2), tmp_path / "d.txt")
+            ds = load_dataset(tmp_path / "d.txt")
+        elif build == "gaussian":
+            ds = gen_gaussian(GaussianSpec(k=3, per_class=2, d=2, sigma=0.1, seed=1))
+        else:
+            ds = gen_skewed(SkewedSpec(counts=(2, 1), alpha_ranges=((1.0, 2.0), (1.0, 2.0)), seed=1))
+        assert ds.x.dtype == np.float64 and ds.x.flags.f_contiguous and not ds.x.flags.writeable
+        assert ds.y.dtype == np.int64 and not ds.y.flags.writeable
+        assert not np.shares_memory(ds.x, x) and not np.shares_memory(ds.y, y)
+        assert ds.full.x is ds.x
+
+    def test_arrays_are_read_only_copies(self, rng):
+        x = rng.standard_normal((3, 6))
+        y = np.array([0, 1, 2, 0, 1, 2], dtype=np.int32)
+        ds = Dataset.from_arrays(x, y, 3)
+        w = rng.standard_normal((3, 3))
+        before = (grad(w, ds), grad(w, ds, range(6)), loss(w, ds), proxy_g(w, ds), ds.r_bound)
+        x *= 2.0
+        y[:] = y[::-1]
+        after = (grad(w, ds), grad(w, ds, range(6)), loss(w, ds), proxy_g(w, ds), ds.r_bound)
+        assert [np.asarray(v).tobytes() for v in after] == [np.asarray(v).tobytes() for v in before]
+        for a in (ds.x, ds.y):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0

@@ -99,6 +99,26 @@ def test_each_step_reaches_grad_and_the_map_through_optimizer(monkeypatch, b, mo
     assert calls["grad"] == (2 * steps + epochs if vr else steps)
 
 
+@pytest.mark.parametrize("vr", [False, True], ids=["full", "full-vr"])
+def test_full_batch_gradients_carry_the_tracers_full_label(monkeypatch, vr):
+    # the tracer labels a grad call "full" when its batch is ALL or holds all
+    # n samples, and model.grad_us.full times full-batch runs by that label
+    from normdescent import ALL, OptimizerConfig, Schedule, optimizer, run
+    from tests.conftest import divisible_dataset
+
+    assert "grad" in tracer_wrap()["optimizer"]
+    batches, real = [], optimizer.grad
+    monkeypatch.setattr(optimizer, "grad", lambda *args: batches.append(args[2]) or real(*args))
+    ds = divisible_dataset(np.random.default_rng(6), k=3, d=2, n=12)
+    cfg = OptimizerConfig(batch_size=ds.n, momentum_on=False, beta1=0.0, vr_on=vr,
+                          schedule=Schedule(0.5, 0.5, 0.5), epochs=5, seed=2,
+                          norm=NormSpec("entrywise", 2.0))
+    run(cfg, ds, np.zeros((3, 2)))
+    assert len(batches) == (15 if vr else 5)
+    assert all(b is ALL or len(b) == ds.n for b in batches)
+    assert np.shares_memory(ds.full.x, ds.x)
+
+
 def test_each_metric_row_reaches_the_metrics_through_harness(monkeypatch, tmp_path):
     from normdescent import harness, read_csv, train_cmd
     from tests.test_harness import write_config
