@@ -18,7 +18,7 @@ means = rng.standard_normal((k, d))
 means /= np.linalg.norm(means, axis=1, keepdims=True)
 y = np.repeat(np.arange(k), per_class)
 x = means[y].T + 0.1 * rng.standard_normal((d, k * per_class))
-ds = Dataset.from_arrays(x, y, k)
+ds = Dataset(x, y, k)
 print(f"dataset: k={k} classes, d={d}, n={ds.n}, R = max ||x||_1 = {ds.r_bound:.3f}\n")
 
 solutions = {}
@@ -34,7 +34,7 @@ for text in ["ew:2", "ew:inf", "sch:inf"]:
     print(f"         margins climbed per smoothing stage: {[round(m, 4) for m in sol.stage_margins]}")
 
 print("\nscaling the data doubles every margin but keeps the directions:")
-ds2 = Dataset.from_arrays(2.0 * ds.x, ds.y, k)
+ds2 = Dataset(2.0 * ds.x, ds.y, k)
 for text in ["ew:2", "ew:inf"]:
     sol2 = max_margin(ds2, NormSpec.parse(text), tol=1e-3, max_iters=60_000)
     base = solutions[text]

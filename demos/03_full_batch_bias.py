@@ -34,7 +34,6 @@ print(f"reference margin gamma = {sol.gamma:.6f} (unit Frobenius-norm W*)\n")
 
 cfg = OptimizerConfig(
     batch_size=ds.n,  # full batch
-    momentum_on=False,
     beta1=0.0,
     vr_on=False,
     schedule=Schedule(c=0.5, a=0.5, eta0=0.5),

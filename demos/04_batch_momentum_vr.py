@@ -38,7 +38,6 @@ def experiment(label, b, beta1=0.0, vr=False):
     m = ds.n // b
     cfg = OptimizerConfig(
         batch_size=b,
-        momentum_on=beta1 > 0,
         beta1=beta1,
         vr_on=vr,
         schedule=Schedule(c=0.5, a=0.5, eta0=0.5),

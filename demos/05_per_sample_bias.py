@@ -40,7 +40,6 @@ for text, name in [("ew:inf", "SignSGD"), ("ew:2", "Normalized-SGD"), ("ew:3", "
     sol = max_margin(ds, norm, tol=1e-2, max_iters=30_000)
     cfg = OptimizerConfig(
         batch_size=1,
-        momentum_on=False,
         beta1=0.0,
         vr_on=False,
         schedule=Schedule(c=0.5, a=0.5, eta0=0.5),

@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import NormSpec
 from .model import Dataset
-from .reference import max_margin
+from .reference import MaxMarginNonConvergence, max_margin
 
 _PROBE_MARGIN = 1e-3
 _PROBE_TOL = 0.05  # coarse ladder: the probe needs a margin estimate, not a certificate
@@ -66,8 +66,9 @@ def gen_gaussian(spec: GaussianSpec) -> Dataset:
     """Class means uniform on the sphere, features mean + N(0, sigma^2 I).
 
     Regenerates with a derived seed until the margin probe reports
-    gamma > 1e-3 under the Frobenius geometry; raises SeparabilityError
-    once ``_MAX_RETRIES`` attempts are used up.
+    gamma > 1e-3 under the Frobenius geometry; a probe that does not
+    converge rejects its draw too. Raises SeparabilityError once
+    ``_MAX_RETRIES`` attempts are used up.
     """
     y = np.repeat(np.arange(spec.k), spec.per_class)
     for retry in range(_MAX_RETRIES):
@@ -78,8 +79,11 @@ def gen_gaussian(spec: GaussianSpec) -> Dataset:
         # draws; concatenate lays the class blocks side by side in C order
         noise = rng.standard_normal((spec.k, spec.d, spec.per_class))
         x = np.concatenate(means[:, :, None] + spec.sigma * noise, axis=1)
-        ds = Dataset.from_arrays(x, y, spec.k)
-        probe = max_margin(ds, NormSpec("entrywise", 2.0), tol=_PROBE_TOL, max_iters=_PROBE_ITERS)
+        ds = Dataset(x, y, spec.k)
+        try:
+            probe = max_margin(ds, NormSpec("entrywise", 2.0), tol=_PROBE_TOL, max_iters=_PROBE_ITERS)
+        except MaxMarginNonConvergence:  # no certified margin: redraw
+            continue
         if probe.gamma > _PROBE_MARGIN:
             return ds
     raise SeparabilityError(
@@ -102,4 +106,4 @@ def gen_skewed(spec: SkewedSpec) -> Dataset:
     y = np.array([c for _, c in slots], dtype=np.int64)
     x = np.zeros((k, y.size))
     x[y, np.arange(y.size)] = [alphas[c][r] for r, c in slots]
-    return Dataset.from_arrays(x, y, k)
+    return Dataset(x, y, k)

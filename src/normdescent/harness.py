@@ -30,7 +30,7 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -144,6 +144,16 @@ def _finite_float(text: str) -> float:
     return v
 
 
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook: a key given twice is an error, not its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate config key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _kd_matrix(key: str, file: str, ds: Dataset) -> np.ndarray:
     """The (k, d) matrix in the file that config key ``key`` names."""
     if not os.path.exists(file):
@@ -167,7 +177,8 @@ def load_config(path: str) -> RunConfig:
     """Read and check a run config and its files; every failure is a ConfigError naming ``path``."""
     with _naming(path):
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+            raw = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float,
+                            object_pairs_hook=_unique_keys)
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
         unknown = raw.keys() - _KEYS.keys()
@@ -191,7 +202,6 @@ def load_config(path: str) -> RunConfig:
             raise ValueError(f"loss must be one of {sorted(_LOSS_ALIASES)}, got {raw['loss']!r}")
         opt = OptimizerConfig(
             batch_size=raw["batch_size"],
-            momentum_on=raw["momentum"],
             beta1=raw["beta1"],
             vr_on=raw["vr"],
             schedule=Schedule(c=raw["c"], a=raw["a"], eta0=raw["eta0"]),
@@ -200,6 +210,7 @@ def load_config(path: str) -> RunConfig:
             norm=NormSpec.parse(raw["norm"]),
             loss=loss_kind,
         )
+        opt = opt if raw["momentum"] else replace(opt, beta1=0.0)  # beta1 is checked, then unused
 
         dataset_path = raw["dataset_path"]
         if not os.path.exists(dataset_path):
@@ -443,7 +454,7 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
     with _naming(config_path):
         if cfg.opt.batch_size != 1:
             raise ValueError("persample protocol requires batch_size = 1")
-        if cfg.opt.momentum_on or cfg.opt.vr_on:
+        if cfg.opt.beta1 or cfg.opt.vr_on:
             raise ValueError("persample protocol requires momentum and vr off")
         if np.any(cfg.w0):
             raise ValueError("persample protocol requires w0 = zeros")

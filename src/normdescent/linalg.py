@@ -122,10 +122,7 @@ def as_matrix(a) -> np.ndarray:
 
 def entrywise_norm(a, p: float) -> float:
     """Entry-wise p-norm: (sum |a_ij|^p)^(1/p); p=inf gives max |a_ij|."""
-    m = as_matrix(a)
-    if not (p >= 1.0):
-        raise ValueError(f"norm exponent must satisfy p >= 1, got {p}")
-    return _entrywise_norm(m, p)
+    return matrix_norm(a, NormSpec(ENTRYWISE, p))
 
 
 @np.errstate(over="ignore")  # an overflow to inf is handled by the caller

@@ -24,7 +24,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,30 +56,52 @@ def _check_kind(kind: str):
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Classification data: columns of ``x`` are samples, ``y`` class ids.
 
-    Each of the k >= 2 classes appears, so every sample has an off-target
-    pair (i, c != y_i). ``r_bound`` caches max_i ||x_i||_1, the data-scale
-    constant appearing in every noise and stability bound. Building one takes
-    read-only copies, ``x`` F-ordered float64 (a gathered batch's layout, so
-    ``full`` is ``x`` itself) and ``y`` int64, which later writes cannot reach.
+    ``Dataset(x, y, k)`` checks its input: every one of the k >= 2 classes
+    appears, so every sample has an off-target pair (i, c != y_i), and
+    ``r_bound`` = max_i ||x_i||_1, the data-scale constant of every noise and
+    stability bound, is derived and finite. It holds read-only copies, ``x``
+    F-ordered float64 (a gathered batch's layout, so ``full`` is ``x``
+    itself) and ``y`` int64. Equality is identity; pickling and copying
+    rebuild through the checks.
     """
 
     x: np.ndarray
     y: np.ndarray
     k: int
-    r_bound: float
+    r_bound: float = field(init=False)
 
     def __post_init__(self):
+        x = as_matrix(self.x)
+        if self.k < 2:
+            raise ValueError(f"a dataset needs at least two classes, got k = {self.k}")
+        if x.shape[0] == 0:
+            raise ValueError("a dataset needs at least one feature, got d = 0")
         y = np.asarray(self.y)
         if not np.issubdtype(y.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {y.dtype}")
-        x, y = np.array(self.x, dtype=np.float64, order="F"), y.astype(np.int64)
+        x, y = np.array(x, order="F"), y.astype(np.int64)
+        if y.shape != (x.shape[1],):
+            raise ValueError("y must be 1-D with one label per column of x")
+        if y.min(initial=0) < 0 or y.max(initial=0) >= self.k:
+            raise ValueError("labels must lie in [0, k)")
+        missing = sorted(set(range(self.k)) - set(y.tolist()))
+        if missing:
+            raise ValueError(f"every class must appear at least once; missing {missing}")
+        with np.errstate(over="ignore"):
+            r = float(np.abs(x).sum(axis=0).max(initial=0.0))
+        if not np.isfinite(r):
+            raise ValueError(f"r_bound = max_i ||x_i||_1 is not finite ({r})")
         x.flags.writeable = y.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "r_bound", r)
+
+    def __reduce__(self):
+        return Dataset, (self.x, self.y, self.k)
 
     @functools.cached_property
     def full(self) -> "Batch":
@@ -94,28 +116,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.x.shape[1]
-
-    @staticmethod
-    def from_arrays(x, y, k: int) -> "Dataset":
-        xm = as_matrix(x)
-        if k < 2:
-            raise ValueError(f"a dataset needs at least two classes, got k = {k}")
-        if xm.shape[0] == 0:
-            raise ValueError("a dataset needs at least one feature, got d = 0")
-        with np.errstate(over="ignore"):
-            r = float(np.abs(xm).sum(axis=0).max(initial=0.0))
-        ds = Dataset(x=xm, y=y, k=k, r_bound=r)
-        if ds.y.shape != (ds.n,):
-            raise ValueError("y must be 1-D with one label per column of x")
-        if ds.y.min(initial=0) < 0 or ds.y.max(initial=0) >= k:
-            raise ValueError("labels must lie in [0, k)")
-        present = np.unique(ds.y)
-        if present.size != k:
-            missing = sorted(set(range(k)) - set(present.tolist()))
-            raise ValueError(f"every class must appear at least once; missing {missing}")
-        if not np.isfinite(r):
-            raise ValueError(f"r_bound = max_i ||x_i||_1 is not finite ({r})")
-        return ds
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,7 +359,7 @@ def load_dataset(path) -> Dataset:
         for i in range(n):
             y[i], x[:, i] = _fields(fh, f"sample line {i}", d + 1, lambda p: (int(p[0]), _finites(p[1:])))
         _no_trailing(fh)
-        return Dataset.from_arrays(x, y, k)
+        return Dataset(x, y, k)
 
 
 def save_matrix(w, path):

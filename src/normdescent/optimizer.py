@@ -8,8 +8,8 @@ W <- W - eta_t * direction:
 
     vr off:  G_t = grad over the current mini-batch
     vr on:   G_t = grad_B(W_t) - grad_B(W_snapshot) + full_grad(W_snapshot)
-    momentum off: H_t = G_t
-    momentum on:  H_t = beta1 * H_{t-1} + (1 - beta1) * G_t
+    beta1 = 0:  H_t = G_t (no momentum)
+    beta1 > 0:  H_t = beta1 * H_{t-1} + (1 - beta1) * G_t
 
 Epochs reshuffle the dataset into m = n/b disjoint mini-batches; with vr on,
 the snapshot weights and their full gradient are refreshed at the start of
@@ -85,8 +85,7 @@ class Schedule:
 @dataclass(frozen=True)
 class OptimizerConfig:
     batch_size: int
-    momentum_on: bool
-    beta1: float
+    beta1: float  # momentum is on exactly when beta1 > 0
     vr_on: bool
     schedule: Schedule
     epochs: int
@@ -115,7 +114,7 @@ class TrainState:
     """Mutable loop state owned by exactly one run at a time."""
 
     w: np.ndarray
-    momentum: np.ndarray  # the EMA buffer; stays zero with momentum off
+    momentum: np.ndarray  # the EMA buffer; stays zero with beta1 = 0
     snapshot_w: np.ndarray | None
     snapshot_full_grad: np.ndarray | None
     t: int
@@ -162,8 +161,9 @@ def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> tuple[n
     """One update on ``batch`` (anything ``grad`` takes); advances the step
     counter even on zero signal.
 
-    Returns what the step applied: the signal H_t, the step size eta and
-    the direction delta = steepest_map(H_t), with W <- W - eta * delta.
+    Returns what the step applied: the signal H_t (G_t unless beta1 > 0),
+    the step size eta and the direction delta = steepest_map(H_t), with
+    W <- W - eta * delta.
     Raises FloatingPointError for a non-finite signal (``NonFiniteError``
     from ``steepest_map``) or iterate, and for a zero direction of a nonzero
     signal; ``run`` reports these as a ``TrainingError``.
@@ -173,7 +173,7 @@ def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> tuple[n
         if state.snapshot_w is None or state.snapshot_full_grad is None:
             raise ValueError("variance reduction requires an epoch snapshot; call run()")
         g = g - grad(state.snapshot_w, ds, batch, cfg.loss) + state.snapshot_full_grad
-    if cfg.momentum_on:
+    if cfg.beta1:
         h = state.momentum = cfg.beta1 * state.momentum + (1.0 - cfg.beta1) * g
     else:
         h = g

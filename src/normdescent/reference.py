@@ -87,9 +87,11 @@ def max_margin(
     Frank-Wolfe gap falls below 0.05 * tau. Each iterate's pair gaps are
     computed once, for the zero start and after every step, and feed both
     the iterate's exact normalized margin and the next softmin gradient.
-    Non-separable data is reported by ``separable=False`` (gamma <= tol),
-    never raised. ``tol`` and that verdict are absolute, in the data's
-    units: separable data with gamma 1e-300 is reported as not separable.
+    Non-separable data is reported by ``separable=False`` (gamma <= tol)
+    when the solver converges; its certificate gap can also stay above
+    10 * tol, and then it raises like any other run. ``tol`` and that
+    verdict are absolute, in the data's units: separable data with gamma
+    1e-300 is reported as not separable.
     Raises MaxMarginNonConvergence only when the budget was exhausted while
     the final certificate gap still exceeds 10 * tol, and ValueError unless
     tol is finite and positive and max_iters >= 1, or when the softmin

@@ -25,7 +25,7 @@ def random_dataset(rng, k=None, d=None, n=None):
     y = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
     rng.shuffle(y)
     x = rng.standard_normal((d, n))
-    return Dataset.from_arrays(x, y, k)
+    return Dataset(x, y, k)
 
 
 def divisible_dataset(rng, k, d, n):
@@ -33,7 +33,7 @@ def divisible_dataset(rng, k, d, n):
     y = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
     rng.shuffle(y)
     x = rng.standard_normal((d, n))
-    return Dataset.from_arrays(x, y, k)
+    return Dataset(x, y, k)
 
 
 @pytest.fixture

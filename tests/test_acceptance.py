@@ -256,7 +256,7 @@ class TestCriterion01BoundSuite:
             y = np.concatenate([np.arange(k), rng.integers(0, k, size=12 - k)])
             rng.shuffle(y)
             x = means[y].T + 0.08 * rng.standard_normal((d, 12))
-            ds = Dataset.from_arrays(x, y, k)
+            ds = Dataset(x, y, k)
             gammas = {}
             ok = True
             for spec in ACCEPT_SPECS:
@@ -449,7 +449,7 @@ class TestCriterion09BatchSizeOneBias:
         # spectral and Frobenius trajectories coincide step by step at b=1
         def mk(norm):
             return OptimizerConfig(
-                batch_size=1, momentum_on=False, beta1=0.0, vr_on=False,
+                batch_size=1, beta1=0.0, vr_on=False,
                 schedule=Schedule(c=0.5, a=0.5, eta0=0.5), epochs=5000, seed=3, norm=norm,
             )
 

@@ -13,6 +13,10 @@ DRAWS = [
     # the separability probe rejects the first draw(s): these pin its verdicts
     (3, 4, 2, 0.3, 3, 1),
     (3, 4, 2, 0.3, 1, 3),  # attempt 1's probe gamma is 5.7e-4, just under the 1e-3 bar
+    # attempts 0 and 1 put both samples on one side of 0, which no W separates;
+    # attempt 1's probe (x = [-80.7, -103.8]) exhausts its budget without a
+    # certificate, which rejects the draw like a small gamma does
+    (2, 1, 1, 100.0, 0, 2),
 ]
 
 

@@ -2,7 +2,9 @@
 demos run.
 
 The demos are scripts, not tests, so an API removal would otherwise only
-show when one is run by hand. Each demo is parsed; demos 01, 05 and 06
+show when one is run by hand. Each demo is parsed: every name it imports
+from the package must exist, and so must every ``name.attr`` it reads from
+such a name and every keyword it passes when calling one. Demos 01, 05 and 06
 (a few seconds each) also run in a child process and must exit 0, and the
 stdout of 01 and 05 must keep its sha256. Those digests were recorded with
 numpy 2.4.6 and OpenBLAS 0.3.31 and depend on the numpy version, BLAS build
@@ -14,6 +16,7 @@ prints its temporary directory, so only its exit code is checked. Demos
 import ast
 import hashlib
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -44,6 +47,30 @@ def package_imports(path):
     ]
 
 
+def unresolved_uses(path):
+    """Each ``name.attr`` and ``name(keyword=...)`` in ``path``, for a name the
+    demo imports from the package, that the imported object does not have."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = {
+        alias.asname or alias.name: getattr(importlib.import_module(node.module), alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "normdescent"
+        for alias in node.names
+    }
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+            if not hasattr(bound[node.value.id], node.attr):
+                out.append(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in bound:
+            keywords = [kw.arg for kw in node.keywords if kw.arg is not None]
+            try:
+                inspect.signature(bound[node.func.id]).bind_partial(**dict.fromkeys(keywords))
+            except TypeError as exc:
+                out.append(f"{node.func.id}(...) line {node.lineno}: {exc}")
+    return out
+
+
 def test_every_demo_is_found():
     assert len(DEMOS) == 6
 
@@ -54,6 +81,7 @@ def test_demo_imports_resolve(demo):
     assert names, f"{demo.name} imports nothing from normdescent"
     missing = [f"{mod}.{name}" for mod, name in names if not hasattr(importlib.import_module(mod), name)]
     assert missing == []
+    assert unresolved_uses(demo) == []
 
 
 @pytest.mark.parametrize("name", sorted(FAST_DEMOS))

@@ -33,7 +33,7 @@ from normdescent.harness import load_config
 def toy_dataset_file(tmp_path, name="toy.txt"):
     x = np.array([[1.0, -1.0, 0.8, -0.9], [0.2, -0.1, -0.3, 0.4]])
     y = np.array([0, 1, 0, 1])
-    ds = Dataset.from_arrays(x, y, 2)
+    ds = Dataset(x, y, 2)
     path = tmp_path / name
     save_dataset(ds, path)
     return str(path)
@@ -259,6 +259,25 @@ class TestTrainCmd:
         assert capsys.readouterr().err == f"error: {cfg}: {key} is an integer too large for a float\n"
         assert (tmp_path / "out.csv").read_text() == "previous run\n"
 
+    def test_duplicated_key_rejected(self, tmp_path, capsys, monkeypatch):
+        # json.load would keep each repeated key's last value: 2 epochs at sch:inf
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, epochs=20, norm="ew:2")
+        with open(cfg) as fh:
+            text = fh.read().rstrip()[:-1] + ', "epochs": 2, "norm": "sch:inf"}'
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        rc = cli_main(["train", "--config", cfg])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {cfg}: duplicate config key 'epochs'\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("momentum", [False, True])
+    def test_beta1_is_checked_and_used_only_with_momentum(self, tmp_path, momentum):
+        with pytest.raises(ConfigError, match=r"beta1 must lie in \[0, 1\)"):
+            load_config(write_config(tmp_path, momentum=momentum, beta1=1.5))
+        assert load_config(write_config(tmp_path, momentum=momentum, beta1=0.9)).opt.beta1 == (0.9 if momentum else 0.0)
+
     # case -> (config overrides, what the message must name)
     _BEFORE_SOLVE_CASES = {
         "batch_size": ({"batch_size": 3}, "batch_size 3 must divide n = 4"),
@@ -472,7 +491,7 @@ class TestRunInvariants:
         means = np.eye(3)
         y = np.repeat(np.arange(3), 8)
         x = means[y].T + 0.1 * rng.standard_normal((3, 24))
-        ds = Dataset.from_arrays(x, y, 3)
+        ds = Dataset(x, y, 3)
         dpath = tmp_path / "fbtoy.txt"
         save_dataset(ds, dpath)
         cfg = write_config(
@@ -515,7 +534,7 @@ class TestPersample:
         y = np.array([0, 1, 2, 0, 1])
         for i, a in enumerate([1.3, 0.4, 2.2, 0.9, 1.7]):
             x[y[i], i] = a
-        ds = Dataset.from_arrays(x, y, 3)
+        ds = Dataset(x, y, 3)
         path = tmp_path / "skew.txt"
         save_dataset(ds, path)
         return str(path)
@@ -680,7 +699,7 @@ class TestPersample:
     )
     def test_non_skewed_sample_is_named(self, tmp_path, x, y, first_bad):
         path = tmp_path / "bad.txt"
-        save_dataset(Dataset.from_arrays(np.array(x), np.array(y), max(y) + 1), path)
+        save_dataset(Dataset(np.array(x), np.array(y), max(y) + 1), path)
         cfg = self._cfg(tmp_path, dataset_path=str(path), epochs=1, log_every=1, gamma=0.3, name="bad.json")
         with pytest.raises(ConfigError, match=f"sample {first_bad} is not alpha"):
             persample_cmd(cfg)
@@ -1042,7 +1061,7 @@ class TestCli:
         # the first step moves W to +-1e10 along +-1e300 features, so the
         # next gradient is not finite
         data = tmp_path / "huge.txt"
-        save_dataset(Dataset.from_arrays(np.array([[1e300, -1e300]]), np.array([0, 1]), 2), data)
+        save_dataset(Dataset(np.array([[1e300, -1e300]]), np.array([0, 1]), 2), data)
         cfg = write_config(tmp_path, norm=norm, batch_size=1, c=1e10, eta0=1e10, epochs=3, gamma=1.0,
                            dataset_path=str(data), log_every=1)
         rc = cli_main(["train", "--config", cfg])
@@ -1056,7 +1075,7 @@ class TestCli:
         # eta0 = 1e-300 keeps step 1 finite; step 2 moves W to +-1e10 along
         # +-1e300 features, so the logits of its metric row overflow
         data = tmp_path / "huge.txt"
-        save_dataset(Dataset.from_arrays(np.array([[1e300, -1e300]]), np.array([0, 1]), 2), data)
+        save_dataset(Dataset(np.array([[1e300, -1e300]]), np.array([0, 1]), 2), data)
         cfg = write_config(tmp_path, norm=norm, batch_size=1, c=1e10, eta0=1e-300, epochs=1, gamma=1.0,
                            dataset_path=str(data), log_every=1)
         rc = cli_main(["train", "--config", cfg])

@@ -151,7 +151,7 @@ class TestJacobiSvd:
 
         # through the CLI: non-convergence exit code, one error line, no traceback
         data = tmp_path / "d.txt"
-        save_dataset(Dataset.from_arrays(np.array([[1.0, -1.0], [0.5, 0.2]]), np.array([0, 1]), 2), data)
+        save_dataset(Dataset(np.array([[1.0, -1.0], [0.5, 0.2]]), np.array([0, 1]), 2), data)
         rc = cli_main(["margin", "--dataset", str(data), "--norm", "sch:inf", "--out", str(tmp_path / "w.txt")])
         err = capsys.readouterr().err
         assert rc == EXIT_NONCONVERGENCE

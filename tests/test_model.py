@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -82,14 +84,14 @@ class TestLoss:
         # separable 2-class data driven to a huge margin: the stable path
         # must report sum of exp(-margin) instead of rounding to zero
         x = np.array([[1.0, -1.0]])
-        ds = Dataset.from_arrays(x, np.array([0, 1]), 2)
+        ds = Dataset(x, np.array([0, 1]), 2)
         w = np.array([[30.0], [-30.0]])
         expect = math.exp(-60.0)
         assert loss(w, ds, CROSS_ENTROPY) == pytest.approx(expect, rel=1e-9)
 
     def test_exponential_overflow_names_sample(self):
         x = np.array([[1.0, -1.0]])
-        ds = Dataset.from_arrays(x, np.array([0, 1]), 2)
+        ds = Dataset(x, np.array([0, 1]), 2)
         w = np.array([[-400.0], [400.0]])
         with pytest.raises(LossOverflowError) as err:
             loss(w, ds, EXPONENTIAL)
@@ -104,7 +106,7 @@ class TestLoss:
 class TestGrad:
     def test_uniform_softmax_at_zero(self):
         x = np.array([[0.5], [2.0]])
-        ds = Dataset.from_arrays(np.hstack([x, x]), np.array([0, 1]), 2)
+        ds = Dataset(np.hstack([x, x]), np.array([0, 1]), 2)
         g = grad(np.zeros((2, 2)), ds, np.array([0]))
         e0 = np.array([1.0, 0.0])
         expect = -np.outer(e0 - 0.5, x[:, 0])
@@ -146,7 +148,7 @@ class TestGrad:
         # a full-batch run steps on ALL instead of a drawn permutation
         for _ in range(10):
             ds = random_dataset(rng)
-            ds = Dataset.from_arrays(np.asarray(ds.x, order=order), ds.y, ds.k)
+            ds = Dataset(np.asarray(ds.x, order=order), ds.y, ds.k)
             w = 0.5 * rng.standard_normal((ds.k, ds.d))
             assert np.array_equal(grad(w, ds, rng.permutation(ds.n), kind), grad(w, ds, ALL, kind))
 
@@ -212,7 +214,7 @@ class TestFullBatchView:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_view_is_the_gather_in_its_layout(self, rng, order):
         ds = random_dataset(rng)
-        ds = Dataset.from_arrays(np.asarray(ds.x, order=order), ds.y, ds.k)
+        ds = Dataset(np.asarray(ds.x, order=order), ds.y, ds.k)
         gathered = ds.x[:, np.arange(ds.n)]
         x, target = ds.full.x, ds.full.target
         assert x is ds.x
@@ -229,7 +231,7 @@ class TestFullBatchView:
         w = rng.standard_normal((ds.k, ds.d))
         loss(w, ds), proxy_g(w, ds), grad(w, ds), margin_report(w, ds, NormSpec("entrywise", 2.0))
         assert calls == []
-        other = Dataset.from_arrays(ds.x, ds.y, ds.k)
+        other = Dataset(ds.x, ds.y, ds.k)
         assert other.full is not ds.full and other.x is not ds.x
 
     def test_full_batch_vr_run_never_gathers(self, rng, monkeypatch):
@@ -237,7 +239,7 @@ class TestFullBatchView:
         real = model.gather_batches
         monkeypatch.setattr(model, "gather_batches", lambda ds, order: calls.append(ds) or real(ds, order))
         ds = divisible_dataset(rng, k=3, d=2, n=9)
-        cfg = OptimizerConfig(batch_size=9, momentum_on=False, beta1=0.0, vr_on=True,
+        cfg = OptimizerConfig(batch_size=9, beta1=0.0, vr_on=True,
                               schedule=Schedule(0.5, 0.5, 0.5), epochs=20, seed=3,
                               norm=NormSpec("entrywise", 2.0))
         run(cfg, ds, np.zeros((3, 2)))
@@ -282,7 +284,7 @@ class TestPreparedBatches:
     @pytest.mark.parametrize("b", [1, 4, 12])
     def test_prepared_gradient_is_the_index_gradient_bitwise(self, rng, kind, order, b):
         ds = divisible_dataset(rng, k=3, d=4, n=12)
-        ds = Dataset.from_arrays(np.asarray(ds.x, order=order), ds.y, ds.k)
+        ds = Dataset(np.asarray(ds.x, order=order), ds.y, ds.k)
         w = 0.5 * rng.standard_normal((ds.k, ds.d))
         perm = rng.permutation(ds.n).reshape(-1, b)
         batches = model.gather_batches(ds, perm)
@@ -315,7 +317,7 @@ class TestPreparedBatches:
         monkeypatch.setattr(optimizer, "grad",
                             lambda w, ds, batch, kind: grads.append(batch) or real_grad(w, ds, batch, kind))
         ds = divisible_dataset(rng, k=3, d=2, n=9)
-        cfg = OptimizerConfig(batch_size=3, momentum_on=False, beta1=0.0, vr_on=True,
+        cfg = OptimizerConfig(batch_size=3, beta1=0.0, vr_on=True,
                               schedule=Schedule(0.5, 0.5, 0.5), epochs=20, seed=3,
                               norm=NormSpec("entrywise", 2.0))
         run(cfg, ds, np.zeros((3, 2)))
@@ -355,7 +357,7 @@ class TestMarginReport:
     SPEC = NormSpec("entrywise", 2.0)
 
     def test_two_class_hand_example(self):
-        ds = Dataset.from_arrays(np.array([[1.0, -1.0]]), np.array([0, 1]), 2)
+        ds = Dataset(np.array([[1.0, -1.0]]), np.array([0, 1]), 2)
         rep = margin_report(np.array([[1.0], [-1.0]]), ds, self.SPEC)
         assert rep.unnormalized_min == pytest.approx(2.0, abs=1e-14)
         assert rep.normalized * rep.weight_norm == pytest.approx(2.0, abs=1e-10)
@@ -388,7 +390,7 @@ class TestMarginReport:
         # every pair margin is zero at w = 0: the report is exactly
         # (min 0.0, norm 0.0, normalized -inf) and nothing else
         x = np.eye(3)
-        ds = Dataset.from_arrays(x, np.array([0, 1, 2]), 3)
+        ds = Dataset(x, np.array([0, 1, 2]), 3)
         rep = margin_report(np.zeros((3, 3)), ds, self.SPEC)
         assert dataclasses.astuple(rep) == (0.0, 0.0, -math.inf)
         assert math.copysign(1.0, rep.unnormalized_min) == 1.0
@@ -484,7 +486,7 @@ class TestStabilityBounds:
         # scale a separating direction until the loss crosses log2/n, then
         # every pairwise margin must be nonnegative
         x = np.hstack([np.eye(3), 0.5 * np.eye(3) + 0.1])
-        ds = Dataset.from_arrays(x, np.array([0, 1, 2, 0, 1, 2]), 3)
+        ds = Dataset(x, np.array([0, 1, 2, 0, 1, 2]), 3)
         w_sep = np.eye(3) - 1.0 / 3.0
         w = w_sep * 40.0
         assert loss(w, ds) <= math.log(2) / ds.n
@@ -545,12 +547,12 @@ class TestSerialization:
 
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
-            Dataset.from_arrays(np.eye(2), np.array([0, 0]), 2)
+            Dataset(np.eye(2), np.array([0, 0]), 2)
 
     def test_zero_features_rejected(self, tmp_path):
         reason = "a dataset needs at least one feature, got d = 0"
         with pytest.raises(ValueError, match=f"^{reason}$"):
-            Dataset.from_arrays(np.zeros((0, 4)), np.array([0, 1, 0, 1]), 2)
+            Dataset(np.zeros((0, 4)), np.array([0, 1, 0, 1]), 2)
         path = tmp_path / "data.txt"
         path.write_text("0 4 2\n0\n1\n0\n1\n")
         with pytest.raises(ValueError) as info:
@@ -564,12 +566,59 @@ class TestSerialization:
     )
     def test_non_integer_labels_rejected(self, labels, dtype):
         with pytest.raises(ValueError) as info:
-            Dataset.from_arrays(np.eye(2), labels, 2)
+            Dataset(np.eye(2), labels, 2)
         assert str(info.value) == f"labels must be integers, got dtype {dtype}"
 
     def test_r_bound_is_max_l1_column_norm(self, rng):
         ds = random_dataset(rng)
         assert ds.r_bound == np.abs(ds.x).sum(axis=0).max()
+
+
+class TestDatasetConstructor:
+    """``Dataset(x, y, k)`` is the one constructor: it checks its input,
+    derives ``r_bound``, and is what pickling and copying go through."""
+
+    @pytest.mark.parametrize(
+        "x,y,k,reason",
+        [
+            ([[np.nan, 1.0]], [0, 1], 2, "matrix has non-finite entries"),
+            (np.eye(2), [0, 1], 1, "a dataset needs at least two classes, got k = 1"),
+            (np.zeros((0, 2)), [0, 1], 2, "a dataset needs at least one feature, got d = 0"),
+            (np.eye(2), [0.0, 1.0], 2, "labels must be integers, got dtype float64"),
+            (np.eye(2), [[0, 1]], 2, "y must be 1-D with one label per column of x"),
+            (np.eye(2), [0, 5], 2, "labels must lie in [0, k)"),
+            (np.eye(3), [0, 2, 2], 3, "every class must appear at least once; missing [1]"),
+            ([[1e308, 1.0], [1e308, 1.0]], [0, 1], 2, "r_bound = max_i ||x_i||_1 is not finite (inf)"),
+        ],
+        ids=["non-finite", "one-class", "no-feature", "float-labels", "y-shape", "label-range", "missing-class",
+             "overflow"],
+    )
+    def test_malformed_input_rejected(self, x, y, k, reason):
+        with pytest.raises(ValueError) as info:
+            Dataset(np.array(x), np.array(y), k)
+        assert str(info.value) == reason
+
+    def test_r_bound_is_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            Dataset(x=np.eye(2), y=np.array([0, 1]), k=2, r_bound=1.5)
+
+    @pytest.mark.parametrize("rebuild", ["pickle", "copy", "deepcopy"])
+    def test_rebuilds_through_the_constructor(self, rng, rebuild):
+        # d = 9: numpy can sum a column of 8 or more entries in another order
+        # for C-ordered x than for F-ordered x, so r_bound is taken from the
+        # owned F-ordered copy, the array a rebuild starts from
+        ds = random_dataset(rng, k=3, d=9, n=7)
+        back = {"pickle": lambda: pickle.loads(pickle.dumps(ds)), "copy": lambda: copy.copy(ds),
+                "deepcopy": lambda: copy.deepcopy(ds)}[rebuild]()
+        assert back is not ds and back.k == ds.k and back.r_bound == ds.r_bound
+        for a, b in ((back.x, ds.x), (back.y, ds.y)):
+            assert b.tobytes() == a.tobytes() and a.dtype == b.dtype and not a.flags.writeable
+        assert back.x.flags.f_contiguous and back.full.x is back.x
+
+    def test_equality_is_identity(self, rng):
+        ds = random_dataset(rng)
+        assert ds == ds and ds != Dataset(ds.x, ds.y, ds.k)
+        assert hash(ds) == hash(ds) and len({ds, Dataset(ds.x, ds.y, ds.k)}) == 2
 
 
 # generated files are rewritten in place, so one tmp_path serves every example
@@ -585,8 +634,8 @@ def datasets(draw):
     y = draw(st.permutations(list(range(k)) + draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))))
     x = draw(arrays(np.float64, (d, n), elements=_FINITE))
     with np.errstate(over="ignore"):
-        assume(np.isfinite(np.abs(x).sum(axis=0)).all())  # from_arrays rejects an overflowing column
-    return Dataset.from_arrays(x, np.array(y), k)
+        assume(np.isfinite(np.abs(x).sum(axis=0)).all())  # Dataset rejects an overflowing column
+    return Dataset(x, np.array(y), k)
 
 
 def _dataset_text(ds: Dataset, path) -> str:
@@ -595,7 +644,7 @@ def _dataset_text(ds: Dataset, path) -> str:
 
 
 def _raw_dataset_text(x: np.ndarray, y: np.ndarray, k: int) -> str:
-    """Dataset file text for arrays that ``Dataset.from_arrays`` may reject."""
+    """Dataset file text for arrays that ``Dataset`` may reject."""
     lines = (f"{y[i]} " + " ".join(repr(float(v)) for v in x[:, i]) for i in range(x.shape[1]))
     return f"{x.shape[0]} {x.shape[1]} {k}\n" + "".join(line + "\n" for line in lines)
 
@@ -681,7 +730,7 @@ class TestSerializationProperties:
         x[rows, col] = np.multiply(big, signs)
         y = np.arange(n) % 2
         with pytest.raises(ValueError, match="not finite"):
-            Dataset.from_arrays(x, y, 2)
+            Dataset(x, y, 2)
         path = tmp_path / "data.txt"
         path.write_text(_raw_dataset_text(x, y, 2))
         with pytest.raises(ValueError, match="not finite"):
@@ -693,7 +742,7 @@ class TestSerializationProperties:
         # no pair (i, c != y_i) exists, so no margin is defined
         n = x.shape[1]
         with pytest.raises(ValueError, match="^a dataset needs at least two classes, got k = 1$"):
-            Dataset.from_arrays(x, np.zeros(n), 1)
+            Dataset(x, np.zeros(n), 1)
         path = tmp_path / "data.txt"
         path.write_text(_raw_dataset_text(x, np.zeros(n, dtype=np.int64), 1))
         with pytest.raises(ValueError) as info:

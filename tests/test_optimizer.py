@@ -28,10 +28,9 @@ EW2 = NormSpec("entrywise", 2.0)
 EWINF = NormSpec("entrywise", math.inf)
 
 
-def make_cfg(ds, b, epochs=1, momentum=False, beta1=0.0, vr=False, norm=EW2, seed=11, c=0.5, a=0.5):
+def make_cfg(ds, b, epochs=1, beta1=0.0, vr=False, norm=EW2, seed=11, c=0.5, a=0.5):
     return OptimizerConfig(
         batch_size=b,
-        momentum_on=momentum,
         beta1=beta1,
         vr_on=vr,
         schedule=Schedule(c=c, a=a, eta0=c),
@@ -89,7 +88,7 @@ def scalar_reshuffle(rng, n):
 
 
 def seeded_state(seed):
-    ds = Dataset.from_arrays(np.eye(2), np.array([0, 1]), 2)
+    ds = Dataset(np.eye(2), np.array([0, 1]), 2)
     return init_state(make_cfg(ds, 2, seed=seed), ds, np.zeros((2, 2)))
 
 
@@ -138,7 +137,7 @@ class TestStep:
         assert eta == cfg.schedule.eta0
         assert np.array_equal(delta, steepest_map(h, cfg.norm))
         assert np.array_equal(state.w, w0 - eta * delta)
-        assert not state.momentum.any()  # the buffer is only written with momentum on
+        assert not state.momentum.any()  # the buffer is only written when beta1 > 0
 
     def test_vr_first_step_equals_full_gradient(self, rng):
         ds = divisible_dataset(rng, k=3, d=2, n=6)
@@ -155,7 +154,7 @@ class TestStep:
 
     def test_momentum_unrolled_two_steps(self, rng):
         ds = divisible_dataset(rng, k=3, d=2, n=6)
-        cfg = make_cfg(ds, 3, momentum=True, beta1=0.5)
+        cfg = make_cfg(ds, 3, beta1=0.5)
         w0 = rng.standard_normal((3, 2))
         state = init_state(cfg, ds, w0)
         b0 = np.array([0, 1, 2])
@@ -170,7 +169,7 @@ class TestStep:
     def test_zero_signal_skips_update_but_advances_t(self):
         # one point with two labels: the full gradient cancels exactly at w=0
         x = np.array([[1.0, 1.0], [2.0, 2.0]])
-        ds = Dataset.from_arrays(x, np.array([0, 1]), 2)
+        ds = Dataset(x, np.array([0, 1]), 2)
         cfg = make_cfg(ds, 2)
         state = init_state(cfg, ds, np.zeros((2, 2)))
         g = grad(state.w, ds, ALL)
@@ -184,7 +183,7 @@ class TestRun:
     def test_non_finite_iterate_is_a_training_error(self):
         # subnormal features keep the logits small, so the gradient keeps
         # its sign and the second step of size c = 1e308 overflows W
-        ds = Dataset.from_arrays(np.array([[1e-310, -1e-310]]), np.array([0, 1]), 2)
+        ds = Dataset(np.array([[1e-310, -1e-310]]), np.array([0, 1]), 2)
         cfg = make_cfg(ds, 2, epochs=3, norm=EWINF, c=1e308)
         with pytest.raises(TrainingError, match="non-finite") as info:
             run(cfg, ds, np.zeros((2, 1)))
@@ -204,7 +203,7 @@ class TestRun:
 
     def test_bit_identical_reruns(self, rng):
         ds = divisible_dataset(rng, k=3, d=3, n=12)
-        cfg = make_cfg(ds, 4, epochs=5, momentum=True, beta1=0.9, seed=77)
+        cfg = make_cfg(ds, 4, epochs=5, beta1=0.9, seed=77)
         w1 = run(cfg, ds, np.zeros((3, 3))).w
         w2 = run(cfg, ds, np.zeros((3, 3))).w
         assert np.array_equal(w1, w2)
@@ -227,7 +226,7 @@ class TestRun:
 
     def test_hook_receives_applied_direction(self, rng):
         ds = divisible_dataset(rng, k=3, d=4, n=8)
-        cfg = make_cfg(ds, 2, epochs=3, momentum=True, beta1=0.5)
+        cfg = make_cfg(ds, 2, epochs=3, beta1=0.5)
         prev = {"w": np.zeros((3, 4))}
 
         def hook(t, w, h, eta, delta):
@@ -250,7 +249,7 @@ class TestRun:
     def test_momentum_telescoping(self, rng):
         # H_t must equal (1-b) sum_tau b^tau G_(t-tau) with zero init
         ds = divisible_dataset(rng, k=3, d=3, n=12)
-        cfg = make_cfg(ds, 4, momentum=True, beta1=0.7)
+        cfg = make_cfg(ds, 4, beta1=0.7)
         state = init_state(cfg, ds, 0.1 * rng.standard_normal((3, 3)))
         gs = []
         for t in range(10):
@@ -302,7 +301,7 @@ class TestFullBatchDrawsNothing:
     @FULL_BATCH_MODES
     def test_full_batch_run_leaves_the_generator_untouched(self, rng, momentum, vr):
         ds = divisible_dataset(rng, k=3, d=2, n=8)
-        cfg = make_cfg(ds, 8, epochs=5, momentum=momentum, beta1=0.5 * momentum, vr=vr, seed=19)
+        cfg = make_cfg(ds, 8, epochs=5, beta1=0.5 * momentum, vr=vr, seed=19)
         state = run(cfg, ds, np.zeros((3, 2)))
         assert state.t == 5
         assert state.rng.bit_generator.state == np.random.PCG64(19).state
@@ -316,7 +315,7 @@ class TestFullBatchDrawsNothing:
     def test_full_batch_run_matches_stepping_through_reshuffled_epochs(self, rng, momentum, vr):
         # the trajectory a full-batch run took when each epoch drew its permutation
         ds = divisible_dataset(rng, k=3, d=4, n=10)
-        cfg = make_cfg(ds, 10, epochs=6, momentum=momentum, beta1=0.5 * momentum, vr=vr, norm=EWINF)
+        cfg = make_cfg(ds, 10, epochs=6, beta1=0.5 * momentum, vr=vr, norm=EWINF)
         seen = []
         run(cfg, ds, np.zeros((3, 4)), metrics_hook=lambda t, w, h, eta, delta: seen.append(w.copy()))
         state = init_state(cfg, ds, np.zeros((3, 4)))

@@ -53,7 +53,7 @@ def two_class_2d_instance(rng):
     ys[1] = 1
     xs[0] = g * 1.0
     xs[1] = -g * 1.0
-    return Dataset.from_arrays(np.array(xs).T, np.array(ys), 2)
+    return Dataset(np.array(xs).T, np.array(ys), 2)
 
 
 def grid_margin_oracle_entrywise(ds, p, pitch=0.01):
@@ -114,7 +114,7 @@ def literal_grid_scan_entrywise(ds, p, pitch):
 
 class TestMaxMargin:
     def test_one_dimensional_hand_solution(self):
-        ds = Dataset.from_arrays(np.array([[1.0, -1.0]]), np.array([0, 1]), 2)
+        ds = Dataset(np.array([[1.0, -1.0]]), np.array([0, 1]), 2)
         sol = max_margin(ds, EWINF, tol=1e-3, max_iters=20000)
         assert sol.separable
         assert sol.gamma == pytest.approx(2.0, abs=2e-3)
@@ -124,7 +124,7 @@ class TestMaxMargin:
 
     def test_margin_scales_linearly_with_data(self, rng):
         ds = two_class_2d_instance(rng)
-        doubled = Dataset.from_arrays(2.0 * ds.x, ds.y, 2)
+        doubled = Dataset(2.0 * ds.x, ds.y, 2)
         a = max_margin(ds, EW2, tol=1e-3, max_iters=30000)
         b = max_margin(doubled, EW2, tol=1e-3, max_iters=30000)
         assert b.gamma == pytest.approx(2.0 * a.gamma, rel=1e-2)
@@ -161,7 +161,7 @@ class TestMaxMargin:
 
     def test_nonseparable_flagged_not_raised(self):
         x = np.array([[1.0, 1.0], [0.5, 0.5]])
-        ds = Dataset.from_arrays(x, np.array([0, 1]), 2)
+        ds = Dataset(x, np.array([0, 1]), 2)
         sol = max_margin(ds, EW2, tol=1e-2, max_iters=5000)
         assert not sol.separable
         assert sol.gamma <= 1e-2
@@ -229,16 +229,17 @@ def gaps_instances(draw):
     or +inf elsewhere, at least one finite entry, |gap| small enough that
     gap / tau stays finite down to tau = 1e-3."""
     k = draw(st.integers(2, 5))
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(k, 8))
     d = draw(st.integers(1, 4))
-    y = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    # every class appears, as a Dataset requires
+    extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    y = np.array(draw(st.permutations(list(range(k)) + extra)))
     x = draw(arrays(np.float64, (d, n), elements=st.floats(-1e3, 1e3)))
     entry = st.one_of(st.floats(-1e300, 1e300), st.just(math.inf))
     gaps = draw(arrays(np.float64, (k, n), elements=entry))
     gaps[y, np.arange(n)] = np.inf
     assume(np.isfinite(gaps).any())
-    # built directly: y need not hold every class, which from_arrays requires
-    ds = Dataset(x=x, y=y, k=k, r_bound=float(np.abs(x).sum(axis=0).max()))
+    ds = Dataset(x, y, k)
     return ds, gaps
 
 
@@ -411,21 +412,21 @@ def skewed_dataset():
     for i, (c, a) in enumerate(alphas):
         x[c, i] = a
         y[i] = c
-    return Dataset.from_arrays(x, y, 3)
+    return Dataset(x, y, 3)
 
 
 class TestBiasMatrix:
     def test_sign_two_class_single_samples(self):
         x = np.diag([3.0, 0.25])  # scales must not matter
-        ds = Dataset.from_arrays(x, np.array([0, 1]), 2)
+        ds = Dataset(x, np.array([0, 1]), 2)
         out = bias_matrix(ds, EWINF)
         assert np.array_equal(out, [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_duplication_doubles(self, rng):
         x = np.abs(rng.standard_normal((3, 6))) + 0.1
         y = np.array([0, 1, 2, 0, 1, 2])
-        ds = Dataset.from_arrays(x, y, 3)
-        ds2 = Dataset.from_arrays(np.hstack([x, x]), np.concatenate([y, y]), 3)
+        ds = Dataset(x, y, 3)
+        ds2 = Dataset(np.hstack([x, x]), np.concatenate([y, y]), 3)
         for spec in EVERY_NORM:
             a = bias_matrix(ds, spec)
             b = bias_matrix(ds2, spec)
@@ -433,7 +434,7 @@ class TestBiasMatrix:
 
     def test_normalized_two_class_closed_form(self):
         x = np.diag([3.0, 0.25])
-        ds = Dataset.from_arrays(x, np.array([0, 1]), 2)
+        ds = Dataset(x, np.array([0, 1]), 2)
         expect = np.array([[1.0, -1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
         for spec in (EW2, SCHINF):
             assert np.abs(bias_matrix(ds, spec) - expect).max() <= 1e-12, spec
@@ -461,7 +462,7 @@ class TestBiasMatrix:
     @pytest.mark.parametrize("spec", EVERY_NORM, ids=str)
     def test_zero_sample_gives_a_zero_term(self, spec):
         x = np.array([[1.0, 0.0], [0.0, 0.0]])
-        ds = Dataset.from_arrays(x, np.array([0, 1]), 2)
+        ds = Dataset(x, np.array([0, 1]), 2)
         assert np.array_equal(canonical_update_matrix(ds, 1, spec), np.zeros((2, 2)))
         assert np.array_equal(bias_matrix(ds, spec), canonical_update_matrix(ds, 0, spec))
 
@@ -471,8 +472,8 @@ class TestBiasMatrix:
         # underflows to 0; the map's scaled norms keep the term a finite unit
         # direction, equal to the unit-scale term up to rounding (ew:2 at
         # 1e-200 is 1.1e-16 off)
-        ds = Dataset.from_arrays(np.diag([scale, 1.0]), np.array([0, 1]), 2)
-        unit = Dataset.from_arrays(np.eye(2), np.array([0, 1]), 2)
+        ds = Dataset(np.diag([scale, 1.0]), np.array([0, 1]), 2)
+        unit = Dataset(np.eye(2), np.array([0, 1]), 2)
         for spec in EVERY_NORM:
             term = canonical_update_matrix(ds, 0, spec)
             assert matrix_norm(term, spec) == pytest.approx(1.0, rel=1e-15, abs=0.0), spec
@@ -481,7 +482,7 @@ class TestBiasMatrix:
 
     @pytest.mark.parametrize("sample", [-1, True, 2, 1.0], ids=["negative", "bool", "n", "float"])
     def test_bad_sample_index_is_rejected(self, sample):
-        ds = Dataset.from_arrays(np.eye(2), np.array([0, 1]), 2)
+        ds = Dataset(np.eye(2), np.array([0, 1]), 2)
         with pytest.raises(ValueError, match="batch"):
             canonical_update_matrix(ds, sample, EWINF)
 
@@ -530,7 +531,6 @@ class TestPerSampleInvariance:
         for spec in EVERY_NORM:
             cfg = OptimizerConfig(
                 batch_size=1,
-                momentum_on=False,
                 beta1=0.0,
                 vr_on=False,
                 schedule=Schedule(c=0.5, a=0.5, eta0=0.5),

@@ -88,7 +88,7 @@ def skewed_path(tmp_path_factory):
     for i, a in enumerate([1.3, 0.4, 2.2, 0.9, 1.7]):
         x[y[i], i] = a
     path = tmp_path_factory.mktemp("pinned") / "skew.txt"
-    save_dataset(Dataset.from_arrays(x, y, 3), path)
+    save_dataset(Dataset(x, y, 3), path)
     return str(path)
 
 
@@ -158,6 +158,21 @@ def test_minibatch_momentum_vr_csv_bytes_pinned(tmp_path, dataset_path, capsys):
     assert digest == PINNED_MOMENTUM_VR_SHA256
 
 
+@pytest.mark.parametrize("loss_kind", ["cross_entropy", "exponential"])
+@pytest.mark.parametrize("vr", [False, True], ids=["plain", "vr"])
+@pytest.mark.parametrize("norm", ["ew:2", "ew:inf", "sch:inf"])
+def test_momentum_off_and_beta1_zero_write_one_run(tmp_path, dataset_path, norm, vr, loss_kind, capsys):
+    # momentum is on exactly when beta1 > 0: momentum on at beta1 = 0, and a
+    # beta1 with momentum off, both write the plain run's bytes
+    digests = {
+        _train_csv(tmp_path, norm=norm, loss=loss_kind, batch_size=4, vr=vr, epochs=10,
+                   dataset_path=dataset_path, momentum=momentum, beta1=beta1)
+        for momentum, beta1 in ((False, 0.0), (True, 0.0), (False, 0.9))
+    }
+    capsys.readouterr()
+    assert len(digests) == 1
+
+
 def test_full_batch_exponential_loss_csv_bytes_pinned(tmp_path, dataset_path, capsys):
     digest = _train_csv(
         tmp_path, norm="ew:2", loss="exponential", batch_size=12, epochs=60, dataset_path=dataset_path
@@ -195,7 +210,7 @@ class TestCallerLayout:
     def test_solver_bytes_ignore_the_caller_layout(self, acceptance, norm, tol):
         digests = set()
         for x in _layouts(np.array(acceptance.x)).values():
-            sol = max_margin(Dataset.from_arrays(x, acceptance.y, acceptance.k), NormSpec.parse(norm), tol=tol)
+            sol = max_margin(Dataset(x, acceptance.y, acceptance.k), NormSpec.parse(norm), tol=tol)
             digests.add(hashlib.sha256(sol.w_star.tobytes()).hexdigest())
         assert len(digests) == 1
 
@@ -204,7 +219,7 @@ class TestCallerLayout:
         save_dataset(acceptance, path)
         digests = set()
         for x in _layouts(np.array(acceptance.x)).values():
-            ds = Dataset.from_arrays(x, acceptance.y, acceptance.k)
+            ds = Dataset(x, acceptance.y, acceptance.k)
             monkeypatch.setattr(harness, "load_dataset", lambda _, ds=ds: ds)
             # gamma is solved, so the CSV carries the solver's bytes too
             digests.add(_train_csv(tmp_path, norm="sch:inf", batch_size=200, epochs=30, dataset_path=str(path),
@@ -212,16 +227,14 @@ class TestCallerLayout:
         capsys.readouterr()
         assert len(digests) == 1
 
-    @pytest.mark.parametrize("build", ["from_arrays", "direct", "file", "gaussian", "skewed"])
+    @pytest.mark.parametrize("build", ["direct", "file", "gaussian", "skewed"])
     def test_every_dataset_owns_one_layout(self, tmp_path, build):
         x = np.ascontiguousarray([[1.0, -1.0, 0.5], [0.2, 0.3, -0.4]])
         y = np.array([0, 1, 1])
-        if build == "from_arrays":
-            ds = Dataset.from_arrays(x, y, 2)
-        elif build == "direct":
-            ds = Dataset(x=x, y=y, k=2, r_bound=1.5)
+        if build == "direct":
+            ds = Dataset(x, y, 2)
         elif build == "file":
-            save_dataset(Dataset.from_arrays(x, y, 2), tmp_path / "d.txt")
+            save_dataset(Dataset(x, y, 2), tmp_path / "d.txt")
             ds = load_dataset(tmp_path / "d.txt")
         elif build == "gaussian":
             ds = gen_gaussian(GaussianSpec(k=3, per_class=2, d=2, sigma=0.1, seed=1))
@@ -235,7 +248,7 @@ class TestCallerLayout:
     def test_arrays_are_read_only_copies(self, rng):
         x = rng.standard_normal((3, 6))
         y = np.array([0, 1, 2, 0, 1, 2], dtype=np.int32)
-        ds = Dataset.from_arrays(x, y, 3)
+        ds = Dataset(x, y, 3)
         w = rng.standard_normal((3, 3))
         before = (grad(w, ds), grad(w, ds, range(6)), loss(w, ds), proxy_g(w, ds), ds.r_bound)
         x *= 2.0

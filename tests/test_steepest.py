@@ -181,7 +181,7 @@ class TestSingleSampleEquivalence:
     def _dataset(self, rng, k=3, d=4, n=6):
         y = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
         x = rng.standard_normal((d, n))
-        return Dataset.from_arrays(x, y, k)
+        return Dataset(x, y, k)
 
     def test_closed_form_at_zero(self):
         # W = 0, k = 3, x = e1: both maps give normalized (e_y - 1/3) e1^T
@@ -189,7 +189,7 @@ class TestSingleSampleEquivalence:
         x[0, 0] = 1.0
         x[1, 1] = 1.0
         x[2, 2] = 1.0
-        ds = Dataset.from_arrays(x, np.array([0, 1, 2]), 3)
+        ds = Dataset(x, np.array([0, 1, 2]), 3)
         a, b = single_sample_spectral_equals_frobenius(np.zeros((3, 4)), ds, 0)
         u = np.array([1.0, 0.0, 0.0]) - 1.0 / 3.0
         expect = np.outer(u / np.linalg.norm(u), x[:, 0])
@@ -209,7 +209,7 @@ class TestSingleSampleEquivalence:
         # per-sample gradient is zero only for an exactly one-hot softmax;
         # easiest to hit it with a huge margin that underflows entirely
         x = np.eye(2)
-        ds = Dataset.from_arrays(x, np.array([0, 1]), 2)
+        ds = Dataset(x, np.array([0, 1]), 2)
         w = np.array([[2000.0, -2000.0], [-2000.0, 2000.0]])
         with pytest.raises(ValueError):
             single_sample_spectral_equals_frobenius(w, ds, 0)

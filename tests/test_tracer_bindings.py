@@ -43,7 +43,7 @@ def test_harness_bias_bindings_take_a_norm_spec(norm):
     from normdescent import Dataset, harness
 
     x = np.array([[1.0, 0.0, 2.0], [0.0, 0.5, 0.0], [0.0, 0.0, -1.0]])  # d = 3, k = 2
-    ds = Dataset.from_arrays(x, np.array([0, 1, 0]), 2)
+    ds = Dataset(x, np.array([0, 1, 0]), 2)
     spec = NormSpec.parse(norm)
     for out in (harness.bias_matrix(ds, spec), harness.canonical_update_matrix(ds, 1, spec)):
         assert out.shape == (ds.k, ds.d) and np.isfinite(out).all() and out.any()
@@ -88,7 +88,7 @@ def test_each_step_reaches_grad_and_the_map_through_optimizer(monkeypatch, b, mo
     calls = count_calls(monkeypatch, optimizer, ("grad", "steepest_map"))
     ds = divisible_dataset(np.random.default_rng(6), k=3, d=2, n=12)
     epochs = 5
-    cfg = OptimizerConfig(batch_size=b, momentum_on=momentum, beta1=0.9 if momentum else 0.0, vr_on=vr,
+    cfg = OptimizerConfig(batch_size=b, beta1=0.9 if momentum else 0.0, vr_on=vr,
                           schedule=Schedule(0.5, 0.5, 0.5), epochs=epochs, seed=2,
                           norm=NormSpec("entrywise", 2.0))
     run(cfg, ds, np.zeros((3, 2)))
@@ -110,7 +110,7 @@ def test_full_batch_gradients_carry_the_tracers_full_label(monkeypatch, vr):
     batches, real = [], optimizer.grad
     monkeypatch.setattr(optimizer, "grad", lambda *args: batches.append(args[2]) or real(*args))
     ds = divisible_dataset(np.random.default_rng(6), k=3, d=2, n=12)
-    cfg = OptimizerConfig(batch_size=ds.n, momentum_on=False, beta1=0.0, vr_on=vr,
+    cfg = OptimizerConfig(batch_size=ds.n, beta1=0.0, vr_on=vr,
                           schedule=Schedule(0.5, 0.5, 0.5), epochs=5, seed=2,
                           norm=NormSpec("entrywise", 2.0))
     run(cfg, ds, np.zeros((3, 2)))
