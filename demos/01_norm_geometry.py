@@ -1,7 +1,7 @@
 """Norm geometries and their steepest-descent directions.
 
-Walks through the matrix norms the library supports, the SVD (LAPACK,
-under a fixed sign convention) that backs the Schatten family, and the
+Walks through the matrix norms the library supports, the thin SVD
+(LAPACK's, through ``jacobi_svd``) that backs the Schatten family, and the
 unit-norm update directions that turn into SignSGD, Normalized-SGD, and
 the spectral/Muon update depending on the chosen geometry.
 """
@@ -34,9 +34,9 @@ for text in ["ew:1", "ew:2", "ew:inf", "sch:1", "sch:2", "sch:inf"]:
 print("  (sch:2 equals ew:2: the Frobenius norm sits in both families)")
 
 print("\n-- the SVD behind the Schatten family ------------------------------")
-svd = jacobi_svd(g)
-print("  singular values:", np.round(svd.sigma, 4))
-print("  reconstruction error:", float(np.abs(svd.u @ np.diag(svd.sigma) @ svd.v.T - g).max()))
+u, sigma, vt = jacobi_svd(g)
+print("  singular values:", np.round(sigma, 4))
+print("  reconstruction error:", float(np.abs(u @ np.diag(sigma) @ vt - g).max()))
 print("  nuclear norm = sum sigma =", round(schatten_norm(g, 1.0), 4))
 
 print("\n-- steepest-descent directions -------------------------------------")
@@ -52,8 +52,7 @@ for text, family in [("ew:inf", "SignSGD"), ("ew:2", "Normalized-SGD"), ("sch:in
     )
 
 print("\n-- Newton-Schulz as the iterative spectral path --------------------")
-exact = jacobi_svd(g)
-polar_exact = exact.u @ exact.v.T
+polar_exact = u @ vt
 polar_ns = newton_schulz_polar(g, iters=60, tol=1e-9)
 print("  ||UV^T - newton_schulz||_F =", float(np.linalg.norm(polar_exact - polar_ns)))
 

@@ -5,7 +5,6 @@ from .linalg import (
     ENTRYWISE,
     SCHATTEN,
     NormSpec,
-    Svd,
     dual_norm,
     entrywise_norm,
     frobenius_cosine,

@@ -192,6 +192,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # a size no machine can allocate, such as gen-data --k 10**15
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (TrainingError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -240,6 +240,11 @@ def load_config(path: str) -> RunConfig:
         out_csv = raw["out_csv"]
         if not os.path.basename(out_csv) or os.path.isdir(out_csv):
             raise ValueError(f"out_csv {out_csv!r} does not name a file")
+        parent = os.path.dirname(out_csv)
+        while parent and not os.path.exists(parent):  # _drive creates the missing ones
+            parent = os.path.dirname(parent)
+        if parent and not os.path.isdir(parent):
+            raise ValueError(f"out_csv {out_csv!r} lies under {parent!r}, which is not a directory")
 
         return RunConfig(
             opt=opt,

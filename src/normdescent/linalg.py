@@ -1,13 +1,14 @@
 """Dense matrix norms, SVD, and polar factors.
 
 Everything in this module is a pure function of float64 numpy arrays. The
-SVD is LAPACK's (``np.linalg.svd``), so the same input gives the same bytes
-given the same numpy version, BLAS/LAPACK build and thread count; the
-reproducibility contract of the experiment harness rests on exactly that.
-``jacobi_svd`` also fixes the factors' signs, but no training or solver
-output reads them: the Schatten norms use only the singular values, and the
-Schatten steepest map sums terms u_j v_j^T, which a paired sign flip leaves
-unchanged.
+SVD is LAPACK's thin SVD (``np.linalg.svd``), returned as LAPACK gives it, so
+the same input gives the same bytes given the same numpy version, BLAS/LAPACK
+build and thread count; the reproducibility contract of the experiment
+harness rests on exactly that. ``jacobi_svd`` is the package's one SVD: the
+Schatten norms read its singular values and the Schatten steepest map its
+factors. The factors' signs are LAPACK's; nothing depends on them, since
+the norms use only the singular values and the map sums terms u_j v_j^T,
+which a paired sign flip leaves unchanged.
 
 Inputs are validated once, at the public boundary: each public function
 passes its argument through ``as_matrix`` (2-D, float64, finite), and the
@@ -87,20 +88,6 @@ class NormSpec:
         return f"{_FAMILY_SHORT[self.family]}:{pstr}"
 
 
-@dataclass(frozen=True)
-class Svd:
-    """Thin SVD A = U diag(sigma) V^T with r = min(rows, cols) columns.
-
-    sigma is nonincreasing, U and V have orthonormal columns (also for zero
-    singular values), and the largest-magnitude entry of each U column is
-    nonnegative.
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-
 class NonFiniteError(ValueError, FloatingPointError):
     """A matrix with a NaN or infinite entry.
 
@@ -150,20 +137,17 @@ def _entrywise_norm(m: np.ndarray, p: float) -> float:
     return top * float(np.sum((absm / top) ** p)) ** (1.0 / p)
 
 
-def jacobi_svd(a) -> Svd:
-    """Thin SVD through LAPACK (``np.linalg.svd``) with a fixed sign convention.
+def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``(U, S, Vh)`` with A = U diag(S) Vh, exactly as LAPACK returns it.
 
-    Each (u_j, v_j) pair is signed so that the largest-magnitude entry of
-    u_j is nonnegative (the first such entry on ties), which removes the sign
-    freedom of the factorisation. Raises ``np.linalg.LinAlgError`` when
-    LAPACK does not converge. The name is kept as public API.
+    ``np.linalg.svd(a, full_matrices=False)`` on the validated matrix: S is
+    nonincreasing and U, Vh^T have min(rows, cols) orthonormal columns. Raises
+    ``np.linalg.LinAlgError`` when LAPACK does not converge. Callers unpack the
+    result as a tuple (numpy < 2.0 returns a plain one). The name is
+    historical; it stays only because the perfbench tracer's ``WRAP`` table
+    and the binding tests name it.
     """
-    u, sigma, vt = np.linalg.svd(as_matrix(a), full_matrices=False)
-    if u.size:  # a zero-size matrix has no entry to sign by
-        lead = np.argmax(np.abs(u), axis=0)
-        sign = np.where(u[lead, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
-        u, vt = u * sign, vt * sign[:, None]
-    return Svd(u=u, sigma=sigma, v=np.ascontiguousarray(vt.T))
+    return np.linalg.svd(as_matrix(a), full_matrices=False)
 
 
 def schatten_norm(a, p: float) -> float:
@@ -181,7 +165,8 @@ def _matrix_norm(m: np.ndarray, spec: NormSpec) -> float:
     if spec.family == ENTRYWISE or spec.p == 2.0:  # Schatten-2 is Frobenius: skip the SVD
         return _entrywise_norm(m, spec.p)
     # the p-norm of the singular values; jacobi_svd is looked up here at call time
-    return _entrywise_norm(jacobi_svd(m).sigma[None, :], spec.p)
+    _, s, _ = jacobi_svd(m)
+    return _entrywise_norm(s[None, :], spec.p)
 
 
 def dual_norm(a, spec: NormSpec) -> float:

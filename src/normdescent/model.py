@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -88,8 +89,11 @@ class Dataset:
             raise ValueError("y must be 1-D with one label per column of x")
         if y.min(initial=0) < 0 or y.max(initial=0) >= self.k:
             raise ValueError("labels must lie in [0, k)")
-        missing = sorted(set(range(self.k)) - set(y.tolist()))
-        if missing:
+        present = set(y.tolist())
+        if len(present) < self.k:  # O(n), whatever k is: at most 10 absent classes are listed
+            count = self.k - len(present)
+            first = list(itertools.islice((c for c in range(self.k) if c not in present), 10))
+            missing = first if count <= 10 else f"{count} classes, the first ten {first}"
             raise ValueError(f"every class must appear at least once; missing {missing}")
         with np.errstate(over="ignore"):
             r = float(np.abs(x).sum(axis=0).max(initial=0.0))
@@ -325,8 +329,12 @@ def _labelled(label):
         raise ValueError(f"{label}: {exc}") from exc
 
 
-def _ints(parts: list[str]) -> list[int]:
-    return [int(t) for t in parts]
+def _sizes(parts: list[str]) -> list[int]:
+    vals = [int(t) for t in parts]
+    for t, v in zip(parts, vals):
+        if v < 0:
+            raise ValueError(f"negative size {t!r}")
+    return vals
 
 
 def _finites(parts: list[str]) -> list[float]:
@@ -353,13 +361,12 @@ def _no_trailing(fh):
 
 def load_dataset(path) -> Dataset:
     with _labelled(path), open(path, "r", encoding="ascii") as fh:
-        d, n, k = _fields(fh, "header 'd n k'", 3, _ints)
-        x = np.zeros((d, n))
-        y = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            y[i], x[:, i] = _fields(fh, f"sample line {i}", d + 1, lambda p: (int(p[0]), _finites(p[1:])))
+        d, n, k = _fields(fh, "header 'd n k'", 3, _sizes)
+        # the arrays are built from the lines read, never sized by the header
+        lines = [_fields(fh, f"sample line {i}", d + 1, lambda p: (int(p[0]), _finites(p[1:]))) for i in range(n)]
         _no_trailing(fh)
-        return Dataset(x, y, k)
+        x = np.array([vals for _, vals in lines], dtype=np.float64).reshape(n, d).T
+        return Dataset(x, np.array([label for label, _ in lines], dtype=np.int64), k)
 
 
 def save_matrix(w, path):
@@ -372,9 +379,7 @@ def save_matrix(w, path):
 
 def load_matrix(path) -> np.ndarray:
     with _labelled(path), open(path, "r", encoding="ascii") as fh:
-        rows, cols = _fields(fh, "header 'rows cols'", 2, _ints)
-        out = np.zeros((rows, cols))
-        for r in range(rows):
-            out[r] = _fields(fh, f"row {r}", cols, _finites)
+        rows, cols = _fields(fh, "header 'rows cols'", 2, _sizes)
+        lines = [_fields(fh, f"row {r}", cols, _finites) for r in range(rows)]
         _no_trailing(fh)
-    return out
+    return np.array(lines, dtype=np.float64).reshape(rows, cols)

@@ -16,10 +16,11 @@ deterministic representative. ``steepest_map(0) = 0`` so that a caller can
 treat an exactly stationary signal as a no-op.
 
 ``steepest_map`` validates ``g`` once; the per-family helpers work on that
-validated matrix and call the unchecked ``linalg`` internals. The Schatten
-maps take LAPACK's factors without ``jacobi_svd``'s sign convention: every
-term u_j v_j^T is unchanged when u_j and v_j both flip sign, and negation is
-exact, so the result has the same bytes either way.
+validated matrix and call the unchecked ``linalg`` internals, except the
+SVD: ``jacobi_svd`` checks its matrix again. The Schatten maps take LAPACK's
+factors with whatever signs LAPACK picks: every term u_j v_j^T is unchanged
+when u_j and v_j both flip sign, and negation is exact, so the result has
+the same bytes either way.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .linalg import (
     NormSpec,
     _entrywise_norm,
     as_matrix,
-    jacobi_svd,  # unused here; kept as a binding the perfbench tracer wraps
+    jacobi_svd,
 )
 
 __all__ = ["NormSpec", "steepest_map"]
@@ -58,7 +59,7 @@ def _entrywise_map(g: np.ndarray, spec: NormSpec) -> np.ndarray:
 
 
 def _schatten_map(g: np.ndarray, spec: NormSpec) -> np.ndarray:
-    u, s, vt = np.linalg.svd(g, full_matrices=False)
+    u, s, vt = jacobi_svd(g)  # looked up here at call time, so the tracer sees it
     if spec.p == 1.0:
         return np.outer(u[:, 0], vt[0])
     rank = int(np.count_nonzero(s > RANK_CUTOFF * s[0]))

@@ -319,8 +319,8 @@ class TestCriterion03SteepestDuality:
                 assert abs(matrix_norm(phi, spec) - 1.0) <= 1e-8
         for _ in range(20):
             g = rng.standard_normal((4, 6))
-            svd = jacobi_svd(g)
-            exact = svd.u @ svd.v.T
+            u, _, vt = jacobi_svd(g)
+            exact = u @ vt
             assert np.linalg.norm(newton_schulz_polar(g, iters=80, tol=1e-8) - exact) <= 1e-6
         elapsed = time.time() - started
         report(3, elapsed < 30, f"8 specs x 100 draws + Newton-Schulz vs SVD, {elapsed:.1f}s (< 30s)")

@@ -283,6 +283,8 @@ class TestTrainCmd:
         "batch_size": ({"batch_size": 3}, "batch_size 3 must divide n = 4"),
         "w0_shape": ({"w0": "MATRIX"}, "w0 'MATRIX' has shape (2, 3)"),
         "out_csv_dir": ({"out_csv": "TMP"}, "out_csv 'TMP' does not name a file"),
+        "out_csv_under_file": ({"out_csv": "MATRIX/x.csv"}, "out_csv 'MATRIX/x.csv' lies under 'MATRIX', which"),
+        "out_csv_deep_under_file": ({"out_csv": "MATRIX/new/x.csv"}, "lies under 'MATRIX', which is not a directory"),
         "wstar_shape": ({"wstar_path": "MATRIX"}, "wstar_path 'MATRIX' has shape (2, 3)"),
         "margin_tol_zero": ({"margin_tol": 0}, "margin_tol must be positive"),
         "margin_tol_negative": ({"margin_tol": -1e-3}, "margin_tol must be positive"),
@@ -298,9 +300,12 @@ class TestTrainCmd:
         matrix = tmp_path / "w.txt"
         matrix.write_text("2 3\n0 0 0\n0 0 0\n")  # (k, d) = (2, 2)
         overrides, named = self._BEFORE_SOLVE_CASES[case]
-        fill = {"MATRIX": str(matrix), "TMP": str(tmp_path)}
-        overrides = {key: fill.get(v, v) for key, v in overrides.items()}
-        named = named.replace("MATRIX", str(matrix)).replace("TMP", str(tmp_path))
+
+        def fill(text):
+            return text.replace("MATRIX", str(matrix)).replace("TMP", str(tmp_path))
+
+        overrides = {key: fill(v) if isinstance(v, str) else v for key, v in overrides.items()}
+        named = fill(named)
         cfg = write_config(tmp_path, **overrides)
         (tmp_path / "out.csv").write_text("previous run\n")
         solves = []
@@ -784,6 +789,22 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "family,flags",
+        [
+            ("gaussian", ["--k", "1000000000000000"]),
+            ("skewed", ["--counts", "1000000000000000,1", "--alpha-ranges", "1:2,1:2"]),
+        ],
+        ids=["gaussian-k", "skewed-counts"],
+    )
+    def test_gen_data_size_too_large_to_allocate(self, tmp_path, capsys, family, flags):
+        out = tmp_path / "d.txt"
+        rc = cli_main(["gen-data", family, "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "family,flags,foreign",
         [
             ("skewed", ["--k", "3", "--sigma", "5", "--d", "9"], "--sigma"),
@@ -908,8 +929,11 @@ class TestCli:
         [
             ("dataset_path", "2 2 3\n0 1.0 0.2\n1 -1.0 0.1\n", "{bad}: every class must appear at least once; missing [2]"),
             ("w0", "2 2\n1.5\n1 2\n", "{bad}: row 0 has 1 fields, expected 2"),
+            # the header sizes no array: the short file fails on its lines
+            ("w0", "1000000000000000 2\n1 2\n", "{bad}: row 1 has 0 fields, expected 2"),
+            ("w0", "-2 2\n", "{bad}: header 'rows cols': negative size '-2'"),
         ],
-        ids=["dataset_path", "w0"],
+        ids=["dataset_path", "w0", "w0-oversized", "w0-negative"],
     )
     def test_loader_errors_name_the_config(self, tmp_path, capsys, key, text, reason):
         bad = tmp_path / "bad.txt"
@@ -927,8 +951,17 @@ class TestCli:
             ("2 2 2\n0 1.0 0.2\n1 nan 0.1\n", "sample line 1: non-finite value 'nan'"),
             ("2 2 2\n0 1.0 0.2\n1 -1.0 1e400\n", "sample line 1: non-finite value '1e400'"),
             ("2 2 3\n0 1.0 0.2\n1 -1.0 0.1\n", "every class must appear at least once; missing [2]"),
+            # no header size allocates: each of these fails on the lines it has
+            ("2 1000000000000000 2\n0 1.0 0.2\n", "sample line 1 has 0 fields, expected 3"),
+            ("1000000000000000 2 2\n0 1.0\n", "sample line 0 has 2 fields, expected 1000000000000001"),
+            ("2 2 1000000000000000\n0 1.0 0.2\n1 -1.0 0.1\n",
+             "every class must appear at least once; missing 999999999999998 classes, the first ten "
+             "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11]"),
+            ("2 -1 2\n", "header 'd n k': negative size '-1'"),
+            ("-2 2 2\n0 1.0 0.2\n1 -1.0 0.1\n", "header 'd n k': negative size '-2'"),
         ],
-        ids=["header", "label", "value", "nan", "overflow", "missing-class"],
+        ids=["header", "label", "value", "nan", "overflow", "missing-class", "oversized-n", "oversized-d",
+             "oversized-k", "negative-n", "negative-d"],
     )
     def test_dataset_errors_name_the_file_and_line(self, tmp_path, capsys, text, reason):
         data = tmp_path / "data.txt"

@@ -75,71 +75,67 @@ class TestEntrywiseNorm:
 
 class TestJacobiSvd:
     def test_already_diagonal(self):
-        svd = jacobi_svd(np.diag([3.0, 2.0]))
-        assert np.allclose(svd.sigma, [3.0, 2.0])
-        assert np.allclose(svd.u, np.eye(2))
-        assert np.allclose(svd.v, np.eye(2))
+        u, s, vt = jacobi_svd(np.diag([3.0, 2.0]))
+        assert np.allclose(s, [3.0, 2.0])
+        assert np.allclose(np.abs(u), np.eye(2))
+        assert np.allclose(u * s @ vt, np.diag([3.0, 2.0]))
 
     def test_rank_one(self, rng):
         u = rng.standard_normal(5)
         v = rng.standard_normal(7)
         u /= np.linalg.norm(u)
         v /= np.linalg.norm(v)
-        svd = jacobi_svd(np.outer(u, v))
-        assert svd.sigma[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(svd.sigma[1:] < 1e-12)
+        _, s, _ = jacobi_svd(np.outer(u, v))
+        assert s[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(s[1:] < 1e-12)
 
     def test_random_5x7_reconstruction(self, rng):
         a = rng.standard_normal((5, 7))
-        svd = jacobi_svd(a)
-        err = np.linalg.norm(svd.u @ np.diag(svd.sigma) @ svd.v.T - a)
+        u, s, vt = jacobi_svd(a)
+        err = np.linalg.norm(u @ np.diag(s) @ vt - a)
         assert err <= 1e-10 * max(1.0, float(np.linalg.norm(a)))
 
     def test_reconstruction_and_orthogonality(self, rng):
         for _ in range(40):
             a = rng.standard_normal((int(rng.integers(1, 9)), int(rng.integers(1, 9))))
             a *= 10.0 ** float(rng.integers(-3, 4))
-            svd = jacobi_svd(a)
+            u, s, vt = jacobi_svd(a)
             scale = max(1.0, float(np.linalg.norm(a)))
-            assert np.linalg.norm(svd.u @ np.diag(svd.sigma) @ svd.v.T - a) <= 1e-10 * scale
-            r = svd.sigma.size
-            assert np.abs(svd.u.T @ svd.u - np.eye(r)).max() <= 1e-10
-            assert np.abs(svd.v.T @ svd.v - np.eye(r)).max() <= 1e-10
-            assert np.all(np.diff(svd.sigma) <= 0)
-            assert np.all(svd.sigma >= 0)
+            assert np.linalg.norm(u @ np.diag(s) @ vt - a) <= 1e-10 * scale
+            r = s.size
+            assert np.abs(u.T @ u - np.eye(r)).max() <= 1e-10
+            assert np.abs(vt @ vt.T - np.eye(r)).max() <= 1e-10
+            assert np.all(np.diff(s) <= 0)
+            assert np.all(s >= 0)
 
     def test_deterministic(self, rng):
         a = rng.standard_normal((6, 4))
-        s1 = jacobi_svd(a)
-        s2 = jacobi_svd(a)
-        assert np.array_equal(s1.u, s2.u)
-        assert np.array_equal(s1.sigma, s2.sigma)
-        assert np.array_equal(s1.v, s2.v)
+        for first, second in zip(jacobi_svd(a), jacobi_svd(a)):
+            assert np.array_equal(first, second)
 
-    def test_sign_convention(self, rng):
-        svd = jacobi_svd(rng.standard_normal((5, 5)))
-        for j in range(5):
-            col = svd.u[:, j]
-            assert col[int(np.argmax(np.abs(col)))] >= 0
+    def test_is_lapacks_thin_svd(self, rng):
+        a = rng.standard_normal((6, 4))
+        for ours, lapack in zip(jacobi_svd(a), np.linalg.svd(a, full_matrices=False)):
+            assert ours.tobytes() == lapack.tobytes()
 
     def test_zero_matrix(self):
-        svd = jacobi_svd(np.zeros((3, 4)))
-        assert np.all(svd.sigma == 0)
-        assert np.abs(svd.u.T @ svd.u - np.eye(3)).max() <= 1e-12
+        u, s, _ = jacobi_svd(np.zeros((3, 4)))
+        assert np.all(s == 0)
+        assert np.abs(u.T @ u - np.eye(3)).max() <= 1e-12
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_zero_size_matrix(self, shape):
-        svd = jacobi_svd(np.zeros(shape))
-        assert svd.u.shape == (shape[0], 0) and svd.v.shape == (shape[1], 0)
-        assert svd.sigma.shape == (0,)
+        u, s, vt = jacobi_svd(np.zeros(shape))
+        assert u.shape == (shape[0], 0) and vt.shape == (0, shape[1])
+        assert s.shape == (0,)
 
     def test_600x600_input(self, rng):
         a = rng.standard_normal((600, 600))
-        svd = jacobi_svd(a)
+        u, s, vt = jacobi_svd(a)
         scale = max(1.0, float(np.linalg.norm(a)))
-        assert np.linalg.norm(svd.u @ np.diag(svd.sigma) @ svd.v.T - a) <= 1e-10 * scale
-        assert np.abs(svd.u.T @ svd.u - np.eye(600)).max() <= 1e-10
-        assert np.abs(svd.v.T @ svd.v - np.eye(600)).max() <= 1e-10
+        assert np.linalg.norm(u @ np.diag(s) @ vt - a) <= 1e-10 * scale
+        assert np.abs(u.T @ u - np.eye(600)).max() <= 1e-10
+        assert np.abs(vt @ vt.T - np.eye(600)).max() <= 1e-10
 
     def test_lapack_failure_propagates(self, rng, monkeypatch, tmp_path, capsys):
         def fail(*args, **kwargs):
@@ -214,8 +210,8 @@ class TestNewtonSchulz:
     def test_matches_svd_polar_factor(self, rng):
         for _ in range(10):
             a = rng.standard_normal((4, 6))
-            svd = jacobi_svd(a)
-            exact = svd.u @ svd.v.T
+            u, _, vt = jacobi_svd(a)
+            exact = u @ vt
             approx = newton_schulz_polar(a, iters=80, tol=1e-8)
             assert np.linalg.norm(approx - exact) <= 1e-6
 

@@ -588,10 +588,17 @@ class TestDatasetConstructor:
             (np.eye(2), [[0, 1]], 2, "y must be 1-D with one label per column of x"),
             (np.eye(2), [0, 5], 2, "labels must lie in [0, k)"),
             (np.eye(3), [0, 2, 2], 3, "every class must appear at least once; missing [1]"),
+            (np.eye(3), [0, 11, 2], 12, "every class must appear at least once; missing [1, 3, 4, 5, 6, 7, 8, 9, 10]"),
+            (np.eye(3), [0, 11, 2], 14,
+             "every class must appear at least once; missing 11 classes, the first ten [1, 3, 4, 5, 6, 7, 8, 9, 10, 12]"),
+            # the check is O(n): a set of 10**15 classes would never be built
+            (np.eye(3), [0, 2, 5], 10**15,
+             "every class must appear at least once; missing 999999999999997 classes, the first ten "
+             "[1, 3, 4, 6, 7, 8, 9, 10, 11, 12]"),
             ([[1e308, 1.0], [1e308, 1.0]], [0, 1], 2, "r_bound = max_i ||x_i||_1 is not finite (inf)"),
         ],
         ids=["non-finite", "one-class", "no-feature", "float-labels", "y-shape", "label-range", "missing-class",
-             "overflow"],
+             "missing-nine", "missing-eleven", "missing-oversized-k", "overflow"],
     )
     def test_malformed_input_rejected(self, x, y, k, reason):
         with pytest.raises(ValueError) as info:

@@ -28,6 +28,59 @@ def tracer_wrap() -> dict:
     raise AssertionError(f"{TRACER} defines no WRAP table")
 
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "normdescent"
+
+# bindings the tracer wraps although their module never calls them; the
+# benchmark change of ROADMAP item 1 drops this one from WRAP
+UNCALLED_BINDINGS = {("harness", "steepest_map")}
+
+
+def binding_uses(module: str, name: str) -> int:
+    """How often ``normdescent.<module>``'s own code reaches ``name``.
+
+    An imported name counts every read of it; a name the module defines
+    counts the calls from its other functions, not from its own body.
+    """
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    imported = any(
+        (alias.asname or alias.name) == name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    )
+    if imported:
+        return sum(isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load) for n in ast.walk(tree))
+    return sum(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name != name
+        for n in ast.walk(fn)
+    )
+
+
+def test_every_wrapped_binding_is_called_by_its_module():
+    # a binding nothing reaches leaves its per-layer metric silently empty
+    uncalled = sorted(
+        (module, name)
+        for module, names in tracer_wrap().items()
+        for name in names
+        if (module, name) not in UNCALLED_BINDINGS and not binding_uses(module, name)
+    )
+    assert not uncalled
+    assert all(not binding_uses(module, name) for module, name in UNCALLED_BINDINGS)
+
+
+@pytest.mark.parametrize("norm", ["sch:1", "sch:1.5", "sch:2", "sch:3", "sch:inf", "ew:1", "ew:2", "ew:inf"])
+def test_steepest_map_takes_one_svd_through_steepest_at_schatten_norms(monkeypatch, rng, norm):
+    # linalg.svd_calls counts the map's SVD only through this binding
+    from normdescent import steepest
+
+    calls = count_calls(monkeypatch, steepest, ("jacobi_svd",))
+    spec = NormSpec.parse(norm)
+    steepest.steepest_map(rng.standard_normal((4, 3)), spec)
+    assert calls["jacobi_svd"] == (1 if spec.family == "schatten" else 0)
+
+
 def test_every_wrapped_binding_is_callable():
     wrap = tracer_wrap()
     assert wrap
