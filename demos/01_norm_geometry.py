@@ -13,11 +13,9 @@ import numpy as np
 from normdescent import (
     NormSpec,
     dual_norm,
-    entrywise_norm,
     jacobi_svd,
     matrix_norm,
     newton_schulz_polar,
-    schatten_norm,
     steepest_map,
 )
 
@@ -37,7 +35,7 @@ print("\n-- the SVD behind the Schatten family ------------------------------")
 u, sigma, vt = jacobi_svd(g)
 print("  singular values:", np.round(sigma, 4))
 print("  reconstruction error:", float(np.abs(u @ np.diag(sigma) @ vt - g).max()))
-print("  nuclear norm = sum sigma =", round(schatten_norm(g, 1.0), 4))
+print("  nuclear norm = sum sigma =", round(matrix_norm(g, NormSpec("sch", 1.0)), 4))
 
 print("\n-- steepest-descent directions -------------------------------------")
 print("Each direction has unit norm in its geometry and attains the dual norm")
@@ -58,6 +56,6 @@ print("  ||UV^T - newton_schulz||_F =", float(np.linalg.norm(polar_exact - polar
 
 print("\n-- entry-wise p interpolates between the extremes -------------------")
 for p in [1.0, 1.5, 2.0, 4.0, math.inf]:
-    phi = steepest_map(g, NormSpec("entrywise", p))
+    phi = steepest_map(g, NormSpec("ew", p))
     nz = int(np.sum(phi != 0))
     print(f"  p = {p:<4}: support size of phi = {nz:2d} / {g.size} (p=1 is one entry, p=inf is all)")

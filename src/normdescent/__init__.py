@@ -6,12 +6,10 @@ from .linalg import (
     SCHATTEN,
     NormSpec,
     dual_norm,
-    entrywise_norm,
     frobenius_cosine,
     jacobi_svd,
     matrix_norm,
     newton_schulz_polar,
-    schatten_norm,
 )
 from .model import (
     ALL,

@@ -54,6 +54,7 @@ def _check_out(path: str, flag: str):
 
 
 def _cmd_gen_data(args) -> int:
+    _check_out(args.out, "--out")
     if args.family == "gaussian":
         spec = GaussianSpec(k=args.k, per_class=args.per_class, d=args.d, sigma=args.sigma, seed=args.seed)
         ds = gen_gaussian(spec)

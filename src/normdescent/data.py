@@ -81,7 +81,7 @@ def gen_gaussian(spec: GaussianSpec) -> Dataset:
         x = np.concatenate(means[:, :, None] + spec.sigma * noise, axis=1)
         ds = Dataset(x, y, spec.k)
         try:
-            probe = max_margin(ds, NormSpec("entrywise", 2.0), tol=_PROBE_TOL, max_iters=_PROBE_ITERS)
+            probe = max_margin(ds, NormSpec("ew", 2.0), tol=_PROBE_TOL, max_iters=_PROBE_ITERS)
         except MaxMarginNonConvergence:  # no certified margin: redraw
             continue
         if probe.gamma > _PROBE_MARGIN:

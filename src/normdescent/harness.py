@@ -3,8 +3,10 @@ directory sweeps, post-hoc rate fits, and the batch-size-one protocol.
 
 A run config is a JSON object. ``_KEYS`` below lists its keys with their
 JSON types and defaults, and the README gives the rules ``load_config``
-checks on their values. All of them are checked before any reference
-solve, and a run then deletes the previous run's outputs before it solves.
+checks on their values: ``norm`` and ``wbar_norm`` take a norm spec
+(``ew:p``, ``sch:p``) and ``loss`` one of ``model.LOSS_KINDS``, spelled
+exactly. All of them are checked before any reference solve, and a run
+then deletes the previous run's outputs before it solves.
 The CSV schema is fixed:
 
     t,epoch,eta,loss,proxy_g,min_margin,weight_norm,norm_margin,gap_to_gamma,cos_wstar,cos_wbar,dualnorm_signal
@@ -36,8 +38,6 @@ import numpy as np
 
 from .linalg import NormSpec, dual_norm, frobenius_cosine
 from .model import (
-    CROSS_ENTROPY,
-    EXPONENTIAL,
     Dataset,
     _labelled,
     load_dataset,
@@ -91,20 +91,10 @@ _KEYS = {
     "out_csv": (*_STRING, _REQUIRED),
     "gamma": ((int, float, type(None)), "a JSON number or null", None),
     "wstar_path": (*_STRING_OR_NULL, None),
-    "wbar_kind": (*_STRING_OR_NULL, None),
+    "wbar_norm": (*_STRING_OR_NULL, None),
     "log_every": (*_INTEGER, 10),
     "margin_tol": (*_NUMBER, DEFAULT_TOL),
     "margin_iters": (*_INTEGER, DEFAULT_MAX_ITERS),
-}
-
-# wbar_kind -> the norm whose steepest map builds the bias matrix
-_WBAR_NORMS = {"sign": NormSpec.parse("ew:inf"), "normalized": NormSpec.parse("ew:2")}
-
-_LOSS_ALIASES = {
-    "cross_entropy": CROSS_ENTROPY,
-    "ce": CROSS_ENTROPY,
-    "exponential": EXPONENTIAL,
-    "exp": EXPONENTIAL,
 }
 
 
@@ -130,7 +120,7 @@ class RunConfig:
     log_every: int
     gamma: float | None
     wstar: np.ndarray | None
-    wbar_kind: str | None
+    wbar_norm: NormSpec | None
     margin_tol: float
     margin_iters: int
 
@@ -197,9 +187,10 @@ def load_config(path: str) -> RunConfig:
                 except OverflowError:
                     raise ValueError(f"{key} is an integer too large for a float") from None
 
-        loss_kind = _LOSS_ALIASES.get(raw["loss"].lower())
-        if loss_kind is None:
-            raise ValueError(f"loss must be one of {sorted(_LOSS_ALIASES)}, got {raw['loss']!r}")
+        with _labelled("norm"):
+            norm = NormSpec.parse(raw["norm"])
+        with _labelled("wbar_norm"):
+            wbar_norm = None if raw["wbar_norm"] is None else NormSpec.parse(raw["wbar_norm"])
         opt = OptimizerConfig(
             batch_size=raw["batch_size"],
             beta1=raw["beta1"],
@@ -207,8 +198,8 @@ def load_config(path: str) -> RunConfig:
             schedule=Schedule(c=raw["c"], a=raw["a"], eta0=raw["eta0"]),
             epochs=raw["epochs"],
             seed=raw["seed"],
-            norm=NormSpec.parse(raw["norm"]),
-            loss=loss_kind,
+            norm=norm,
+            loss=raw["loss"],
         )
         opt = opt if raw["momentum"] else replace(opt, beta1=0.0)  # beta1 is checked, then unused
 
@@ -223,9 +214,6 @@ def load_config(path: str) -> RunConfig:
         w0 = np.zeros((ds.k, ds.d)) if raw["w0"] == "zeros" else _kd_matrix("w0", raw["w0"], ds)
         wstar = None if raw["wstar_path"] is None else _kd_matrix("wstar_path", raw["wstar_path"], ds)
 
-        wbar_kind = raw["wbar_kind"]
-        if wbar_kind is not None and wbar_kind not in _WBAR_NORMS:
-            raise ValueError("wbar_kind must be 'sign' or 'normalized'")
         if raw["log_every"] < 1:
             raise ValueError("log_every must be >= 1")
         steps = opt.epochs * (ds.n // opt.batch_size)
@@ -254,7 +242,7 @@ def load_config(path: str) -> RunConfig:
             log_every=raw["log_every"],
             gamma=raw["gamma"],
             wstar=wstar,
-            wbar_kind=wbar_kind,
+            wbar_norm=wbar_norm,
             margin_tol=raw["margin_tol"],
             margin_iters=raw["margin_iters"],
         )
@@ -329,7 +317,7 @@ def train_cmd(config_path: str) -> str:
     cfg = load_config(config_path)
     _remove(cfg.out_csv)
     gamma, wstar = _resolve_references(cfg)
-    wbar = bias_matrix(cfg.dataset, _WBAR_NORMS[cfg.wbar_kind]) if cfg.wbar_kind else None
+    wbar = None if cfg.wbar_norm is None else bias_matrix(cfg.dataset, cfg.wbar_norm)
     _drive(cfg, gamma, wstar, wbar)
     return cfg.out_csv
 
@@ -449,7 +437,7 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
 
     Preconditions: scale-skewed dataset, b = 1, momentum and VR off, zero
     init. Any norm is accepted, and the bias matrix is taken at that norm;
-    a config wbar_kind must name it (sign for ew:inf, normalized for ew:2).
+    a config wbar_norm must be null or that norm.
     Returns the CSV path and the verdict dict (also written next to the CSV
     as <out_csv>.verdict.json), whose ``wbar_norm`` is the run's norm.
     """
@@ -464,11 +452,8 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
         if np.any(cfg.w0):
             raise ValueError("persample protocol requires w0 = zeros")
         _check_scale_skewed(ds)
-        if cfg.wbar_kind is not None and _WBAR_NORMS[cfg.wbar_kind] != norm:
-            raise ValueError(
-                f"persample takes the bias matrix at its norm {norm}; "
-                f"wbar_kind {cfg.wbar_kind!r} names {_WBAR_NORMS[cfg.wbar_kind]}"
-            )
+        if cfg.wbar_norm not in (None, norm):
+            raise ValueError(f"persample takes the bias matrix at its norm {norm}, not wbar_norm {cfg.wbar_norm}")
     verdict_path = cfg.out_csv + ".verdict.json"
     _remove(cfg.out_csv)
     _remove(verdict_path)

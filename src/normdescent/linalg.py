@@ -1,5 +1,8 @@
 """Dense matrix norms, SVD, and polar factors.
 
+A norm is a ``NormSpec``, written ``ew:p`` (entry-wise) or ``sch:p``
+(Schatten) everywhere; ``matrix_norm`` and ``dual_norm`` take one.
+
 Everything in this module is a pure function of float64 numpy arrays. The
 SVD is LAPACK's thin SVD (``np.linalg.svd``), returned as LAPACK gives it, so
 the same input gives the same bytes given the same numpy version, BLAS/LAPACK
@@ -28,11 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ENTRYWISE = "entrywise"
-SCHATTEN = "schatten"
-
-_FAMILY_ALIASES = {"ew": ENTRYWISE, "sch": SCHATTEN}
-_FAMILY_SHORT = {ENTRYWISE: "ew", SCHATTEN: "sch"}
+ENTRYWISE = "ew"
+SCHATTEN = "sch"
 
 # Singular values below RANK_CUTOFF * sigma_max count as zero for rank
 # decisions (rank-1 per-sample gradients need a stable cut).
@@ -43,9 +43,10 @@ _TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
 @dataclass(frozen=True)
 class NormSpec:
-    """A matrix norm: entry-wise or Schatten, with exponent p in [1, inf].
+    """A matrix norm: entry-wise (``"ew"``) or Schatten (``"sch"``), with
+    exponent p in [1, inf].
 
-    The textual form used in configs and on the command line is
+    The textual form used in configs, on the command line and in outputs is
     ``"ew:p"`` / ``"sch:p"`` with ``p`` a finite decimal or ``"inf"``.
     """
 
@@ -74,18 +75,17 @@ class NormSpec:
     @classmethod
     def parse(cls, text: str) -> "NormSpec":
         try:
-            fam, pstr = text.strip().split(":")
-            family = _FAMILY_ALIASES[fam]
+            family, pstr = text.strip().split(":")
             p = float(pstr)
-            if not math.isfinite(p) and pstr != "inf":
+            if family not in (ENTRYWISE, SCHATTEN) or (not math.isfinite(p) and pstr != "inf"):
                 raise ValueError  # only the literal "inf" means p = inf, not 1e400
-        except (ValueError, KeyError):
-            raise ValueError(f"bad norm spec {text!r}; expected 'ew:p' or 'sch:p'")
+        except ValueError:
+            raise ValueError(f"bad norm spec {text!r}; expected 'ew:p' or 'sch:p'") from None
         return cls(family, p)
 
     def __str__(self) -> str:
-        pstr = "inf" if math.isinf(self.p) else f"{self.p:g}"
-        return f"{_FAMILY_SHORT[self.family]}:{pstr}"
+        pstr = "inf" if math.isinf(self.p) else repr(self.p).removesuffix(".0")
+        return f"{self.family}:{pstr}"
 
 
 class NonFiniteError(ValueError, FloatingPointError):
@@ -107,18 +107,13 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def entrywise_norm(a, p: float) -> float:
-    """Entry-wise p-norm: (sum |a_ij|^p)^(1/p); p=inf gives max |a_ij|."""
-    return matrix_norm(a, NormSpec(ENTRYWISE, p))
-
-
 @np.errstate(over="ignore")  # an overflow to inf is handled by the caller
 def _sum_of_squares(m: np.ndarray) -> float:
     return float((m * m).sum())
 
 
 def _entrywise_norm(m: np.ndarray, p: float) -> float:
-    """``entrywise_norm`` of a validated matrix and exponent."""
+    """(sum |m_ij|^p)^(1/p) of a validated matrix; max |m_ij| at p = inf."""
     if p == 2.0:
         sq = _sum_of_squares(m)
         # the unscaled shortcut is accurate unless the sum of squares drops
@@ -148,11 +143,6 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and the binding tests name it.
     """
     return np.linalg.svd(as_matrix(a), full_matrices=False)
-
-
-def schatten_norm(a, p: float) -> float:
-    """Schatten p-norm: p-norm of the singular value vector."""
-    return matrix_norm(a, NormSpec(SCHATTEN, p))
 
 
 def matrix_norm(a, spec: NormSpec) -> float:

@@ -54,7 +54,7 @@ class LossOverflowError(ArithmeticError):
 
 def _check_kind(kind: str):
     if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+        raise ValueError(f"loss must be one of {list(LOSS_KINDS)}, got {kind!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,6 +345,13 @@ def _finites(parts: list[str]) -> list[float]:
     return vals
 
 
+def _label(token: str, k: int) -> int:
+    y = int(token)
+    if not 0 <= y < k:
+        raise ValueError(f"label {token!r} does not lie in [0, k) = [0, {k})")
+    return y
+
+
 def _fields(fh, what: str, count: int, parse):
     """``parse`` of the next line's ``count`` fields; its errors name the line ``what``."""
     parts = fh.readline().split()
@@ -363,7 +370,7 @@ def load_dataset(path) -> Dataset:
     with _labelled(path), open(path, "r", encoding="ascii") as fh:
         d, n, k = _fields(fh, "header 'd n k'", 3, _sizes)
         # the arrays are built from the lines read, never sized by the header
-        lines = [_fields(fh, f"sample line {i}", d + 1, lambda p: (int(p[0]), _finites(p[1:]))) for i in range(n)]
+        lines = [_fields(fh, f"sample line {i}", d + 1, lambda p: (_label(p[0], k), _finites(p[1:]))) for i in range(n)]
         _no_trailing(fh)
         x = np.array([vals for _, vals in lines], dtype=np.float64).reshape(n, d).T
         return Dataset(x, np.array([label for label, _ in lines], dtype=np.int64), k)

@@ -25,7 +25,6 @@ from normdescent import (
     Schedule,
     SkewedSpec,
     dual_norm,
-    entrywise_norm,
     fit_rate,
     frobenius_cosine,
     gen_gaussian,
@@ -50,19 +49,19 @@ from normdescent import (
 from tests.conftest import divisible_dataset
 from tests.test_model import fd_grad
 
-EW2 = NormSpec("entrywise", 2.0)
-EWINF = NormSpec("entrywise", math.inf)
-SCHINF = NormSpec("schatten", math.inf)
+EW2 = NormSpec("ew", 2.0)
+EWINF = NormSpec("ew", math.inf)
+SCHINF = NormSpec("sch", math.inf)
 
 ACCEPT_SPECS = [
-    NormSpec("entrywise", 1.0),
-    NormSpec("entrywise", 1.5),
-    NormSpec("entrywise", 2.0),
-    NormSpec("entrywise", 3.0),
-    NormSpec("entrywise", math.inf),
-    NormSpec("schatten", 1.0),
-    NormSpec("schatten", 2.0),
-    NormSpec("schatten", math.inf),
+    NormSpec("ew", 1.0),
+    NormSpec("ew", 1.5),
+    NormSpec("ew", 2.0),
+    NormSpec("ew", 3.0),
+    NormSpec("ew", math.inf),
+    NormSpec("sch", 1.0),
+    NormSpec("sch", 2.0),
+    NormSpec("sch", math.inf),
 ]
 
 GAUSS_SEED = 12345
@@ -214,8 +213,8 @@ class TestCriterion01BoundSuite:
                 gval = proxy_g(w, ds)
                 lval = loss(w, ds)
                 # (a) norm dominance on the gradient matrix
-                lo = entrywise_norm(g, math.inf)
-                hi = entrywise_norm(g, 1.0)
+                lo = matrix_norm(g, NormSpec("ew", math.inf))
+                hi = matrix_norm(g, NormSpec("ew", 1.0))
                 for spec in ACCEPT_SPECS:
                     v = matrix_norm(g, spec)
                     assert leq(lo, v) and leq(v, hi)

@@ -91,7 +91,7 @@ _ACCEPTED_TYPES = {
     **dict.fromkeys(("beta1", "c", "a", "eta0", "margin_tol"), (int, float)),
     "gamma": (int, float, type(None)),
     **dict.fromkeys(("norm", "loss", "dataset_path", "w0", "out_csv"), (str,)),
-    **dict.fromkeys(("wstar_path", "wbar_kind"), (str, type(None))),
+    **dict.fromkeys(("wstar_path", "wbar_norm"), (str, type(None))),
 }
 
 
@@ -132,7 +132,7 @@ class TestTrainCmd:
     def test_norm_exponent_that_overflows_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, norm="ew:1e400")
         assert cli_main(["train", "--config", cfg]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: {cfg}: bad norm spec 'ew:1e400'; expected 'ew:p' or 'sch:p'\n"
+        assert capsys.readouterr().err == f"error: {cfg}: norm: bad norm spec 'ew:1e400'; expected 'ew:p' or 'sch:p'\n"
         assert not (tmp_path / "out.csv").exists()
 
     def test_subnormal_wstar_gives_the_unit_scale_cosine(self, tmp_path):
@@ -179,13 +179,13 @@ class TestTrainCmd:
             ("w0", 0, False),
             ("out_csv", 5, False),
             ("wstar_path", 3, False),
-            ("wbar_kind", 1, False),
+            ("wbar_norm", 1, False),
             ("c", 1, True),
             ("beta1", 0, True),
             ("gamma", 1, True),
             ("gamma", None, True),
             ("wstar_path", None, True),
-            ("wbar_kind", None, True),
+            ("wbar_norm", None, True),
         ],
     )
     def test_config_value_types(self, tmp_path, capsys, monkeypatch, key, value, ok):
@@ -223,7 +223,7 @@ class TestTrainCmd:
         path.write_text(json.dumps(raw))
         cfg = load_config(str(path))
         assert (cfg.log_every, cfg.margin_tol, cfg.margin_iters) == (10, 1e-3, 120_000)
-        assert cfg.gamma is None and cfg.wstar is None and cfg.wbar_kind is None
+        assert cfg.gamma is None and cfg.wstar is None and cfg.wbar_norm is None
 
     @pytest.mark.parametrize(
         "key,literal",
@@ -293,6 +293,14 @@ class TestTrainCmd:
         "log_every_no_row": ({"log_every": 31}, "log_every 31 exceeds the run's 30 steps"),
         "gamma_zero": ({"gamma": 0, "batch_size": 2}, "gamma must be positive, got 0.0"),
         "gamma_negative": ({"gamma": -0.5}, "gamma must be positive, got -0.5"),
+        # each norm and loss has one spelling, and a norm error names its key
+        "loss_short": ({"loss": "ce"}, "loss must be one of ['cross_entropy', 'exponential'], got 'ce'"),
+        "loss_upper": ({"loss": "CROSS_ENTROPY"},
+                       "loss must be one of ['cross_entropy', 'exponential'], got 'CROSS_ENTROPY'"),
+        "wbar_kind_key": ({"wbar_kind": "sign"}, "unknown config keys ['wbar_kind']"),
+        "wbar_norm_word": ({"wbar_norm": "sign"}, "wbar_norm: bad norm spec 'sign'; expected 'ew:p' or 'sch:p'"),
+        "norm_long_family": ({"norm": "entrywise:2"},
+                             "norm: bad norm spec 'entrywise:2'; expected 'ew:p' or 'sch:p'"),
     }
 
     @pytest.mark.parametrize("case", list(_BEFORE_SOLVE_CASES))
@@ -351,7 +359,7 @@ class TestTrainCmd:
     def test_zero_w_row_leaves_the_cosine_cells_empty(self, tmp_path):
         # eta0 = 0: the first step leaves W at zero, so row t = 1 has no
         # direction to compare with W* or W-bar; later rows do
-        cfg = write_config(tmp_path, eta0=0.0, epochs=10, log_every=1, wbar_kind="sign")
+        cfg = write_config(tmp_path, eta0=0.0, epochs=10, log_every=1, wbar_norm="ew:inf")
         out = train_cmd(cfg)
         rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
         assert [row[0] for row in rows] == [str(t) for t in range(1, 11)]
@@ -360,6 +368,10 @@ class TestTrainCmd:
         # the zero-W row's infinite gap is not a fit point
         with pytest.raises(ValueError, match="only 9 positive-gap rows"):
             fit_rate(out, 1, 10)
+
+    def test_wbar_norm_need_not_be_the_runs_norm(self, tmp_path):
+        cols = read_csv(train_cmd(write_config(tmp_path, norm="ew:2", wbar_norm="sch:inf", gamma=0.5)))
+        assert cols["t"].size == 6 and np.isfinite(cols["cos_wbar"]).all()
 
     def test_gap_column_consistent_with_target(self, tmp_path):
         # full-batch run: the stored target is gamma itself
@@ -643,23 +655,24 @@ class TestPersample:
             assert verdict["wbar_norm"] == norm
 
     @pytest.mark.parametrize(
-        "norm,kind",
-        [("ew:2", "sign"), ("ew:inf", "normalized"), ("sch:inf", "sign"), ("sch:inf", "normalized"), ("ew:3", "sign")],
+        "norm,wbar_norm",
+        [("ew:2", "ew:inf"), ("ew:inf", "ew:2"), ("sch:inf", "ew:inf"), ("sch:inf", "ew:2"), ("ew:3", "ew:inf")],
     )
-    def test_rejects_wbar_kind_the_norm_does_not_imply(self, tmp_path, capsys, norm, kind):
-        cfg = self._cfg(tmp_path, norm=norm, wbar_kind=kind, epochs=3, gamma=0.3, name="k.json")
-        with pytest.raises(ConfigError, match="wbar_kind"):
+    def test_rejects_a_wbar_norm_other_than_its_norm(self, tmp_path, capsys, norm, wbar_norm):
+        cfg = self._cfg(tmp_path, norm=norm, wbar_norm=wbar_norm, epochs=3, gamma=0.3, name="k.json")
+        with pytest.raises(ConfigError, match="wbar_norm"):
             persample_cmd(cfg)
         assert cli_main(["persample", "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(tmp_path / "ps.csv")
 
-    @pytest.mark.parametrize("norm,kind", [("ew:2", "normalized"), ("ew:inf", "sign")])
-    def test_matching_wbar_kind_runs_unchanged(self, tmp_path, norm, kind):
+    @pytest.mark.parametrize("norm", ["ew:2", "ew:inf", "sch:inf", "sch:1.5"])
+    def test_the_verdicts_wbar_norm_as_config_runs_unchanged(self, tmp_path, norm):
         base = self._cfg(tmp_path, norm=norm, epochs=3, gamma=0.3, name="base.json")
         _, expect = persample_cmd(base)
         expect_csv = open(tmp_path / "ps.csv", "rb").read()
-        _, verdict = persample_cmd(self._cfg(tmp_path, norm=norm, wbar_kind=kind, epochs=3, gamma=0.3, name="k.json"))
+        cfg = self._cfg(tmp_path, norm=norm, wbar_norm=expect["wbar_norm"], epochs=3, gamma=0.3, name="k.json")
+        _, verdict = persample_cmd(cfg)
         assert verdict == expect
         assert verdict["wbar_norm"] == norm
         assert open(tmp_path / "ps.csv", "rb").read() == expect_csv
@@ -669,13 +682,12 @@ class TestPersample:
         [
             (dict(batch_size=5), "persample protocol requires batch_size = 1"),
             (dict(vr=True), "persample protocol requires momentum and vr off"),
-            (dict(norm="ew:3", wbar_kind="normalized"),
-             "persample takes the bias matrix at its norm ew:3; wbar_kind 'normalized' names ew:2"),
+            (dict(norm="ew:3", wbar_norm="ew:2"), "persample takes the bias matrix at its norm ew:3, not wbar_norm ew:2"),
             (dict(w0="ones"), "persample protocol requires w0 = zeros"),
-            (dict(wbar_kind="sign"), "persample takes the bias matrix at its norm ew:2; wbar_kind 'sign' names ew:inf"),
+            (dict(wbar_norm="ew:inf"), "persample takes the bias matrix at its norm ew:2, not wbar_norm ew:inf"),
             (dict(dataset_path="toy"), "persample protocol needs orthogonal scale-skewed data; sample 0 is not"),
         ],
-        ids=["batch_size", "vr", "norm", "w0", "wbar_kind", "dataset"],
+        ids=["batch_size", "vr", "norm", "w0", "wbar_norm", "dataset"],
     )
     def test_precondition_errors_name_the_config(self, tmp_path, capsys, over, reason):
         if over.get("w0") == "ones":
@@ -803,6 +815,33 @@ class TestCli:
         assert rc == EXIT_CONFIG
         assert err.startswith("error: out of memory: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["gaussian", "skewed"])
+    @pytest.mark.parametrize(
+        "out,named",
+        [("nodir/x.txt", "--out 'nodir/x.txt': directory 'nodir' does not exist"), ("sub", "--out 'sub' names a directory")],
+        ids=["no-parent", "directory"],
+    )
+    def test_gen_data_out_is_checked_before_generating(self, tmp_path, capsys, monkeypatch, family, out, named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        generated = []
+        monkeypatch.setattr(cli, "gen_gaussian", generated.append)
+        monkeypatch.setattr(cli, "gen_skewed", generated.append)
+        assert cli_main(["gen-data", family, "--out", out]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert generated == []
+
+    @pytest.mark.parametrize("label", ["100000000000000000000000000000", "-1"], ids=["huge", "negative"])
+    def test_label_outside_the_classes_names_file_and_line(self, tmp_path, capsys, label):
+        path = tmp_path / "labels.txt"
+        path.write_text(f"2 2 2\n0 1 0\n{label} 0 1\n")
+        reason = f"{path}: sample line 1: label '{label}' does not lie in [0, k) = [0, 2)"
+        rc = cli_main(["margin", "--dataset", str(path), "--norm", "ew:2", "--out", str(tmp_path / "w.txt")])
+        assert (rc, capsys.readouterr().err) == (EXIT_CONFIG, f"error: {reason}\n")
+        cfg = write_config(tmp_path, dataset_path=str(path))
+        assert cli_main(["train", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {cfg}: {reason}\n"
 
     @pytest.mark.parametrize(
         "family,flags,foreign",

@@ -9,55 +9,53 @@ from normdescent import (
     Dataset,
     NormSpec,
     dual_norm,
-    entrywise_norm,
     frobenius_cosine,
     jacobi_svd,
     matrix_norm,
     newton_schulz_polar,
     save_dataset,
-    schatten_norm,
 )
 from normdescent.cli import EXIT_NONCONVERGENCE, main as cli_main
 
 ALL_SPECS = [
-    NormSpec("entrywise", 1.0),
-    NormSpec("entrywise", 1.5),
-    NormSpec("entrywise", 2.0),
-    NormSpec("entrywise", 3.0),
-    NormSpec("entrywise", math.inf),
-    NormSpec("schatten", 1.0),
-    NormSpec("schatten", 2.0),
-    NormSpec("schatten", math.inf),
+    NormSpec("ew", 1.0),
+    NormSpec("ew", 1.5),
+    NormSpec("ew", 2.0),
+    NormSpec("ew", 3.0),
+    NormSpec("ew", math.inf),
+    NormSpec("sch", 1.0),
+    NormSpec("sch", 2.0),
+    NormSpec("sch", math.inf),
 ]
 
 
 class TestEntrywiseNorm:
     def test_pythagorean(self):
-        assert entrywise_norm([[3.0, -4.0]], 2.0) == pytest.approx(5.0, abs=1e-12)
+        assert matrix_norm([[3.0, -4.0]], NormSpec("ew", 2.0)) == pytest.approx(5.0, abs=1e-12)
 
     def test_max_magnitude(self):
-        assert entrywise_norm([[1.0, -2.0], [0.0, 3.0]], math.inf) == 3.0
+        assert matrix_norm([[1.0, -2.0], [0.0, 3.0]], NormSpec("ew", math.inf)) == 3.0
 
     def test_sum_of_magnitudes(self):
-        assert entrywise_norm([[1.0, -2.0], [0.0, 3.0]], 1.0) == 6.0
+        assert matrix_norm([[1.0, -2.0], [0.0, 3.0]], NormSpec("ew", 1.0)) == 6.0
 
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
-            entrywise_norm([[1.0]], 0.5)
+            matrix_norm([[1.0]], NormSpec("ew", 0.5))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            entrywise_norm([[np.nan]], 2.0)
+            matrix_norm([[np.nan]], NormSpec("ew", 2.0))
 
     def test_p2_tiny_and_huge_entries(self):
         # sum(m*m) loses precision below ~1e-154, underflows to 0 below
         # ~1e-162 and overflows above ~1e154
-        assert entrywise_norm([[1e-200]], 2.0) == 1e-200
-        assert entrywise_norm([[3e-160, -4e-160]], 2.0) == pytest.approx(5e-160, rel=1e-15, abs=0.0)
-        assert entrywise_norm([[3e-170, -4e-170]], 2.0) == pytest.approx(5e-170, rel=1e-15, abs=0.0)
-        assert entrywise_norm([[3e300, -4e300]], 2.0) == pytest.approx(5e300, rel=1e-15)
-        assert schatten_norm([[1e-200]], 2.0) == 1e-200
-        assert schatten_norm([[3e300, -4e300]], 2.0) == pytest.approx(5e300, rel=1e-15)
+        assert matrix_norm([[1e-200]], NormSpec("ew", 2.0)) == 1e-200
+        assert matrix_norm([[3e-160, -4e-160]], NormSpec("ew", 2.0)) == pytest.approx(5e-160, rel=1e-15, abs=0.0)
+        assert matrix_norm([[3e-170, -4e-170]], NormSpec("ew", 2.0)) == pytest.approx(5e-170, rel=1e-15, abs=0.0)
+        assert matrix_norm([[3e300, -4e300]], NormSpec("ew", 2.0)) == pytest.approx(5e300, rel=1e-15)
+        assert matrix_norm([[1e-200]], NormSpec("sch", 2.0)) == 1e-200
+        assert matrix_norm([[3e300, -4e300]], NormSpec("sch", 2.0)) == pytest.approx(5e300, rel=1e-15)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -69,8 +67,8 @@ class TestEntrywiseNorm:
         a = np.array(vals)[None, :]
         assume(np.abs(a).max() >= 1e-3)
         scale = 10.0 ** exponent
-        got = entrywise_norm(scale * a, p)
-        assert got == pytest.approx(scale * entrywise_norm(a, p), rel=1e-12, abs=0.0)
+        got = matrix_norm(scale * a, NormSpec("ew", p))
+        assert got == pytest.approx(scale * matrix_norm(a, NormSpec("ew", p)), rel=1e-12, abs=0.0)
 
 
 class TestJacobiSvd:
@@ -157,30 +155,30 @@ class TestJacobiSvd:
 
 class TestSchattenNorm:
     def test_nuclear_of_diagonal(self):
-        assert schatten_norm(np.diag([3.0, 4.0]), 1.0) == pytest.approx(7.0, abs=1e-10)
+        assert matrix_norm(np.diag([3.0, 4.0]), NormSpec("sch", 1.0)) == pytest.approx(7.0, abs=1e-10)
 
     def test_spectral_of_diagonal(self):
-        assert schatten_norm(np.diag([3.0, 4.0]), math.inf) == pytest.approx(4.0, abs=1e-10)
+        assert matrix_norm(np.diag([3.0, 4.0]), NormSpec("sch", math.inf)) == pytest.approx(4.0, abs=1e-10)
 
     def test_frobenius_identity(self, rng):
         for _ in range(20):
             a = rng.standard_normal((4, 4))
-            assert abs(schatten_norm(a, 2.0) - entrywise_norm(a, 2.0)) <= 1e-10
+            assert abs(matrix_norm(a, NormSpec("sch", 2.0)) - matrix_norm(a, NormSpec("ew", 2.0))) <= 1e-10
 
 
 class TestDualNorm:
     def test_linf_dual_is_l1(self):
         a = [[1.0, -2.0], [0.0, 3.0]]
-        assert dual_norm(a, NormSpec("entrywise", math.inf)) == 6.0
+        assert dual_norm(a, NormSpec("ew", math.inf)) == 6.0
 
     def test_spectral_dual_is_nuclear(self):
         a = np.diag([3.0, 4.0])
-        assert dual_norm(a, NormSpec("schatten", math.inf)) == pytest.approx(7.0, abs=1e-10)
+        assert dual_norm(a, NormSpec("sch", math.inf)) == pytest.approx(7.0, abs=1e-10)
 
     def test_random_search_oracle_entrywise_3(self, rng):
         # dual of ew:3 is the ew:1.5 norm; a random search over unit-3-norm
         # directions must approach it from below
-        spec = NormSpec("entrywise", 3.0)
+        spec = NormSpec("ew", 3.0)
         a = rng.standard_normal((2, 3))
         target = dual_norm(a, spec)
         best = 0.0
@@ -193,9 +191,9 @@ class TestDualNorm:
         assert best >= 0.98 * target
 
     def test_exponent_pairing(self):
-        assert NormSpec("entrywise", 3.0).q == pytest.approx(1.5)
-        assert NormSpec("entrywise", 1.0).q == math.inf
-        assert NormSpec("schatten", math.inf).q == 1.0
+        assert NormSpec("ew", 3.0).q == pytest.approx(1.5)
+        assert NormSpec("ew", 1.0).q == math.inf
+        assert NormSpec("sch", math.inf).q == 1.0
 
 
 class TestNewtonSchulz:
@@ -240,7 +238,8 @@ class TestFrobeniusCosine:
         # the formula every pinned cos_wstar / cos_wbar cell was written with
         for _ in range(20):
             a, b = rng.standard_normal((2, 4, 3))
-            direct = float(np.sum(a * b)) / (entrywise_norm(a, 2.0) * entrywise_norm(b, 2.0))
+            fro = NormSpec("ew", 2.0)
+            direct = float(np.sum(a * b)) / (matrix_norm(a, fro) * matrix_norm(b, fro))
             assert frobenius_cosine(a, b) == min(1.0, max(-1.0, direct))
 
     def test_overflowing_inner_product(self):
@@ -266,6 +265,21 @@ class TestNormSpec:
     def test_parse_roundtrip(self, text):
         assert str(NormSpec.parse(text)) == text
 
+    @pytest.mark.parametrize("family", ["ew", "sch"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf, 1.23456789, 1234567.0, 1e22])
+    def test_one_spelling_round_trips(self, family, p):
+        spec = NormSpec(family, p)
+        assert NormSpec.parse(str(spec)) == spec
+        assert NormSpec(spec.family, spec.p) == spec
+        assert str(spec).startswith(f"{family}:")
+
+    @pytest.mark.parametrize("family", ["entrywise", "schatten", "EW", "l"])
+    def test_only_the_short_family_names_exist(self, family):
+        with pytest.raises(ValueError, match=f"^unknown norm family: '{family}'$"):
+            NormSpec(family, 2.0)
+        with pytest.raises(ValueError, match="^bad norm spec"):
+            NormSpec.parse(f"{family}:2")
+
     def test_parse_rejects_garbage(self):
         for bad in ["l2", "ew:0.5", "spectral", "ew", "sch:-1"]:
             with pytest.raises(ValueError):
@@ -282,8 +296,8 @@ class TestNormFamilyProperties:
     def test_norm_dominance(self, rng):
         for _ in range(50):
             a = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 6))))
-            lo = entrywise_norm(a, math.inf)
-            hi = entrywise_norm(a, 1.0)
+            lo = matrix_norm(a, NormSpec("ew", math.inf))
+            hi = matrix_norm(a, NormSpec("ew", 1.0))
             for spec in ALL_SPECS:
                 v = matrix_norm(a, spec)
                 assert lo <= v * (1 + 1e-12) + 1e-15
@@ -292,10 +306,10 @@ class TestNormFamilyProperties:
     def test_schatten_monotonicity(self, rng):
         for _ in range(20):
             a = rng.standard_normal((4, 5))
-            sinf = schatten_norm(a, math.inf)
-            s1 = schatten_norm(a, 1.0)
+            sinf = matrix_norm(a, NormSpec("sch", math.inf))
+            s1 = matrix_norm(a, NormSpec("sch", 1.0))
             for p in (1.3, 2.0, 3.0, 7.0):
-                sp = schatten_norm(a, p)
+                sp = matrix_norm(a, NormSpec("sch", p))
                 assert sinf <= sp * (1 + 1e-12)
                 assert sp <= s1 * (1 + 1e-12)
 
@@ -315,8 +329,9 @@ class TestNormFamilyProperties:
     )
     def test_entrywise_scaling_and_triangle(self, vals, p):
         a = np.array(vals).reshape(2, 2)
-        assert entrywise_norm(2.0 * a, p) == pytest.approx(2.0 * entrywise_norm(a, p), rel=1e-12, abs=1e-12)
+        spec = NormSpec("ew", p)
+        assert matrix_norm(2.0 * a, spec) == pytest.approx(2.0 * matrix_norm(a, spec), rel=1e-12, abs=1e-12)
         b = a[::-1].copy()
-        lhs = entrywise_norm(a + b, p)
-        rhs = entrywise_norm(a, p) + entrywise_norm(b, p)
+        lhs = matrix_norm(a + b, spec)
+        rhs = matrix_norm(a, spec) + matrix_norm(b, spec)
         assert lhs <= rhs * (1 + 1e-12) + 1e-12

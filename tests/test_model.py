@@ -229,7 +229,7 @@ class TestFullBatchView:
         ds = random_dataset(rng)
         assert ds.full is ds.full
         w = rng.standard_normal((ds.k, ds.d))
-        loss(w, ds), proxy_g(w, ds), grad(w, ds), margin_report(w, ds, NormSpec("entrywise", 2.0))
+        loss(w, ds), proxy_g(w, ds), grad(w, ds), margin_report(w, ds, NormSpec("ew", 2.0))
         assert calls == []
         other = Dataset(ds.x, ds.y, ds.k)
         assert other.full is not ds.full and other.x is not ds.x
@@ -241,7 +241,7 @@ class TestFullBatchView:
         ds = divisible_dataset(rng, k=3, d=2, n=9)
         cfg = OptimizerConfig(batch_size=9, beta1=0.0, vr_on=True,
                               schedule=Schedule(0.5, 0.5, 0.5), epochs=20, seed=3,
-                              norm=NormSpec("entrywise", 2.0))
+                              norm=NormSpec("ew", 2.0))
         run(cfg, ds, np.zeros((3, 2)))
         assert calls == []
 
@@ -319,7 +319,7 @@ class TestPreparedBatches:
         ds = divisible_dataset(rng, k=3, d=2, n=9)
         cfg = OptimizerConfig(batch_size=3, beta1=0.0, vr_on=True,
                               schedule=Schedule(0.5, 0.5, 0.5), epochs=20, seed=3,
-                              norm=NormSpec("entrywise", 2.0))
+                              norm=NormSpec("ew", 2.0))
         run(cfg, ds, np.zeros((3, 2)))
         assert gathers == [(3, 3)] * 20
         assert indexed == []
@@ -354,7 +354,7 @@ class TestProxy:
 
 
 class TestMarginReport:
-    SPEC = NormSpec("entrywise", 2.0)
+    SPEC = NormSpec("ew", 2.0)
 
     def test_two_class_hand_example(self):
         ds = Dataset(np.array([[1.0, -1.0]]), np.array([0, 1]), 2)
@@ -490,7 +490,7 @@ class TestStabilityBounds:
         w_sep = np.eye(3) - 1.0 / 3.0
         w = w_sep * 40.0
         assert loss(w, ds) <= math.log(2) / ds.n
-        rep = margin_report(w, ds, NormSpec("entrywise", 2.0))
+        rep = margin_report(w, ds, NormSpec("ew", 2.0))
         assert rep.unnormalized_min >= 0
 
     def test_gradient_dual_norm_sandwich(self, rng):

@@ -24,8 +24,8 @@ from normdescent import (
 )
 from tests.conftest import divisible_dataset
 
-EW2 = NormSpec("entrywise", 2.0)
-EWINF = NormSpec("entrywise", math.inf)
+EW2 = NormSpec("ew", 2.0)
+EWINF = NormSpec("ew", math.inf)
 
 
 def make_cfg(ds, b, epochs=1, beta1=0.0, vr=False, norm=EW2, seed=11, c=0.5, a=0.5):

@@ -31,9 +31,9 @@ from normdescent.linalg import as_matrix
 from normdescent.model import pair_gaps
 from tests.conftest import random_dataset
 
-EW2 = NormSpec("entrywise", 2.0)
-EWINF = NormSpec("entrywise", math.inf)
-SCHINF = NormSpec("schatten", math.inf)
+EW2 = NormSpec("ew", 2.0)
+EWINF = NormSpec("ew", math.inf)
+SCHINF = NormSpec("sch", math.inf)
 EVERY_NORM = [NormSpec.parse(t) for t in ("ew:1", "ew:1.5", "ew:2", "ew:3", "ew:inf",
                                           "sch:1", "sch:1.5", "sch:3", "sch:inf")]
 
@@ -133,7 +133,7 @@ class TestMaxMargin:
     @pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
     def test_grid_search_oracle(self, rng, p):
         ds = two_class_2d_instance(rng)
-        spec = NormSpec("entrywise", p)
+        spec = NormSpec("ew", p)
         sol = max_margin(ds, spec, tol=1e-3, max_iters=30000)
         oracle = grid_margin_oracle_entrywise(ds, p, pitch=0.01)
         assert sol.gamma == pytest.approx(oracle, abs=0.02)

@@ -70,10 +70,10 @@ PINNED_FULL_RANK_SCHATTEN_SHA256 = "3b07174e6afe679505e03d1b59479a17f1e5791ec592
 PINNED_MOMENTUM_VR_SHA256 = "96a5530ee89f920a65cc29ca730347fc01686c46d0437616ae6313bb4a697100"
 PINNED_EXPONENTIAL_SHA256 = "c8453634c0a1a85f0022e57b4d0e521f0d5802a98b08b26a98e0368598c60ca4"
 
-# wbar_kind -> CSV digest
+# wbar_norm -> CSV digest
 PINNED_WBAR_SHA256 = {
-    "normalized": "28fd139c7e8244aa3cd650f98df89d467f4571f57ced46b8970deabe2a6e3061",
-    "sign": "d44a93e6a9a1f71db9597ff86b881fdbeef95d0c1d6b9f0ebb8851a2f5e6b7ed",
+    "ew:2": "28fd139c7e8244aa3cd650f98df89d467f4571f57ced46b8970deabe2a6e3061",
+    "ew:inf": "d44a93e6a9a1f71db9597ff86b881fdbeef95d0c1d6b9f0ebb8851a2f5e6b7ed",
 }
 
 
@@ -181,13 +181,13 @@ def test_full_batch_exponential_loss_csv_bytes_pinned(tmp_path, dataset_path, ca
     assert digest == PINNED_EXPONENTIAL_SHA256
 
 
-@pytest.mark.parametrize("kind", sorted(PINNED_WBAR_SHA256))
-def test_full_batch_wbar_csv_bytes_pinned(tmp_path, dataset_path, kind, capsys):
+@pytest.mark.parametrize("wbar_norm", sorted(PINNED_WBAR_SHA256))
+def test_full_batch_wbar_csv_bytes_pinned(tmp_path, dataset_path, wbar_norm, capsys):
     digest = _train_csv(
-        tmp_path, norm="ew:2", batch_size=12, epochs=60, wbar_kind=kind, dataset_path=dataset_path
+        tmp_path, norm="ew:2", batch_size=12, epochs=60, wbar_norm=wbar_norm, dataset_path=dataset_path
     )
     capsys.readouterr()
-    assert digest == PINNED_WBAR_SHA256[kind]
+    assert digest == PINNED_WBAR_SHA256[wbar_norm]
 
 
 def _layouts(x: np.ndarray) -> dict:

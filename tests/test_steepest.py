@@ -10,7 +10,6 @@ from normdescent import (
     Dataset,
     NormSpec,
     dual_norm,
-    entrywise_norm,
     grad,
     jacobi_svd,
     matrix_norm,
@@ -24,21 +23,21 @@ from tests.test_linalg import ALL_SPECS
 class TestClosedForms:
     def test_sign_direction(self):
         g = np.array([[2.0, -3.0], [0.0, 1.0]])
-        out = steepest_map(g, NormSpec("entrywise", math.inf))
+        out = steepest_map(g, NormSpec("ew", math.inf))
         assert np.array_equal(out, [[1.0, -1.0], [0.0, 1.0]])
 
     def test_frobenius_normalization(self, rng):
         g = rng.standard_normal((3, 4))
-        out = steepest_map(g, NormSpec("entrywise", 2.0))
+        out = steepest_map(g, NormSpec("ew", 2.0))
         assert np.allclose(out, g / np.linalg.norm(g), atol=1e-14)
 
     def test_spectral_of_positive_diagonal(self):
-        out = steepest_map(np.diag([3.0, 2.0]), NormSpec("schatten", math.inf))
+        out = steepest_map(np.diag([3.0, 2.0]), NormSpec("sch", math.inf))
         assert np.abs(out - np.eye(2)).max() <= 1e-12
 
     def test_entrywise_one_puts_mass_on_first_max(self):
         g = np.array([[1.0, -3.0], [3.0, 0.5]])
-        out = steepest_map(g, NormSpec("entrywise", 1.0))
+        out = steepest_map(g, NormSpec("ew", 1.0))
         expect = np.zeros((2, 2))
         expect[0, 1] = -1.0  # row-major first |entry| = 3
         assert np.array_equal(out, expect)
@@ -49,7 +48,7 @@ class TestClosedForms:
 
 
     def test_tiny_and_huge_frobenius_maps(self):
-        spec = NormSpec("entrywise", 2.0)
+        spec = NormSpec("ew", 2.0)
         assert np.array_equal(steepest_map([[1e-200, 0.0]], spec), [[1.0, 0.0]])
         assert np.array_equal(steepest_map([[1e300, 0.0]], spec), [[1.0, 0.0]])
         out = steepest_map([[3e300, -4e300]], spec)
@@ -79,11 +78,11 @@ class TestFrobeniusClosedForm:
     @example(g=np.array([[1e300, -1e-30]]))  # -1e-30 / 1e300 underflows to -0.0
     @example(g=np.array([[3e300, -4e300]]))
     def test_map_is_the_general_form_bit_for_bit(self, g):
-        out = steepest_map(g, NormSpec("entrywise", 2.0))
+        out = steepest_map(g, NormSpec("ew", 2.0))
         if not np.count_nonzero(g):
             assert not np.count_nonzero(out)
             return
-        general = np.sign(g) * (np.abs(g) / entrywise_norm(g, 2.0)) ** 1.0
+        general = np.sign(g) * (np.abs(g) / matrix_norm(g, NormSpec("ew", 2.0))) ** 1.0
         assert np.array_equal(out.view(np.int64), general.view(np.int64))
 
 
@@ -111,7 +110,7 @@ class TestSignFreeSchattenMap:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
     def test_byte_equal_to_signed_svd_reference(self, p, rng):
-        spec = NormSpec("schatten", p)
+        spec = NormSpec("sch", p)
         for _ in range(150):
             shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
             random = rng.standard_normal(shape)
@@ -153,12 +152,12 @@ class TestDualityAttainment:
     def test_p2_family_agreement(self, rng):
         for _ in range(10):
             g = rng.standard_normal((4, 5))
-            a = steepest_map(g, NormSpec("entrywise", 2.0))
-            b = steepest_map(g, NormSpec("schatten", 2.0))
+            a = steepest_map(g, NormSpec("ew", 2.0))
+            b = steepest_map(g, NormSpec("sch", 2.0))
             assert np.linalg.norm(a - b) <= 1e-8
 
     def test_newton_schulz_path_close_to_svd_path(self, rng):
-        spec = NormSpec("schatten", math.inf)
+        spec = NormSpec("sch", math.inf)
         for _ in range(5):
             g = rng.standard_normal((4, 6))
             a = steepest_map(g, spec)
@@ -176,8 +175,8 @@ def single_sample_spectral_equals_frobenius(w, ds, i: int):
     g = grad(w, ds, np.array([i]), kind="cross_entropy")
     if not np.any(g):
         raise ValueError(f"per-sample gradient for sample {i} is zero")
-    a = steepest_map(-g, NormSpec("schatten", math.inf))
-    b = steepest_map(-g, NormSpec("entrywise", 2.0))
+    a = steepest_map(-g, NormSpec("sch", math.inf))
+    b = steepest_map(-g, NormSpec("ew", 2.0))
     return a, b
 
 

@@ -78,7 +78,7 @@ def test_steepest_map_takes_one_svd_through_steepest_at_schatten_norms(monkeypat
     calls = count_calls(monkeypatch, steepest, ("jacobi_svd",))
     spec = NormSpec.parse(norm)
     steepest.steepest_map(rng.standard_normal((4, 3)), spec)
-    assert calls["jacobi_svd"] == (1 if spec.family == "schatten" else 0)
+    assert calls["jacobi_svd"] == (1 if spec.family == "sch" else 0)
 
 
 def test_every_wrapped_binding_is_callable():
@@ -104,13 +104,13 @@ def test_harness_bias_bindings_take_a_norm_spec(norm):
 
 def test_schatten_dual_norm_reaches_the_svd_through_linalg(monkeypatch, rng):
     # the tracer's dual_norm -> matrix_norm -> jacobi_svd span chain needs
-    # schatten_norm to look jacobi_svd up in linalg's namespace at call time
+    # matrix_norm to look jacobi_svd up in linalg's namespace at call time
     calls = []
     real = linalg.jacobi_svd
     monkeypatch.setattr(linalg, "jacobi_svd", lambda a: calls.append(a) or real(a))
     g = rng.standard_normal((4, 3))
     nuclear = float(np.linalg.svd(g, compute_uv=False).sum())
-    assert dual_norm(g, NormSpec("schatten", math.inf)) == pytest.approx(nuclear, rel=1e-12)
+    assert dual_norm(g, NormSpec("sch", math.inf)) == pytest.approx(nuclear, rel=1e-12)
     assert len(calls) >= 1
 
 
@@ -143,7 +143,7 @@ def test_each_step_reaches_grad_and_the_map_through_optimizer(monkeypatch, b, mo
     epochs = 5
     cfg = OptimizerConfig(batch_size=b, beta1=0.9 if momentum else 0.0, vr_on=vr,
                           schedule=Schedule(0.5, 0.5, 0.5), epochs=epochs, seed=2,
-                          norm=NormSpec("entrywise", 2.0))
+                          norm=NormSpec("ew", 2.0))
     run(cfg, ds, np.zeros((3, 2)))
     steps = epochs * ds.n // b
     assert calls["steepest_map"] == steps
@@ -165,7 +165,7 @@ def test_full_batch_gradients_carry_the_tracers_full_label(monkeypatch, vr):
     ds = divisible_dataset(np.random.default_rng(6), k=3, d=2, n=12)
     cfg = OptimizerConfig(batch_size=ds.n, beta1=0.0, vr_on=vr,
                           schedule=Schedule(0.5, 0.5, 0.5), epochs=5, seed=2,
-                          norm=NormSpec("entrywise", 2.0))
+                          norm=NormSpec("ew", 2.0))
     run(cfg, ds, np.zeros((3, 2)))
     assert len(batches) == (15 if vr else 5)
     assert all(b is ALL or len(b) == ds.n for b in batches)
@@ -178,7 +178,7 @@ def test_each_metric_row_reaches_the_metrics_through_harness(monkeypatch, tmp_pa
 
     names = ("margin_report", "loss_fn", "proxy_g", "dual_norm", "frobenius_cosine")
     calls = count_calls(monkeypatch, harness, names)
-    out = train_cmd(write_config(tmp_path, gamma=0.5, wbar_kind="sign"))
+    out = train_cmd(write_config(tmp_path, gamma=0.5, wbar_norm="ew:inf"))
     rows = read_csv(out)["t"].size
     assert rows == 6
     assert calls == dict.fromkeys(names, rows)
