@@ -47,7 +47,8 @@ class NormSpec:
     exponent p in [1, inf].
 
     The textual form used in configs, on the command line and in outputs is
-    ``"ew:p"`` / ``"sch:p"`` with ``p`` a finite decimal or ``"inf"``.
+    ``"ew:p"`` / ``"sch:p"`` with ``p`` a finite decimal or ``"inf"``, spelled
+    as ``str`` prints it.
     """
 
     family: str
@@ -74,14 +75,20 @@ class NormSpec:
 
     @classmethod
     def parse(cls, text: str) -> "NormSpec":
+        """The spec that ``str`` prints as ``text``; any other spelling of it
+        (``ew:2.0``, ``ew:+2``, ``ew:1_0``, spaces) is rejected."""
+        bad = ValueError(f"bad norm spec {text!r}; expected 'ew:p' or 'sch:p'")
         try:
-            family, pstr = text.strip().split(":")
+            family, pstr = text.split(":")
             p = float(pstr)
-            if family not in (ENTRYWISE, SCHATTEN) or (not math.isfinite(p) and pstr != "inf"):
-                raise ValueError  # only the literal "inf" means p = inf, not 1e400
         except ValueError:
-            raise ValueError(f"bad norm spec {text!r}; expected 'ew:p' or 'sch:p'") from None
-        return cls(family, p)
+            raise bad from None
+        if family not in (ENTRYWISE, SCHATTEN) or (not math.isfinite(p) and pstr != "inf"):
+            raise bad  # only the literal "inf" means p = inf, not 1e400
+        spec = cls(family, p)
+        if str(spec) != text:
+            raise bad
+        return spec
 
     def __str__(self) -> str:
         pstr = "inf" if math.isinf(self.p) else repr(self.p).removesuffix(".0")

@@ -7,6 +7,15 @@ and multi-class exponential loss are supported; both come with full-batch,
 mini-batch and per-sample gradients, the softmax-complement proxy used
 throughout the convergence analysis, and an exact minimum-margin report.
 
+A gradient is evaluated on a ``Batch``. The full batch (``ds.full``) and
+the n one-sample batches (``ds.samples``) are built once per dataset, as
+views of ``x`` with no gather; ``gather_batches`` cuts the batches of a
+mini-batch epoch from one gather, and at b = 1 returns ``ds.samples`` in
+row order. A one-sample batch takes the rank-one kernel ``_sample_grad``
+(c x^T, c a k-vector), the only per-sample gradient path; every larger
+batch takes the (k, m) kernels ``_offtarget_probs`` / ``_exp_weights`` and
+``_pair_sum``. Both give the same bytes at m = 1.
+
 Numerical conventions that matter here:
 
 * softmax is computed with column-max subtraction;
@@ -113,6 +122,13 @@ class Dataset:
         idx = np.arange(self.n)
         return Batch(idx, self.x, self.y * self.n + idx)
 
+    @functools.cached_property
+    def samples(self) -> tuple["Batch", ...]:
+        """Each sample as a one-sample batch, in index order: the column view
+        ``x[:, i:i+1]`` with target ``y[i:i+1]``, no gather."""
+        idx = np.arange(self.n)
+        return tuple(Batch(idx[i : i + 1], self.x[:, i : i + 1], self.y[i : i + 1]) for i in range(self.n))
+
     @property
     def d(self) -> int:
         return self.x.shape[0]
@@ -122,19 +138,22 @@ class Dataset:
         return self.x.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
 class Batch:
     """Samples of a batch in sorted index order: their indices ``idx``, their
     columns ``x`` (d, m) in the gather layout, and the flat index ``target``
-    of each sample's target entry (see the layout note below). ``len`` is the
-    sample count m."""
+    of each sample's target entry (see the layout note below). ``size`` and
+    ``len`` are the sample count m. Equality is identity."""
 
-    idx: np.ndarray
-    x: np.ndarray
-    target: np.ndarray
+    __slots__ = ("idx", "x", "target", "size")
+
+    def __init__(self, idx: np.ndarray, x: np.ndarray, target: np.ndarray):
+        self.idx = idx
+        self.x = x
+        self.target = target
+        self.size = idx.size
 
     def __len__(self) -> int:
-        return self.idx.size
+        return self.size
 
 
 def gather_batches(ds: Dataset, order: np.ndarray) -> list[Batch]:
@@ -143,12 +162,16 @@ def gather_batches(ds: Dataset, order: np.ndarray) -> list[Batch]:
     Batches are index sets: each row is evaluated in sorted order, so the
     result does not depend on shuffle order (a full permuted batch then
     reproduces the full gradient bit for bit). Rows must be nonempty and
-    hold distinct integer indices; this checks only their range.
+    hold distinct integer indices; this checks only their range. With b = 1
+    the rows are the dataset's own ``samples``, in row order: no gather.
     """
-    rows = np.sort(order, axis=1)
-    if rows.min() < 0 or rows.max() >= ds.n:
+    if order.min() < 0 or order.max() >= ds.n:
         raise ValueError("batch indices out of range")
-    b = rows.shape[1]
+    b = order.shape[1]
+    if b == 1:
+        samples = ds.samples
+        return [samples[i] for i in order[:, 0].tolist()]
+    rows = np.sort(order, axis=1)
     # (m, b, d) -> (m, d, b): each row's columns with the strides of ds.x[:, row]
     xs = ds.x.T[rows].transpose(0, 2, 1)
     targets = ds.y[rows] * b + np.arange(b)
@@ -171,7 +194,7 @@ def _as_batch(ds: Dataset, batch) -> Batch:
     return out
 
 
-# The helpers below take the samples of a batch of m as x (d, m) and
+# The helpers below take the samples of a batch of m >= 2 as x (d, m) and
 # ``target`` = y * m + arange(m), the flat index of each sample's target
 # entry in a C-ordered (k, m) array. They read and write target entries as
 # a.ravel()[target]; every array written that way is freshly allocated and
@@ -216,6 +239,34 @@ def _pair_sum(coeff: np.ndarray, x: np.ndarray, target: np.ndarray) -> np.ndarra
     return coeff @ x.T
 
 
+def _sample_grad(w: np.ndarray, batch: Batch, kind: str) -> np.ndarray:
+    """The gradient c x^T of one sample's loss, for every one-sample batch.
+
+    c is the sample's off-target softmax (CE) or exp(-gap) behind
+    ``_exp_weights``' overflow guard (EXP), with minus its sum at the target
+    entry. Each operation is the one the (k, m) kernels make at m = 1, on a
+    k-vector, so the bytes are theirs. c enters the matrix product as a
+    column, as in ``_pair_sum``: an elementwise ``c * x.T`` would write -0.0
+    where a negative c_i meets a zero feature, and the product writes +0.0.
+    """
+    x = batch.x
+    y = int(batch.target[0])
+    z = (w @ x).ravel()
+    if kind == CROSS_ENTROPY:
+        c = np.exp(z - z.max())
+        c /= c.sum()
+        c[y] = 0.0
+    else:
+        gaps = z[y] - z
+        gaps[y] = np.inf
+        low = gaps.min()
+        if low < -_EXP_GUARD:
+            raise LossOverflowError(int(batch.idx[0]), float(-low))
+        c = np.exp(-gaps)
+    c[y] = -c.sum()
+    return c[:, None] @ x.T
+
+
 def loss(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
     """Average loss over the full dataset.
 
@@ -246,19 +297,23 @@ def loss(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
 
 def grad(w, ds: Dataset, batch=ALL, kind: str = CROSS_ENTROPY) -> np.ndarray:
     """Mean loss gradient over ``batch``: ALL for the full dataset, a
-    prepared Batch, or a 1-D array of distinct sample indices."""
+    prepared Batch, or a 1-D array of distinct sample indices. A one-sample
+    batch takes the rank-one kernel ``_sample_grad``, every other the
+    (k, m) kernels."""
     _check_kind(kind)
     wm = as_matrix(w)
     if batch is ALL:
         batch = ds.full
     elif not isinstance(batch, Batch):
         batch = _as_batch(ds, batch)
+    if batch.size == 1:
+        return _sample_grad(wm, batch, kind)
     x, target = batch.x, batch.target
     if kind == CROSS_ENTROPY:
         coeff = _offtarget_probs(wm, x, target)
     else:
         coeff = _exp_weights(wm, x, target, batch.idx)
-    return _pair_sum(coeff, x, target) / len(batch)
+    return _pair_sum(coeff, x, target) / batch.size
 
 
 def proxy_g(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:

@@ -17,11 +17,19 @@ every epoch (including epoch 0). A mini-batch epoch gathers its m batches
 once, before its first step: ``model.gather_batches`` sorts each row of the
 reshuffled (m, b) permutation, checks the range once, and takes every
 batch's columns and target index from one gather, so a step (and VR's two
-batch gradients) reuses its prepared Batch. The momentum buffer is never
-reset across epochs. A zero signal skips the weight update but still
-advances the step counter so the learning-rate schedule stays aligned. A
-non-finite signal or iterate, or a zero direction for a nonzero signal,
-aborts the run with a ``TrainingError`` naming the step.
+batch gradients) reuses its prepared Batch. At b = 1 nothing is gathered:
+the batches are the dataset's own one-sample Batches (``ds.samples``, built
+once per dataset) in permutation order, and every gradient, VR's snapshot
+gradient of the step's sample included, is the rank-one kernel of
+``model.grad``. The momentum buffer is never reset across epochs. A zero
+signal skips the weight update but still advances the step counter so the
+learning-rate schedule stays aligned. A non-finite signal or iterate, or a
+zero direction for a nonzero signal, aborts the run with a
+``TrainingError`` naming the step. ``run`` enters one
+``np.errstate(over="ignore")`` for its whole loop, metrics hook included,
+rather than one per step: an overflow shows as a non-finite iterate, which
+``step`` rejects, or as a non-finite value the hook checks for (the
+harness's metric row does).
 
 Reproducibility: the PRNG is numpy's PCG64, seeded from the config. Each
 reshuffle draws its n-1 Fisher-Yates swap indices in one
@@ -152,11 +160,6 @@ def reshuffle(state: TrainState, n: int, b: int) -> np.ndarray:
     return np.array(order).reshape(n // b, b)
 
 
-@np.errstate(over="ignore")  # step reports an overflow as a non-finite iterate
-def _descend(w: np.ndarray, eta: float, delta: np.ndarray) -> np.ndarray:
-    return w - eta * delta
-
-
 def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> tuple[np.ndarray, float, np.ndarray]:
     """One update on ``batch`` (anything ``grad`` takes); advances the step
     counter even on zero signal.
@@ -166,7 +169,8 @@ def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> tuple[n
     W <- W - eta * delta.
     Raises FloatingPointError for a non-finite signal (``NonFiniteError``
     from ``steepest_map``) or iterate, and for a zero direction of a nonzero
-    signal; ``run`` reports these as a ``TrainingError``.
+    signal; ``run`` reports these as a ``TrainingError``. Outside ``run``'s
+    errstate an update that overflows also warns.
     """
     g = grad(state.w, ds, batch, cfg.loss)
     if cfg.vr_on:
@@ -180,7 +184,7 @@ def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> tuple[n
     eta = cfg.schedule.eta(state.t)
     delta = steepest_map(h, cfg.norm)
     if np.count_nonzero(delta):
-        w = _descend(state.w, eta, delta)
+        w = state.w - eta * delta
         if np.count_nonzero(np.isfinite(w)) != w.size:
             raise FloatingPointError(f"non-finite iterate after a step of size {eta!r}")
         state.w = w
@@ -200,23 +204,25 @@ def run(cfg: OptimizerConfig, ds: Dataset, w0, metrics_hook=None) -> TrainState:
     (W <- W - eta * delta; zero when the signal was zero).
     Fully deterministic given (cfg.seed, w0, ds). A full-batch run draws
     nothing from the generator: each epoch is one step on ``ds.full``.
+    Overflow warnings are off for the whole loop (see the module notes).
     """
     state = init_state(cfg, ds, w0)
-    for _ in range(cfg.epochs):
-        if cfg.batch_size == ds.n:
-            batches = (ds.full,)
-        else:
-            batches = gather_batches(ds, reshuffle(state, ds.n, cfg.batch_size))
-        if cfg.vr_on:
-            state.snapshot_w = state.w.copy()
-            state.snapshot_full_grad = grad(state.w, ds, ALL, cfg.loss)
-        for batch in batches:
-            try:
-                applied = step(state, cfg, ds, batch)
-            except ArithmeticError as exc:
-                raise TrainingError(state.t, exc) from exc
-            if metrics_hook is not None:
-                metrics_hook(state.t, state.w, *applied)
+    with np.errstate(over="ignore"):  # step's iterate check reports an overflow
+        for _ in range(cfg.epochs):
+            if cfg.batch_size == ds.n:
+                batches = (ds.full,)
+            else:
+                batches = gather_batches(ds, reshuffle(state, ds.n, cfg.batch_size))
+            if cfg.vr_on:
+                state.snapshot_w = state.w.copy()
+                state.snapshot_full_grad = grad(state.w, ds, ALL, cfg.loss)
+            for batch in batches:
+                try:
+                    applied = step(state, cfg, ds, batch)
+                except ArithmeticError as exc:
+                    raise TrainingError(state.t, exc) from exc
+                if metrics_hook is not None:
+                    metrics_hook(state.t, state.w, *applied)
     return state
 
 

@@ -21,8 +21,6 @@ from normdescent import (
     Dataset,
     GaussianSpec,
     NormSpec,
-    OptimizerConfig,
-    Schedule,
     SkewedSpec,
     dual_norm,
     fit_rate,
@@ -30,6 +28,7 @@ from normdescent import (
     gen_gaussian,
     gen_skewed,
     grad,
+    harness,
     jacobi_svd,
     loss,
     margin_report,
@@ -39,7 +38,6 @@ from normdescent import (
     persample_cmd,
     proxy_g,
     read_csv,
-    run,
     save_dataset,
     save_matrix,
     schedule_constants,
@@ -401,8 +399,8 @@ class TestCriterion08Rate:
 
 
 class TestCriterion09BatchSizeOneBias:
-    def test_per_sample_bias(self, skewed, workdir):
-        ds, dpath = skewed
+    def test_per_sample_bias(self, skewed, workdir, monkeypatch):
+        _, dpath = skewed
 
         def cfg_path(norm):
             name = f"ps_{norm.replace(':', '_')}"
@@ -429,6 +427,25 @@ class TestCriterion09BatchSizeOneBias:
             p.write_text(json.dumps(cfg))
             return str(p)
 
+        # spectral and Frobenius trajectories coincide step by step at b=1;
+        # the persample runs at ew:2 and sch:inf are those two trajectories
+        # (same config, seed 3, zero start), so their hooks capture W
+        traj = []
+        worst = 0.0
+        real_run = harness.run
+
+        def capturing_run(cfg, ds, w0, metrics_hook):
+            def hook(t, w, h, eta, delta):
+                nonlocal worst
+                if cfg.norm == EW2:
+                    traj.append(w.copy())
+                elif cfg.norm == SCHINF:
+                    worst = max(worst, float(np.abs(w - traj[t - 1]).max()))
+                metrics_hook(t, w, h, eta, delta)
+
+            return real_run(cfg, ds, w0, metrics_hook=hook)
+
+        monkeypatch.setattr(harness, "run", capturing_run)
         ok = True
         details = []
         for norm in ("ew:inf", "ew:2", "sch:inf"):
@@ -444,26 +461,7 @@ class TestCriterion09BatchSizeOneBias:
                 f"{norm}: loss={verdict['final_loss']:.1e} cos_wbar={verdict['final_cos_wbar']:.5f} "
                 f"cos_wstar={verdict['final_cos_wstar']:.3f} invariant={verdict['invariant_gradient_ok']}"
             )
-
-        # spectral and Frobenius trajectories coincide step by step at b=1
-        def mk(norm):
-            return OptimizerConfig(
-                batch_size=1, beta1=0.0, vr_on=False,
-                schedule=Schedule(c=0.5, a=0.5, eta0=0.5), epochs=5000, seed=3, norm=norm,
-            )
-
-        traj = []
-        run(mk(EW2), ds, np.zeros((5, 5)), metrics_hook=lambda t, w, h, eta, delta: traj.append(w.copy()))
-        worst = 0.0
-        idx = 0
-
-        def compare(t, w, h, eta, delta):
-            nonlocal worst, idx
-            worst = max(worst, float(np.abs(w - traj[idx]).max()))
-            idx += 1
-
-        run(mk(SCHINF), ds, np.zeros((5, 5)), metrics_hook=compare)
-        ok = ok and worst <= 1e-8
+        ok = ok and len(traj) == 15 * 5000 and worst <= 1e-8
         report(9, ok, "; ".join(details) + f"; max per-step spectral/frobenius deviation {worst:.1e} (<= 1e-8)")
 
 

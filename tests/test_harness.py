@@ -1061,6 +1061,19 @@ class TestCli:
         assert capsys.readouterr().err == f"error: bad norm spec {norm!r}; expected 'ew:p' or 'sch:p'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("norm", [" ew: 2 ", "ew:+2", "ew:02", "ew:2e0", "ew:1_0", "ew:2.0"])
+    def test_only_the_printed_spelling_of_a_norm_is_accepted(self, tmp_path, capsys, norm):
+        # each of these once parsed to a norm that str prints otherwise; ew:1_0 ran at p = 10
+        expected = f"bad norm spec {norm!r}; expected 'ew:p' or 'sch:p'\n"
+        out = tmp_path / "w.txt"
+        argv = ["margin", "--dataset", toy_dataset_file(tmp_path), "--norm", norm, "--out", str(out)]
+        assert cli_main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {expected}"
+        cfg = write_config(tmp_path, norm=norm)
+        assert cli_main(["train", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {cfg}: norm: {expected}"
+        assert not out.exists() and not (tmp_path / "out.csv").exists()
+
     def test_margin_out_naming_a_directory_exits_2(self, tmp_path, capsys):
         argv = ["margin", "--dataset", toy_dataset_file(tmp_path), "--norm", "ew:2", "--out", str(tmp_path)]
         assert cli_main(argv) == EXIT_CONFIG

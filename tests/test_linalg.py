@@ -280,6 +280,11 @@ class TestNormSpec:
         with pytest.raises(ValueError, match="^bad norm spec"):
             NormSpec.parse(f"{family}:2")
 
+    @pytest.mark.parametrize("text", [" ew: 2 ", "ew:2 ", "ew:+2", "ew:02", "ew:2e0", "ew:1_0", "ew:2.0", "sch:inf "])
+    def test_parse_takes_only_the_spelling_str_prints(self, text):
+        with pytest.raises(ValueError, match="^bad norm spec"):
+            NormSpec.parse(text)
+
     def test_parse_rejects_garbage(self):
         for bad in ["l2", "ew:0.5", "spectral", "ew", "sch:-1"]:
             with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ from normdescent import (
     save_matrix,
 )
 from normdescent import model
-from normdescent.optimizer import OptimizerConfig, Schedule, run
+from normdescent.optimizer import OptimizerConfig, Schedule, TrainingError, init_state, reshuffle, run
 from tests.conftest import divisible_dataset, random_dataset
 from tests.test_linalg import ALL_SPECS
 
@@ -330,6 +330,95 @@ class TestPreparedBatches:
             assert epoch[0] is ALL
             assert all(isinstance(b, model.Batch) for b in epoch[1:])
             assert [epoch[i] is epoch[i + 1] for i in (1, 3, 5)] == [True] * 3
+
+
+def _bytes_or_error(f):
+    try:
+        return f().tobytes()
+    except LossOverflowError as exc:
+        return str(exc)
+
+
+class TestSampleKernel:
+    """A one-sample batch takes the rank-one kernel, with the bytes of the
+    (k, m) kernels at m = 1, and its batches are views built once."""
+
+    @pytest.mark.parametrize("kind", [CROSS_ENTROPY, EXPONENTIAL])
+    @pytest.mark.parametrize("k", [2, 5, 10, 12, 33])
+    def test_kernel_is_the_batch_kernels_bitwise(self, kind, k):
+        rng = np.random.default_rng([k, 26])
+        y = np.concatenate([np.arange(k), rng.integers(0, k, size=k)])
+        x = rng.standard_normal((7, 2 * k))
+        x[rng.random(x.shape) < 0.3] = 0.0  # zero features: c_i * 0.0 must keep its +0.0
+        ds = Dataset(x, y, k)
+        # softmax entries underflow to zero, and exp(-gap) overflows, at the larger scales
+        for scale in (0.1, 1.0, 10.0, 100.0):
+            w = scale * rng.standard_normal((k, ds.d))
+            for i in range(ds.n):
+                gathered, target = ds.x[:, [i]], ds.y[[i]]
+
+                def batch_route():
+                    if kind == CROSS_ENTROPY:
+                        coeff = model._offtarget_probs(w, gathered, target)
+                    else:
+                        coeff = model._exp_weights(w, gathered, target, [i])
+                    return model._pair_sum(coeff, gathered, target) / 1
+
+                expect = _bytes_or_error(batch_route)
+                assert _bytes_or_error(lambda: model._sample_grad(w, ds.samples[i], kind)) == expect
+                assert _bytes_or_error(lambda: grad(w, ds, [i], kind)) == expect
+
+    def test_only_one_sample_batches_reach_the_kernel(self, rng, monkeypatch):
+        sizes = []
+        real = model._sample_grad
+        monkeypatch.setattr(model, "_sample_grad",
+                            lambda w, batch, kind: sizes.append(len(batch)) or real(w, batch, kind))
+        ds = divisible_dataset(rng, k=3, d=2, n=6)
+        w = rng.standard_normal((3, 2))
+        for batch in (ALL, [4], [1, 4], np.arange(6), ds.samples[2], ds.full):
+            grad(w, ds, batch)
+        assert sizes == [1, 1]
+
+    def test_exponential_overflow_names_the_sample_of_a_one_sample_step(self):
+        # only sample 2 (x = e_2, y = 0) has a gap below -700: z_y - z_c = -800
+        x = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]])
+        ds = Dataset(x, np.array([0, 1, 0, 1]), 2)
+        w = np.array([[0.0, -400.0], [0.0, 400.0]])
+        for i in (0, 1, 3):
+            assert np.isfinite(grad(w, ds, [i], EXPONENTIAL)).all()
+        message = "^exponential loss overflow at sample 2: exp argument 800.0 > 700$"
+        with pytest.raises(LossOverflowError, match=message) as err:
+            grad(w, ds, ds.samples[2], EXPONENTIAL)
+        assert err.value.sample == 2
+        cfg = OptimizerConfig(batch_size=1, beta1=0.0, vr_on=False, schedule=Schedule(1e-9, 0.5, 1e-9),
+                              epochs=1, seed=4, norm=NormSpec("ew", 2.0), loss=EXPONENTIAL)
+        state = init_state(cfg, ds, w)
+        position = int(np.nonzero(reshuffle(state, ds.n, 1)[:, 0] == 2)[0][0])
+        with pytest.raises(TrainingError) as info:
+            run(cfg, ds, w)
+        assert info.value.step_index == position
+        assert info.value.__cause__.sample == 2
+
+    def test_per_sample_batches_are_column_views_built_once(self, rng):
+        ds = random_dataset(rng, n=9)
+        samples = ds.samples
+        assert ds.samples is samples and len(samples) == ds.n
+        for i, sample in enumerate(samples):
+            assert len(sample) == sample.size == 1
+            assert np.shares_memory(sample.x, ds.x) and sample.x.shape == (ds.d, 1)
+            assert sample.x.strides == ds.x[:, [i]].strides
+            assert sample.x.tobytes(order="A") == ds.x[:, [i]].tobytes(order="A")
+            assert sample.idx.tolist() == [i] and sample.target.tolist() == [int(ds.y[i])]
+        assert Dataset(ds.x, ds.y, ds.k).samples[0] is not samples[0]
+
+    def test_one_sample_rows_are_the_datasets_batches_in_row_order(self, rng):
+        ds = random_dataset(rng, n=9)
+        order = rng.permutation(ds.n)[:, None]
+        got = model.gather_batches(ds, order)
+        assert [b is ds.samples[i] for b, i in zip(got, order[:, 0])] == [True] * ds.n
+        for bad in ([[ds.n]], [[-1]], [[0], [ds.n]]):
+            with pytest.raises(ValueError, match="^batch indices out of range$"):
+                model.gather_batches(ds, np.array(bad))
 
 
 class TestProxy:

@@ -10,8 +10,11 @@ momentum and variance reduction, a full-batch ew:2 run on the exponential
 loss, two full-batch ew:2 runs that also log the cosine to the sign (ew:inf)
 and the normalized (ew:2) bias matrix, and three batch-size-one ``persample``
 runs (ew:inf, ew:2 and sch:inf, CSV and verdict, each with the bias matrix
-at its own norm) on a small orthogonal scale-skewed instance; gamma is
-given, so no reference solve runs. The bytes do not depend on the memory
+at its own norm) on a small orthogonal scale-skewed instance, and three
+batch-size-one ``train`` runs on a Gaussian instance with k = 10 (so each
+per-sample gradient's target entry sums nine off-target terms): on
+cross-entropy, on the exponential loss, and with momentum and variance
+reduction; gamma is given, so no reference solve runs. The bytes do not depend on the memory
 layout of the arrays a Dataset is built from: ``TestCallerLayout`` pins
 that for the solver and a training run. The digests were recorded
 with numpy 2.4.6 and OpenBLAS 0.3.31; a numpy upgrade that changes the
@@ -70,6 +73,14 @@ PINNED_FULL_RANK_SCHATTEN_SHA256 = "3b07174e6afe679505e03d1b59479a17f1e5791ec592
 PINNED_MOMENTUM_VR_SHA256 = "96a5530ee89f920a65cc29ca730347fc01686c46d0437616ae6313bb4a697100"
 PINNED_EXPONENTIAL_SHA256 = "c8453634c0a1a85f0022e57b4d0e521f0d5802a98b08b26a98e0368598c60ca4"
 
+# batch-size-one train runs on the k = 10 instance: name -> (config, CSV digest)
+PINNED_B1_SHA256 = {
+    "cross_entropy": ({"norm": "ew:2"}, "73e2357f4374eee7772bd9d94428e63469a52444a29ea041ead6501772dcfde8"),
+    "exponential": ({"norm": "sch:inf", "loss": "exponential"}, "a5d5e406212fe593c1864c6b46942d467ced4d294cc493038f8933528c0d0ba7"),
+    "momentum_vr": ({"norm": "ew:2", "momentum": True, "beta1": 0.9, "vr": True},
+                    "7dc1934c7e2ba224b413f60976f2063e3c5dd88cbb233bbc61209d198e6e0e24"),
+}
+
 # wbar_norm -> CSV digest
 PINNED_WBAR_SHA256 = {
     "ew:2": "28fd139c7e8244aa3cd650f98df89d467f4571f57ced46b8970deabe2a6e3061",
@@ -103,6 +114,13 @@ def dataset_path(tmp_path_factory):
 def full_rank_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("pinned") / "gauss_k4.txt"
     save_dataset(gen_gaussian(GaussianSpec(k=4, per_class=3, d=3, sigma=0.1, seed=5)), path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def k10_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pinned") / "gauss_k10.txt"
+    save_dataset(gen_gaussian(GaussianSpec(k=10, per_class=2, d=6, sigma=0.1, seed=5)), path)
     return str(path)
 
 
@@ -171,6 +189,14 @@ def test_momentum_off_and_beta1_zero_write_one_run(tmp_path, dataset_path, norm,
     }
     capsys.readouterr()
     assert len(digests) == 1
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_B1_SHA256))
+def test_batch_size_one_csv_bytes_pinned(tmp_path, k10_path, name, capsys):
+    overrides, pinned = PINNED_B1_SHA256[name]
+    digest = _train_csv(tmp_path, batch_size=1, epochs=15, dataset_path=k10_path, **overrides)
+    capsys.readouterr()
+    assert digest == pinned
 
 
 def test_full_batch_exponential_loss_csv_bytes_pinned(tmp_path, dataset_path, capsys):

@@ -130,15 +130,21 @@ def count_calls(monkeypatch, module, names) -> dict:
 
 @pytest.mark.parametrize(
     "b,momentum,vr",
-    [(12, False, False), (12, False, True), (4, False, False), (4, True, False), (4, False, True)],
-    ids=["full", "full-vr", "mini", "mini-momentum", "mini-vr"],
+    [(12, False, False), (12, False, True), (4, False, False), (4, True, False), (4, False, True),
+     (1, False, False), (1, False, True)],
+    ids=["full", "full-vr", "mini", "mini-momentum", "mini-vr", "b1", "b1-vr"],
 )
 def test_each_step_reaches_grad_and_the_map_through_optimizer(monkeypatch, b, momentum, vr):
-    # the tracer times model.grad_* and steepest.* only through these bindings
-    from normdescent import OptimizerConfig, Schedule, optimizer, run
+    # the tracer times model.grad_* and steepest.* only through these bindings,
+    # and labels a grad call by its batch's len (b1 for one sample)
+    from normdescent import ALL, OptimizerConfig, Schedule, optimizer, run
     from tests.conftest import divisible_dataset
 
     calls = count_calls(monkeypatch, optimizer, ("grad", "steepest_map"))
+    sizes, counted = [], optimizer.grad
+    monkeypatch.setattr(optimizer, "grad",
+                        lambda w, ds, batch, kind: sizes.append(ds.n if batch is ALL else len(batch))
+                        or counted(w, ds, batch, kind))
     ds = divisible_dataset(np.random.default_rng(6), k=3, d=2, n=12)
     epochs = 5
     cfg = OptimizerConfig(batch_size=b, beta1=0.9 if momentum else 0.0, vr_on=vr,
@@ -150,6 +156,8 @@ def test_each_step_reaches_grad_and_the_map_through_optimizer(monkeypatch, b, mo
     # with VR, a step takes the batch gradient at W and at the snapshot, and
     # every epoch takes the snapshot's full gradient
     assert calls["grad"] == (2 * steps + epochs if vr else steps)
+    m = ds.n // b
+    assert sizes == (([ds.n] + [b] * 2 * m) if vr else [b] * m) * epochs
 
 
 @pytest.mark.parametrize("vr", [False, True], ids=["full", "full-vr"])
