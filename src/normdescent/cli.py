@@ -2,6 +2,7 @@
 
 Subcommands: gen-data, margin, train, sweep, persample, fit-rate.
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 non-convergence.
+Output flags, like a run's out_csv, must name a writable file in an existing directory.
 """
 
 from __future__ import annotations
@@ -9,13 +10,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
 
 from .data import GaussianSpec, SeparabilityError, SkewedSpec, gen_gaussian, gen_skewed
-from .harness import fit_rate, persample_cmd, sweep_cmd, train_cmd
+from .harness import _check_out, fit_rate, persample_cmd, sweep_cmd, train_cmd
 from .linalg import NormSpec
 from .model import load_dataset, save_dataset, save_matrix
 from .optimizer import TrainingError
@@ -40,17 +40,6 @@ def _parse_ranges(text: str) -> tuple[tuple[float, float], ...]:
         return tuple((float(lo), float(hi)) for lo, hi in pairs)
     except ValueError:  # also a part without exactly one ':'
         raise argparse.ArgumentTypeError(f"expected comma-separated lo:hi pairs, got {text!r}") from None
-
-
-def _check_out(path: str, flag: str):
-    """Reject an output path that cannot be written, before any work runs."""
-    if os.path.isdir(path):
-        raise ValueError(f"{flag} {path!r} names a directory")
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        raise ValueError(f"{flag} {path!r}: directory {parent!r} does not exist")
-    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
-        raise ValueError(f"{flag} {path!r} is not writable")
 
 
 def _cmd_gen_data(args) -> int:
@@ -92,7 +81,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.out_summary:
+    if args.out_summary is not None:
         _check_out(args.out_summary, "--out-summary")
     summary = sweep_cmd(args.config_dir, summary_path=args.out_summary)
     print(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))

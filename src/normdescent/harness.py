@@ -6,7 +6,10 @@ JSON types and defaults, and the README gives the rules ``load_config``
 checks on their values: ``norm`` and ``wbar_norm`` take a norm spec
 (``ew:p``, ``sch:p``) and ``loss`` one of ``model.LOSS_KINDS``, spelled
 exactly. All of them are checked before any reference solve, and a run
-then deletes the previous run's outputs before it solves.
+then deletes the previous run's outputs before it solves. Every output
+(``out_csv``, persample's ``<out_csv>.verdict.json``, the CLI's output
+flags) passes ``_check_out`` before anything is deleted or run: it must
+name a file in an existing directory.
 The CSV schema is fixed:
 
     t,epoch,eta,loss,proxy_g,min_margin,weight_norm,norm_margin,gap_to_gamma,cos_wstar,cos_wbar,dualnorm_signal
@@ -156,11 +159,25 @@ def _kd_matrix(key: str, file: str, ds: Dataset) -> np.ndarray:
 
 @contextlib.contextmanager
 def _naming(path: str):
-    """Re-raise an OSError or ValueError as a ConfigError that names the config ``path``."""
+    """Re-raise an OSError, ValueError or RecursionError (JSON nested too deep) as a ConfigError naming ``path``."""
     try:
         yield
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (OSError, ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _check_out(path: str, name: str):
+    """Reject an output ``path`` that is not a writable file in an existing
+    directory; the message names the flag or config key ``name``."""
+    if not os.path.basename(path):
+        raise ValueError(f"{name} {path!r} does not name a file")
+    if os.path.isdir(path):
+        raise ValueError(f"{name} {path!r} names a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"{name} {path!r}: directory {parent!r} does not exist")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise ValueError(f"{name} {path!r} is not writable")
 
 
 def load_config(path: str) -> RunConfig:
@@ -213,6 +230,8 @@ def load_config(path: str) -> RunConfig:
         opt.validate_against(ds)
         w0 = np.zeros((ds.k, ds.d)) if raw["w0"] == "zeros" else _kd_matrix("w0", raw["w0"], ds)
         wstar = None if raw["wstar_path"] is None else _kd_matrix("wstar_path", raw["wstar_path"], ds)
+        if wstar is not None and not wstar.any():  # it has no direction to take a cosine to
+            raise ValueError(f"wstar_path {raw['wstar_path']!r} is the zero matrix")
 
         if raw["log_every"] < 1:
             raise ValueError("log_every must be >= 1")
@@ -225,20 +244,13 @@ def load_config(path: str) -> RunConfig:
             raise ValueError("margin_iters must be >= 1")
         if not raw["margin_tol"] > 0:
             raise ValueError(f"margin_tol must be positive, got {raw['margin_tol']!r}")
-        out_csv = raw["out_csv"]
-        if not os.path.basename(out_csv) or os.path.isdir(out_csv):
-            raise ValueError(f"out_csv {out_csv!r} does not name a file")
-        parent = os.path.dirname(out_csv)
-        while parent and not os.path.exists(parent):  # _drive creates the missing ones
-            parent = os.path.dirname(parent)
-        if parent and not os.path.isdir(parent):
-            raise ValueError(f"out_csv {out_csv!r} lies under {parent!r}, which is not a directory")
+        _check_out(raw["out_csv"], "out_csv")
 
         return RunConfig(
             opt=opt,
             dataset=ds,
             w0=w0,
-            out_csv=out_csv,
+            out_csv=raw["out_csv"],
             log_every=raw["log_every"],
             gamma=raw["gamma"],
             wstar=wstar,
@@ -269,9 +281,6 @@ def _drive(cfg: RunConfig, gamma: float, wstar, wbar, check=None):
     """
     ds = cfg.dataset
     m = ds.n // cfg.opt.batch_size
-    parent = os.path.dirname(cfg.out_csv)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     with open(cfg.out_csv, "w", encoding="ascii", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
 
@@ -398,7 +407,7 @@ def sweep_cmd(config_dir: str, summary_path: str | None = None) -> dict:
                              "final_cos_wstar": None if math.isnan(cos) else cos, "slope": slope}
         except Exception as exc:  # fault isolation across configs
             summary[name] = {"error": f"{type(exc).__name__}: {exc}"}
-    if summary_path:
+    if summary_path is not None:
         _write_json(summary_path, summary)
     return summary
 
@@ -454,7 +463,8 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
         _check_scale_skewed(ds)
         if cfg.wbar_norm not in (None, norm):
             raise ValueError(f"persample takes the bias matrix at its norm {norm}, not wbar_norm {cfg.wbar_norm}")
-    verdict_path = cfg.out_csv + ".verdict.json"
+        verdict_path = cfg.out_csv + ".verdict.json"
+        _check_out(verdict_path, "verdict")
     _remove(cfg.out_csv)
     _remove(verdict_path)
     gamma, wstar = _resolve_references(cfg)

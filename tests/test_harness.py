@@ -39,6 +39,18 @@ def toy_dataset_file(tmp_path, name="toy.txt"):
     return str(path)
 
 
+def skewed_dataset_file(tmp_path):
+    """Orthogonal scale-skewed data (k = 3, n = 5), as persample requires."""
+    x = np.zeros((3, 5))
+    y = np.array([0, 1, 2, 0, 1])
+    for i, a in enumerate([1.3, 0.4, 2.2, 0.9, 1.7]):
+        x[y[i], i] = a
+    ds = Dataset(x, y, 3)
+    path = tmp_path / "skew.txt"
+    save_dataset(ds, path)
+    return str(path)
+
+
 def child_env():
     """Environment for a CLI child process that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(harness.__file__))
@@ -272,6 +284,15 @@ class TestTrainCmd:
         assert capsys.readouterr().err == f"error: {cfg}: duplicate config key 'epochs'\n"
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("command", ["train", "persample"])
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys, command):
+        # json.load raises RecursionError, not a ValueError, at this depth
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        assert cli_main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: maximum recursion depth exceeded") and err.count("\n") == 1
+
     @pytest.mark.parametrize("momentum", [False, True])
     def test_beta1_is_checked_and_used_only_with_momentum(self, tmp_path, momentum):
         with pytest.raises(ConfigError, match=r"beta1 must lie in \[0, 1\)"):
@@ -282,10 +303,12 @@ class TestTrainCmd:
     _BEFORE_SOLVE_CASES = {
         "batch_size": ({"batch_size": 3}, "batch_size 3 must divide n = 4"),
         "w0_shape": ({"w0": "MATRIX"}, "w0 'MATRIX' has shape (2, 3)"),
-        "out_csv_dir": ({"out_csv": "TMP"}, "out_csv 'TMP' does not name a file"),
-        "out_csv_under_file": ({"out_csv": "MATRIX/x.csv"}, "out_csv 'MATRIX/x.csv' lies under 'MATRIX', which"),
-        "out_csv_deep_under_file": ({"out_csv": "MATRIX/new/x.csv"}, "lies under 'MATRIX', which is not a directory"),
+        "out_csv_dir": ({"out_csv": "TMP"}, "out_csv 'TMP' names a directory"),
+        "out_csv_under_file": ({"out_csv": "MATRIX/x.csv"}, "out_csv 'MATRIX/x.csv': directory 'MATRIX' does not exist"),
+        "out_csv_deep_under_file": ({"out_csv": "MATRIX/new/x.csv"},
+                                    "out_csv 'MATRIX/new/x.csv': directory 'MATRIX/new' does not exist"),
         "wstar_shape": ({"wstar_path": "MATRIX"}, "wstar_path 'MATRIX' has shape (2, 3)"),
+        "wstar_zero": ({"wstar_path": "ZERO"}, "wstar_path 'ZERO' is the zero matrix"),
         "margin_tol_zero": ({"margin_tol": 0}, "margin_tol must be positive"),
         "margin_tol_negative": ({"margin_tol": -1e-3}, "margin_tol must be positive"),
         "seed_negative": ({"seed": -1}, "seed must be non-negative"),
@@ -307,10 +330,12 @@ class TestTrainCmd:
     def test_config_error_before_reference_solve(self, tmp_path, capsys, monkeypatch, case):
         matrix = tmp_path / "w.txt"
         matrix.write_text("2 3\n0 0 0\n0 0 0\n")  # (k, d) = (2, 2)
+        zero = tmp_path / "zero.txt"
+        zero.write_text("2 2\n0 -0\n0 0\n")
         overrides, named = self._BEFORE_SOLVE_CASES[case]
 
         def fill(text):
-            return text.replace("MATRIX", str(matrix)).replace("TMP", str(tmp_path))
+            return text.replace("MATRIX", str(matrix)).replace("ZERO", str(zero)).replace("TMP", str(tmp_path))
 
         overrides = {key: fill(v) if isinstance(v, str) else v for key, v in overrides.items()}
         named = fill(named)
@@ -546,20 +571,10 @@ class TestRunInvariants:
 
 
 class TestPersample:
-    def _skewed_file(self, tmp_path):
-        x = np.zeros((3, 5))
-        y = np.array([0, 1, 2, 0, 1])
-        for i, a in enumerate([1.3, 0.4, 2.2, 0.9, 1.7]):
-            x[y[i], i] = a
-        ds = Dataset(x, y, 3)
-        path = tmp_path / "skew.txt"
-        save_dataset(ds, path)
-        return str(path)
-
     def _cfg(self, tmp_path, **over):
         base = dict(
             name="ps.json",
-            dataset_path=self._skewed_file(tmp_path),
+            dataset_path=skewed_dataset_file(tmp_path),
             batch_size=1,
             epochs=300,
             out_csv=str(tmp_path / "ps.csv"),
@@ -720,6 +735,67 @@ class TestPersample:
         cfg = self._cfg(tmp_path, dataset_path=str(path), epochs=1, log_every=1, gamma=0.3, name="bad.json")
         with pytest.raises(ConfigError, match=f"sample {first_bad} is not alpha"):
             persample_cmd(cfg)
+
+
+class TestOutputRule:
+    """One rule for every output, ``harness._check_out``: each is checked
+    before any file is deleted and before any solve, generation or run."""
+
+    # case -> (output path in the work directory, the message after "<flag or key> <path!r>")
+    _CASES = {
+        "missing_directory": ("nodir/out.txt", ": directory 'nodir' does not exist"),
+        "existing_directory": ("sub", " names a directory"),
+        "under_a_regular_file": ("prev.txt/out.txt", ": directory 'prev.txt' does not exist"),
+        "empty_basename": ("", " does not name a file"),
+    }
+
+    @staticmethod
+    def _tree(root):
+        """Every file under ``root`` with its bytes, and every directory."""
+        return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+    @pytest.mark.parametrize("case", list(_CASES))
+    @pytest.mark.parametrize("command", ["gen-data", "margin", "sweep", "train", "persample"])
+    def test_bad_output_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, command, case):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "prev.txt").write_text("previous output\n")
+        work = []
+        for module, name in [(cli, "gen_gaussian"), (cli, "gen_skewed"), (cli, "max_margin"),
+                             (harness, "max_margin"), (harness, "run")]:
+            monkeypatch.setattr(module, name, lambda *a, name=name, **kw: work.append(name))
+        out, tail = self._CASES[case]
+        if command == "gen-data":
+            argv, named = ["gen-data", "gaussian", "--out", out], f"--out {out!r}"
+        elif command == "margin":
+            argv = ["margin", "--dataset", toy_dataset_file(tmp_path), "--norm", "ew:2", "--out", out]
+            named = f"--out {out!r}"
+        elif command == "sweep":
+            (tmp_path / "cfgs").mkdir()
+            write_config(tmp_path, name="cfgs/good.json", out_csv="good.csv")
+            argv, named = ["sweep", "--config-dir", "cfgs", "--out-summary", out], f"--out-summary {out!r}"
+        else:
+            cfg = write_config(tmp_path, dataset_path=skewed_dataset_file(tmp_path), batch_size=1, gamma=0.3,
+                               out_csv=out)
+            argv, named = [command, "--config", cfg], f"{cfg}: out_csv {out!r}"
+        before = self._tree(tmp_path)
+        assert cli_main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {named}{tail}\n"
+        assert work == []
+        assert self._tree(tmp_path) == before
+
+    def test_persample_verdict_path_is_checked_before_the_csv_is_deleted(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        runs = []
+        monkeypatch.setattr(harness, "run", lambda *a, **kw: runs.append(a))
+        cfg = write_config(tmp_path, dataset_path=skewed_dataset_file(tmp_path), batch_size=1, gamma=0.3,
+                           out_csv="ps.csv")
+        (tmp_path / "ps.csv").write_text("previous run\n")
+        (tmp_path / "ps.csv.verdict.json").mkdir()
+        assert cli_main(["persample", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {cfg}: verdict 'ps.csv.verdict.json' names a directory\n"
+        assert (tmp_path / "ps.csv").read_text() == "previous run\n"
+        assert runs == []
 
 
 class TestCli:

@@ -7,14 +7,20 @@ from normdescent import optimizer
 from normdescent import (
     ALL,
     Dataset,
+    GaussianSpec,
     NormSpec,
     OptimizerConfig,
     Schedule,
     TrainingError,
+    bias_matrix,
+    canonical_update_matrix,
     effective_margin_thresholds,
+    frobenius_cosine,
+    gen_gaussian,
     grad,
     init_state,
     loss,
+    margin_report,
     matrix_norm,
     reshuffle,
     run,
@@ -295,6 +301,44 @@ class TestRun:
 FULL_BATCH_MODES = pytest.mark.parametrize(
     "momentum,vr", [(False, False), (True, False), (False, True)], ids=["plain", "momentum", "vr"]
 )
+
+
+class TestSignSgdBatchSizeOne:
+    """A sample's CE gradient (p - e_y) x_i^T has the sign pattern
+    (1 - 2 e_y) sign(x_i)^T at every W while no probability underflows, so
+    each b = 1 ew:inf step is its sample's canonical update on any data, and
+    W_t / ||W_t|| tends to the bias matrix W-bar whether or not W-bar
+    separates the data."""
+
+    def test_each_step_is_minus_the_canonical_update_of_its_sample(self, rng, monkeypatch):
+        ds = divisible_dataset(rng, k=4, d=3, n=24)
+        assert np.count_nonzero(ds.x) == ds.x.size
+        expects = [-canonical_update_matrix(ds, i, EWINF) for i in range(ds.n)]
+        used, deltas = [], []
+        real_grad = optimizer.grad
+
+        def recording_grad(w, ds_, batch, *args):
+            used.append(int(batch.idx[0]))
+            return real_grad(w, ds_, batch, *args)
+
+        monkeypatch.setattr(optimizer, "grad", recording_grad)
+        run(make_cfg(ds, 1, epochs=100, norm=EWINF), ds, np.zeros((4, 3)),
+            metrics_hook=lambda t, w, h, eta, delta: deltas.append(delta.tobytes()))
+        assert len(used) == len(deltas) == 100 * ds.n
+        assert [expects[i].tobytes() for i in used] == deltas
+
+    def test_plain_run_follows_the_bias_matrix_and_momentum_or_vr_separate(self):
+        # the acceptance instance; thresholds and their margins are in CHANGES.md
+        ds = gen_gaussian(GaussianSpec(k=10, per_class=20, d=5, sigma=0.1, seed=12345))
+        w0 = np.zeros((ds.k, ds.d))
+        wbar = bias_matrix(ds, EWINF)
+        assert margin_report(wbar, ds, EWINF).normalized < -0.1  # -0.1212
+        plain = run(make_cfg(ds, 1, epochs=100, norm=EWINF, seed=7, c=0.05), ds, w0).w  # 20,000 steps
+        assert frobenius_cosine(plain, wbar) >= 0.9995  # 0.999654
+        assert margin_report(plain, ds, EWINF).normalized < 0.0  # -0.1184
+        for regime in ({"beta1": 0.99}, {"vr": True}):  # 5,000 steps each: +0.3680, +0.3691
+            w = run(make_cfg(ds, 1, epochs=25, norm=EWINF, seed=7, c=0.05, **regime), ds, w0).w
+            assert margin_report(w, ds, EWINF).normalized > 0.0, regime
 
 
 class TestFullBatchDrawsNothing:
