@@ -81,8 +81,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.out_summary is not None:
-        _check_out(args.out_summary, "--out-summary")
     summary = sweep_cmd(args.config_dir, summary_path=args.out_summary)
     print(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK

@@ -7,9 +7,10 @@ checks on their values: ``norm`` and ``wbar_norm`` take a norm spec
 (``ew:p``, ``sch:p``) and ``loss`` one of ``model.LOSS_KINDS``, spelled
 exactly. All of them are checked before any reference solve, and a run
 then deletes the previous run's outputs before it solves. Every output
-(``out_csv``, persample's ``<out_csv>.verdict.json``, the CLI's output
-flags) passes ``_check_out`` before anything is deleted or run: it must
-name a file in an existing directory.
+(``out_csv``, persample's ``<out_csv>.verdict.json``, ``sweep_cmd``'s
+summary, the CLI's output flags) passes ``_check_out`` before anything is
+deleted or run: it must name a file in an existing directory, within that
+directory's file-name limit.
 The CSV schema is fixed:
 
     t,epoch,eta,loss,proxy_g,min_margin,weight_norm,norm_margin,gap_to_gamma,cos_wstar,cos_wbar,dualnorm_signal
@@ -168,14 +169,19 @@ def _naming(path: str):
 
 def _check_out(path: str, name: str):
     """Reject an output ``path`` that is not a writable file in an existing
-    directory; the message names the flag or config key ``name``."""
-    if not os.path.basename(path):
+    directory, or whose file name exceeds that directory's name limit; the
+    message names the flag or config key ``name``."""
+    base = os.path.basename(path)
+    if not base:
         raise ValueError(f"{name} {path!r} does not name a file")
     if os.path.isdir(path):
         raise ValueError(f"{name} {path!r} names a directory")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise ValueError(f"{name} {path!r}: directory {parent!r} does not exist")
+    limit = os.pathconf(parent, "PC_NAME_MAX")
+    if len(os.fsencode(base)) > limit:
+        raise ValueError(f"{name} {path!r}: file name longer than {limit} bytes")
     if not os.access(path if os.path.exists(path) else parent, os.W_OK):
         raise ValueError(f"{name} {path!r} is not writable")
 
@@ -389,7 +395,10 @@ def sweep_cmd(config_dir: str, summary_path: str | None = None) -> dict:
     Returns (and optionally writes) a summary mapping config name to
     {final_gap, final_cos_wstar, slope} or {"error": reason}; a value that
     is not finite (the gap of a zero W, the cosine it has none of) is null.
+    ``summary_path`` is checked before any config is run.
     """
+    if summary_path is not None:
+        _check_out(summary_path, "--out-summary")
     names = sorted(f for f in os.listdir(config_dir) if f.endswith(".json"))
     if not names:
         raise ConfigError(f"{config_dir}: no .json configs found")

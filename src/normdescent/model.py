@@ -11,10 +11,10 @@ A gradient is evaluated on a ``Batch``. The full batch (``ds.full``) and
 the n one-sample batches (``ds.samples``) are built once per dataset, as
 views of ``x`` with no gather; ``gather_batches`` cuts the batches of a
 mini-batch epoch from one gather, and at b = 1 returns ``ds.samples`` in
-row order. A one-sample batch takes the rank-one kernel ``_sample_grad``
-(c x^T, c a k-vector), the only per-sample gradient path; every larger
-batch takes the (k, m) kernels ``_offtarget_probs`` / ``_exp_weights`` and
-``_pair_sum``. Both give the same bytes at m = 1.
+row order. A one-sample cross-entropy batch takes the rank-one kernel
+``_sample_grad`` (c x^T, c a k-vector); every other batch takes the (k, m)
+kernels ``_offtarget_probs`` / ``_exp_weights`` and ``_pair_sum``. Both
+give the same bytes at m = 1.
 
 Numerical conventions that matter here:
 
@@ -194,7 +194,7 @@ def _as_batch(ds: Dataset, batch) -> Batch:
     return out
 
 
-# The helpers below take the samples of a batch of m >= 2 as x (d, m) and
+# The helpers below take the samples of a batch of m as x (d, m) and
 # ``target`` = y * m + arange(m), the flat index of each sample's target
 # entry in a C-ordered (k, m) array. They read and write target entries as
 # a.ravel()[target]; every array written that way is freshly allocated and
@@ -239,30 +239,21 @@ def _pair_sum(coeff: np.ndarray, x: np.ndarray, target: np.ndarray) -> np.ndarra
     return coeff @ x.T
 
 
-def _sample_grad(w: np.ndarray, batch: Batch, kind: str) -> np.ndarray:
-    """The gradient c x^T of one sample's loss, for every one-sample batch.
+def _sample_grad(w: np.ndarray, batch: Batch) -> np.ndarray:
+    """The cross-entropy gradient c x^T of a one-sample batch.
 
-    c is the sample's off-target softmax (CE) or exp(-gap) behind
-    ``_exp_weights``' overflow guard (EXP), with minus its sum at the target
-    entry. Each operation is the one the (k, m) kernels make at m = 1, on a
-    k-vector, so the bytes are theirs. c enters the matrix product as a
-    column, as in ``_pair_sum``: an elementwise ``c * x.T`` would write -0.0
-    where a negative c_i meets a zero feature, and the product writes +0.0.
+    c is the off-target softmax with minus its sum at the target entry, by
+    the operations ``_offtarget_probs`` and ``_pair_sum`` make at m = 1, so
+    the bytes are theirs. c enters the matrix product as a column, as in
+    ``_pair_sum``: an elementwise ``c * x.T`` would write -0.0 where a
+    negative c_i meets a zero feature, and the product writes +0.0.
     """
     x = batch.x
     y = int(batch.target[0])
     z = (w @ x).ravel()
-    if kind == CROSS_ENTROPY:
-        c = np.exp(z - z.max())
-        c /= c.sum()
-        c[y] = 0.0
-    else:
-        gaps = z[y] - z
-        gaps[y] = np.inf
-        low = gaps.min()
-        if low < -_EXP_GUARD:
-            raise LossOverflowError(int(batch.idx[0]), float(-low))
-        c = np.exp(-gaps)
+    c = np.exp(z - z.max())
+    c /= c.sum()
+    c[y] = 0.0
     c[y] = -c.sum()
     return c[:, None] @ x.T
 
@@ -298,16 +289,16 @@ def loss(w, ds: Dataset, kind: str = CROSS_ENTROPY) -> float:
 def grad(w, ds: Dataset, batch=ALL, kind: str = CROSS_ENTROPY) -> np.ndarray:
     """Mean loss gradient over ``batch``: ALL for the full dataset, a
     prepared Batch, or a 1-D array of distinct sample indices. A one-sample
-    batch takes the rank-one kernel ``_sample_grad``, every other the
-    (k, m) kernels."""
+    cross-entropy batch takes the rank-one kernel ``_sample_grad``, every
+    other the (k, m) kernels."""
     _check_kind(kind)
     wm = as_matrix(w)
     if batch is ALL:
         batch = ds.full
     elif not isinstance(batch, Batch):
         batch = _as_batch(ds, batch)
-    if batch.size == 1:
-        return _sample_grad(wm, batch, kind)
+    if batch.size == 1 and kind == CROSS_ENTROPY:
+        return _sample_grad(wm, batch)
     x, target = batch.x, batch.target
     if kind == CROSS_ENTROPY:
         coeff = _offtarget_probs(wm, x, target)

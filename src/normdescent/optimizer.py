@@ -19,12 +19,12 @@ reshuffled (m, b) permutation, checks the range once, and takes every
 batch's columns and target index from one gather, so a step (and VR's two
 batch gradients) reuses its prepared Batch. At b = 1 nothing is gathered:
 the batches are the dataset's own one-sample Batches (``ds.samples``, built
-once per dataset) in permutation order, and every gradient, VR's snapshot
-gradient of the step's sample included, is the rank-one kernel of
-``model.grad``. The momentum buffer is never reset across epochs. A zero
-signal skips the weight update but still advances the step counter so the
-learning-rate schedule stays aligned. A non-finite signal or iterate, or a
-zero direction for a nonzero signal, aborts the run with a
+once per dataset) in permutation order, and every cross-entropy gradient,
+VR's snapshot gradient of the step's sample included, is the rank-one
+kernel of ``model.grad``. The momentum buffer is never reset across epochs.
+A zero signal skips the weight update but still advances the step counter
+so the learning-rate schedule stays aligned. A non-finite signal or
+iterate, or a zero direction for a nonzero signal, aborts the run with a
 ``TrainingError`` naming the step. ``run`` enters one
 ``np.errstate(over="ignore")`` for its whole loop, metrics hook included,
 rather than one per step: an overflow shows as a non-finite iterate, which

@@ -747,6 +747,7 @@ class TestOutputRule:
         "existing_directory": ("sub", " names a directory"),
         "under_a_regular_file": ("prev.txt/out.txt", ": directory 'prev.txt' does not exist"),
         "empty_basename": ("", " does not name a file"),
+        "name_too_long": ("n" * 300, ": file name longer than {limit} bytes"),
     }
 
     @staticmethod
@@ -780,22 +781,40 @@ class TestOutputRule:
             argv, named = [command, "--config", cfg], f"{cfg}: out_csv {out!r}"
         before = self._tree(tmp_path)
         assert cli_main(argv) == EXIT_CONFIG
+        tail = tail.format(limit=os.pathconf(tmp_path, "PC_NAME_MAX"))
         assert capsys.readouterr().err == f"error: {named}{tail}\n"
         assert work == []
         assert self._tree(tmp_path) == before
 
     def test_persample_verdict_path_is_checked_before_the_csv_is_deleted(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        runs = []
-        monkeypatch.setattr(harness, "run", lambda *a, **kw: runs.append(a))
-        cfg = write_config(tmp_path, dataset_path=skewed_dataset_file(tmp_path), batch_size=1, gamma=0.3,
-                           out_csv="ps.csv")
-        (tmp_path / "ps.csv").write_text("previous run\n")
+        work = []
+        for name in ("max_margin", "run"):
+            monkeypatch.setattr(harness, name, lambda *a, name=name, **kw: work.append(name))
         (tmp_path / "ps.csv.verdict.json").mkdir()
-        assert cli_main(["persample", "--config", cfg]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: {cfg}: verdict 'ps.csv.verdict.json' names a directory\n"
-        assert (tmp_path / "ps.csv").read_text() == "previous run\n"
-        assert runs == []
+        # the second CSV's name fits the limit; its verdict's, 13 bytes longer, does not
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        cases = {"ps.csv": " names a directory", "p" * (limit - 4) + ".csv": f": file name longer than {limit} bytes"}
+        for out, tail in cases.items():
+            cfg = write_config(tmp_path, dataset_path=skewed_dataset_file(tmp_path), batch_size=1, gamma=0.3,
+                               out_csv=out)
+            (tmp_path / out).write_text("previous run\n")
+            assert cli_main(["persample", "--config", cfg]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: {cfg}: verdict {out + '.verdict.json'!r}{tail}\n"
+            assert (tmp_path / out).read_text() == "previous run\n"
+        assert work == []
+
+    def test_library_sweep_checks_its_summary_before_any_run(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfgs").mkdir()
+        write_config(tmp_path, name="cfgs/good.json", gamma=0.5, out_csv="good.csv")
+        trained, real = [], harness.train_cmd
+        monkeypatch.setattr(harness, "train_cmd", lambda path: trained.append(path) or real(path))
+        message = "^--out-summary 'nodir/summary.json': directory 'nodir' does not exist$"
+        with pytest.raises(ValueError, match=message):
+            sweep_cmd("cfgs", "nodir/summary.json")
+        assert trained == []
+        assert not (tmp_path / "good.csv").exists()
 
 
 class TestCli:

@@ -340,8 +340,9 @@ def _bytes_or_error(f):
 
 
 class TestSampleKernel:
-    """A one-sample batch takes the rank-one kernel, with the bytes of the
-    (k, m) kernels at m = 1, and its batches are views built once."""
+    """A one-sample cross-entropy batch takes the rank-one kernel, with the
+    bytes of the (k, m) kernels at m = 1; a one-sample exponential-loss
+    batch takes the (k, m) kernels. One-sample batches are views built once."""
 
     @pytest.mark.parametrize("kind", [CROSS_ENTROPY, EXPONENTIAL])
     @pytest.mark.parametrize("k", [2, 5, 10, 12, 33])
@@ -365,19 +366,22 @@ class TestSampleKernel:
                     return model._pair_sum(coeff, gathered, target) / 1
 
                 expect = _bytes_or_error(batch_route)
-                assert _bytes_or_error(lambda: model._sample_grad(w, ds.samples[i], kind)) == expect
+                if kind == CROSS_ENTROPY:
+                    assert model._sample_grad(w, ds.samples[i]).tobytes() == expect
+                assert _bytes_or_error(lambda: grad(w, ds, ds.samples[i], kind)) == expect
                 assert _bytes_or_error(lambda: grad(w, ds, [i], kind)) == expect
 
     def test_only_one_sample_batches_reach_the_kernel(self, rng, monkeypatch):
         sizes = []
         real = model._sample_grad
-        monkeypatch.setattr(model, "_sample_grad",
-                            lambda w, batch, kind: sizes.append(len(batch)) or real(w, batch, kind))
+        monkeypatch.setattr(model, "_sample_grad", lambda w, batch: sizes.append(len(batch)) or real(w, batch))
         ds = divisible_dataset(rng, k=3, d=2, n=6)
         w = rng.standard_normal((3, 2))
-        for batch in (ALL, [4], [1, 4], np.arange(6), ds.samples[2], ds.full):
-            grad(w, ds, batch)
-        assert sizes == [1, 1]
+        for kind, reached in ((CROSS_ENTROPY, [1, 1]), (EXPONENTIAL, [])):
+            sizes.clear()
+            for batch in (ALL, [4], [1, 4], np.arange(6), ds.samples[2], ds.full):
+                grad(w, ds, batch, kind)
+            assert sizes == reached, kind
 
     def test_exponential_overflow_names_the_sample_of_a_one_sample_step(self):
         # only sample 2 (x = e_2, y = 0) has a gap below -700: z_y - z_c = -800

@@ -129,14 +129,16 @@ def count_calls(monkeypatch, module, names) -> dict:
 
 
 @pytest.mark.parametrize(
-    "b,momentum,vr",
-    [(12, False, False), (12, False, True), (4, False, False), (4, True, False), (4, False, True),
-     (1, False, False), (1, False, True)],
-    ids=["full", "full-vr", "mini", "mini-momentum", "mini-vr", "b1", "b1-vr"],
+    "b,momentum,vr,loss",
+    [(12, False, False, "cross_entropy"), (12, False, True, "cross_entropy"), (4, False, False, "cross_entropy"),
+     (4, True, False, "cross_entropy"), (4, False, True, "cross_entropy"), (1, False, False, "cross_entropy"),
+     (1, False, True, "cross_entropy"), (1, False, False, "exponential")],
+    ids=["full", "full-vr", "mini", "mini-momentum", "mini-vr", "b1", "b1-vr", "b1-exp"],
 )
-def test_each_step_reaches_grad_and_the_map_through_optimizer(monkeypatch, b, momentum, vr):
+def test_each_step_reaches_grad_and_the_map_through_optimizer(monkeypatch, b, momentum, vr, loss):
     # the tracer times model.grad_* and steepest.* only through these bindings,
-    # and labels a grad call by its batch's len (b1 for one sample)
+    # and labels a grad call by its batch's len (b1 for one sample, whichever
+    # model kernel the loss takes)
     from normdescent import ALL, OptimizerConfig, Schedule, optimizer, run
     from tests.conftest import divisible_dataset
 
@@ -149,7 +151,7 @@ def test_each_step_reaches_grad_and_the_map_through_optimizer(monkeypatch, b, mo
     epochs = 5
     cfg = OptimizerConfig(batch_size=b, beta1=0.9 if momentum else 0.0, vr_on=vr,
                           schedule=Schedule(0.5, 0.5, 0.5), epochs=epochs, seed=2,
-                          norm=NormSpec("ew", 2.0))
+                          norm=NormSpec("ew", 2.0), loss=loss)
     run(cfg, ds, np.zeros((3, 2)))
     steps = epochs * ds.n // b
     assert calls["steepest_map"] == steps
