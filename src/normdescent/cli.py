@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, margin, train, sweep, persample, fit-rate.
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 non-convergence.
-Output flags, like a run's out_csv, must name a writable file in an existing directory.
+Output flags, like a run's out_csv, must name a writable file in an existing directory
+that is none of the command's inputs.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_margin(args) -> int:
-    _check_out(args.out, "--out")
+    _check_out(args.out, "--out", [("--dataset", args.dataset)])
     ds = load_dataset(args.dataset)
     spec = NormSpec.parse(args.norm)
     sol = max_margin(ds, spec, tol=args.tol, max_iters=args.max_iters)

@@ -5,12 +5,13 @@ A run config is a JSON object. ``_KEYS`` below lists its keys with their
 JSON types and defaults, and the README gives the rules ``load_config``
 checks on their values: ``norm`` and ``wbar_norm`` take a norm spec
 (``ew:p``, ``sch:p``) and ``loss`` one of ``model.LOSS_KINDS``, spelled
-exactly. All of them are checked before any reference solve, and a run
-then deletes the previous run's outputs before it solves. Every output
-(``out_csv``, persample's ``<out_csv>.verdict.json``, ``sweep_cmd``'s
-summary, the CLI's output flags) passes ``_check_out`` before anything is
-deleted or run: it must name a file in an existing directory, within that
-directory's file-name limit.
+exactly. All of them are checked before any reference solve. A run then
+computes the bias matrix W-bar, rejecting a zero one, deletes the previous
+run's outputs and only then solves. Every output (``out_csv``, persample's
+``<out_csv>.verdict.json``, ``sweep_cmd``'s summary, the CLI's output
+flags) passes ``_check_out`` before anything is deleted or run: it must
+name a file in an existing directory, within that directory's file-name
+limit, and none of its command's inputs.
 The CSV schema is fixed:
 
     t,epoch,eta,loss,proxy_g,min_margin,weight_norm,norm_margin,gap_to_gamma,cos_wstar,cos_wbar,dualnorm_signal
@@ -115,8 +116,11 @@ class SlopeFit:
 
 @dataclass
 class RunConfig:
-    """Validated run description, plus the resolved dataset and references."""
+    """Validated run description, plus the loaded dataset and the config's
+    references; ``inputs`` pairs each file the run reads with its name."""
 
+    path: str
+    inputs: tuple[tuple[str, str], ...]
     opt: OptimizerConfig
     dataset: Dataset
     w0: np.ndarray
@@ -167,10 +171,12 @@ def _naming(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _check_out(path: str, name: str):
+def _check_out(path: str, name: str, inputs=(), config_dir: str | None = None):
     """Reject an output ``path`` that is not a writable file in an existing
-    directory, or whose file name exceeds that directory's name limit; the
-    message names the flag or config key ``name``."""
+    directory, whose file name exceeds that directory's name limit, or that
+    is one of its command's inputs: the same file as one of ``inputs``, the
+    (name, path) pairs of the files it reads, or a *.json file in a sweep's
+    ``config_dir``. The message names the flag or config key ``name``."""
     base = os.path.basename(path)
     if not base:
         raise ValueError(f"{name} {path!r} does not name a file")
@@ -182,8 +188,14 @@ def _check_out(path: str, name: str):
     limit = os.pathconf(parent, "PC_NAME_MAX")
     if len(os.fsencode(base)) > limit:
         raise ValueError(f"{name} {path!r}: file name longer than {limit} bytes")
-    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+    exists = os.path.exists(path)
+    if not os.access(path if exists else parent, os.W_OK):
         raise ValueError(f"{name} {path!r} is not writable")
+    if config_dir is not None and base.endswith(".json") and os.path.samefile(parent, config_dir):
+        raise ValueError(f"{name} {path!r} is a *.json file in --config-dir {config_dir!r}")
+    for label, source in inputs:
+        if exists and os.path.exists(source) and os.path.samefile(path, source):
+            raise ValueError(f"{name} {path!r} is the same file as {label} {source!r}")
 
 
 def load_config(path: str) -> RunConfig:
@@ -250,9 +262,14 @@ def load_config(path: str) -> RunConfig:
             raise ValueError("margin_iters must be >= 1")
         if not raw["margin_tol"] > 0:
             raise ValueError(f"margin_tol must be positive, got {raw['margin_tol']!r}")
-        _check_out(raw["out_csv"], "out_csv")
+        files = [("the config", path), ("dataset_path", dataset_path),
+                 ("w0", None if raw["w0"] == "zeros" else raw["w0"]), ("wstar_path", raw["wstar_path"])]
+        inputs = tuple((key, file) for key, file in files if file is not None)
+        _check_out(raw["out_csv"], "out_csv", inputs)
 
         return RunConfig(
+            path=path,
+            inputs=inputs,
             opt=opt,
             dataset=ds,
             w0=w0,
@@ -266,18 +283,14 @@ def load_config(path: str) -> RunConfig:
         )
 
 
-def _resolve_references(cfg: RunConfig):
-    """Reference margin gamma and max-margin direction, the config's or else the solver's."""
-    if cfg.gamma is not None:
-        return cfg.gamma, cfg.wstar
-    sol = max_margin(cfg.dataset, cfg.opt.norm, tol=cfg.margin_tol, max_iters=cfg.margin_iters)
-    return sol.gamma, sol.w_star if cfg.wstar is None else cfg.wstar
-
-
-def _drive(cfg: RunConfig, gamma: float, wstar, wbar, check=None):
-    """Run the configured optimizer and stream a metric row to the CSV every
-    log_every steps; returns the final TrainState. A run that fails leaves
-    the header and the rows logged before the failure.
+def _drive(cfg: RunConfig, wbar_norm: NormSpec | None, outputs=(), check=None):
+    """Fix the run's references, then run the configured optimizer and
+    stream a metric row to the CSV every log_every steps; returns the final
+    TrainState, gamma, W* and W-bar. W-bar is ``bias_matrix`` at
+    ``wbar_norm`` (none for None), and a zero one is a ConfigError; only
+    then are ``out_csv`` and the other ``outputs`` of the previous run
+    deleted and gamma and W* taken from the config or else the solver. A run
+    that fails leaves the header and the rows logged before the failure.
 
     ``check(h, delta)``, if given, sees every step's signal and the
     direction the step applied. A row with a non-finite cell aborts the run
@@ -286,6 +299,16 @@ def _drive(cfg: RunConfig, gamma: float, wstar, wbar, check=None):
     and whose cosine cells are left empty.
     """
     ds = cfg.dataset
+    wbar = None if wbar_norm is None else bias_matrix(ds, wbar_norm)
+    if wbar is not None and not wbar.any():  # it has no direction to take a cosine to
+        raise ConfigError(f"{cfg.path}: wbar_norm {wbar_norm} gives the zero bias matrix")
+    for path in (cfg.out_csv, *outputs):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+    gamma, wstar = cfg.gamma, cfg.wstar
+    if gamma is None:
+        sol = max_margin(ds, cfg.opt.norm, tol=cfg.margin_tol, max_iters=cfg.margin_iters)
+        gamma, wstar = sol.gamma, sol.w_star if wstar is None else wstar
     m = ds.n // cfg.opt.batch_size
     with open(cfg.out_csv, "w", encoding="ascii", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
@@ -317,23 +340,14 @@ def _drive(cfg: RunConfig, gamma: float, wstar, wbar, check=None):
             floats = ("" if v is None else repr(float(v)) for v in cells)
             fh.write(",".join((str(t), str((t - 1) // m), *floats)) + "\n")
 
-        return run(cfg.opt, ds, cfg.w0, metrics_hook=hook)
-
-
-def _remove(path: str):
-    """Delete a previous run's output, so a run that fails does not leave it
-    looking like its own result."""
-    if os.path.exists(path):
-        os.remove(path)
+        state = run(cfg.opt, ds, cfg.w0, metrics_hook=hook)
+    return state, gamma, wstar, wbar
 
 
 def train_cmd(config_path: str) -> str:
     """Run one config and stream its metric CSV; returns the CSV path."""
     cfg = load_config(config_path)
-    _remove(cfg.out_csv)
-    gamma, wstar = _resolve_references(cfg)
-    wbar = None if cfg.wbar_norm is None else bias_matrix(cfg.dataset, cfg.wbar_norm)
-    _drive(cfg, gamma, wstar, wbar)
+    _drive(cfg, cfg.wbar_norm)
     return cfg.out_csv
 
 
@@ -398,7 +412,7 @@ def sweep_cmd(config_dir: str, summary_path: str | None = None) -> dict:
     ``summary_path`` is checked before any config is run.
     """
     if summary_path is not None:
-        _check_out(summary_path, "--out-summary")
+        _check_out(summary_path, "--out-summary", config_dir=config_dir)
     names = sorted(f for f in os.listdir(config_dir) if f.endswith(".json"))
     if not names:
         raise ConfigError(f"{config_dir}: no .json configs found")
@@ -473,11 +487,7 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
         if cfg.wbar_norm not in (None, norm):
             raise ValueError(f"persample takes the bias matrix at its norm {norm}, not wbar_norm {cfg.wbar_norm}")
         verdict_path = cfg.out_csv + ".verdict.json"
-        _check_out(verdict_path, "verdict")
-    _remove(cfg.out_csv)
-    _remove(verdict_path)
-    gamma, wstar = _resolve_references(cfg)
-    wbar = bias_matrix(ds, norm)
+        _check_out(verdict_path, "verdict", cfg.inputs)
     # every sample of a class has the same canonical update; keep the
     # first's, with the tolerance of the check against it
     firsts = [int(np.nonzero(ds.y == c)[0][0]) for c in range(ds.k)]
@@ -506,7 +516,7 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
         if filled == _CHECK_CHUNK:
             flush()
 
-    state = _drive(cfg, gamma, wstar, wbar, check)
+    state, gamma, wstar, wbar = _drive(cfg, norm, (verdict_path,), check)
     flush()
     verdict = {
         "final_loss": loss_fn(state.w, ds, cfg.opt.loss),

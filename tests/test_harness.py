@@ -394,6 +394,22 @@ class TestTrainCmd:
         with pytest.raises(ValueError, match="only 9 positive-gap rows"):
             fit_rate(out, 1, 10)
 
+    def test_zero_bias_matrix_exits_2_before_any_output_is_deleted(self, tmp_path, capsys, monkeypatch):
+        # each class holds x and -x, so its canonical terms cancel and W-bar is zero
+        x = np.array([[1.0, -1.0, 0.3, -0.3], [0.5, -0.5, 1.0, -1.0]])
+        save_dataset(Dataset(x, np.array([0, 0, 1, 1]), 2), tmp_path / "cancel.txt")
+        cfg = write_config(tmp_path, dataset_path=str(tmp_path / "cancel.txt"), batch_size=1, wbar_norm="ew:2")
+        (tmp_path / "out.csv").write_text("previous run\n")
+        work = []
+        for name in ("max_margin", "run"):
+            real = getattr(harness, name)
+            monkeypatch.setattr(harness, name,
+                                lambda *a, name=name, real=real, **kw: work.append(name) or real(*a, **kw))
+        assert cli_main(["train", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {cfg}: wbar_norm ew:2 gives the zero bias matrix\n"
+        assert (tmp_path / "out.csv").read_text() == "previous run\n"
+        assert work == []
+
     def test_wbar_norm_need_not_be_the_runs_norm(self, tmp_path):
         cols = read_csv(train_cmd(write_config(tmp_path, norm="ew:2", wbar_norm="sch:inf", gamma=0.5)))
         assert cols["t"].size == 6 and np.isfinite(cols["cos_wbar"]).all()
@@ -803,6 +819,71 @@ class TestOutputRule:
             assert capsys.readouterr().err == f"error: {cfg}: verdict {out + '.verdict.json'!r}{tail}\n"
             assert (tmp_path / out).read_text() == "previous run\n"
         assert work == []
+
+    @staticmethod
+    def _record_work(monkeypatch) -> list:
+        """Replace every solve, bias matrix, run and sweep entry with a stub that records its name."""
+        work = []
+        for module, name in [(cli, "max_margin"), (harness, "max_margin"), (harness, "bias_matrix"),
+                             (harness, "run"), (harness, "train_cmd")]:
+            monkeypatch.setattr(module, name, lambda *a, name=name, **kw: work.append(name))
+        return work
+
+    @pytest.mark.parametrize("key", ["the config", "dataset_path", "w0", "wstar_path"])
+    @pytest.mark.parametrize("command,output", [("train", "out_csv"), ("persample", "out_csv"),
+                                                ("persample", "verdict")])
+    def test_run_output_that_is_one_of_its_inputs_exits_2(self, tmp_path, capsys, monkeypatch, command, output, key):
+        work = self._record_work(monkeypatch)
+        inputs = {"the config": str(tmp_path / "cfg.json"), "dataset_path": skewed_dataset_file(tmp_path),
+                  "w0": str(tmp_path / "w0.txt"), "wstar_path": str(tmp_path / "wstar.txt")}
+        save_matrix(np.zeros((3, 3)), inputs["w0"])
+        save_matrix(np.eye(3), inputs["wstar_path"])
+        if output == "out_csv":  # the same path
+            out_csv = out = inputs[key]
+        else:  # another path to the same file
+            out_csv, out = str(tmp_path / "ps.csv"), str(tmp_path / "ps.csv.verdict.json")
+            os.symlink(inputs[key], out)
+        cfg = write_config(tmp_path, dataset_path=inputs["dataset_path"], w0=inputs["w0"],
+                           wstar_path=inputs["wstar_path"], batch_size=1, gamma=0.3, out_csv=out_csv)
+        before = self._tree(tmp_path)
+        assert cli_main([command, "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {cfg}: {output} {out!r} is the same file as {key} {inputs[key]!r}\n"
+        assert work == []
+        assert self._tree(tmp_path) == before
+
+    def test_margin_out_that_is_its_dataset_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a relative --out and an absolute --dataset naming one file
+        monkeypatch.chdir(tmp_path)
+        work = self._record_work(monkeypatch)
+        data = toy_dataset_file(tmp_path)
+        before = self._tree(tmp_path)
+        assert cli_main(["margin", "--dataset", data, "--norm", "ew:2", "--out", "toy.txt"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --out 'toy.txt' is the same file as --dataset {data!r}\n"
+        assert work == []
+        assert self._tree(tmp_path) == before
+
+    @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+    def test_sweep_summary_in_its_config_dir_exits_2(self, tmp_path, capsys, monkeypatch, exists):
+        # a second sweep would read the first one's summary as a config
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfgs").mkdir()
+        write_config(tmp_path, name="cfgs/good.json", gamma=0.5, out_csv="good.csv")
+        if exists:
+            (tmp_path / "cfgs" / "summary.json").write_text("{}\n")
+        work = self._record_work(monkeypatch)
+        before = self._tree(tmp_path)
+        config_dir = str(tmp_path / "cfgs")
+        assert cli_main(["sweep", "--config-dir", config_dir, "--out-summary", "cfgs/summary.json"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: --out-summary 'cfgs/summary.json' is a *.json file in --config-dir {config_dir!r}\n")
+        assert work == []
+        assert self._tree(tmp_path) == before
+        # a summary that is not a *.json file, or not in the directory, is no config
+        (tmp_path / "cfgs" / "summary.json").unlink(missing_ok=True)
+        for out in ("cfgs/summary.txt", "summary.json"):
+            assert cli_main(["sweep", "--config-dir", config_dir, "--out-summary", out]) == EXIT_OK
+        capsys.readouterr()
+        assert work == ["train_cmd", "train_cmd"]
 
     def test_library_sweep_checks_its_summary_before_any_run(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
