@@ -6,6 +6,8 @@ sweep -- the same steps the acceptance experiments use, wired through the
 CLI entry points instead of the library API.
 """
 
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -17,10 +19,14 @@ print(f"working in {work}\n")
 
 
 def sh(args):
+    """Run one CLI command, echo it and its output, and return its stdout."""
     print(f"$ normdescent {' '.join(args)}")
-    rc = cli(args)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = cli(args)
+    print(out.getvalue(), end="")
     print(f"(exit {rc})\n")
     assert rc == 0
+    return out.getvalue()
 
 
 data = os.path.join(work, "gauss.txt")
@@ -28,7 +34,7 @@ sh(["gen-data", "gaussian", "--out", data, "--k", "5", "--per-class", "8",
     "--d", "4", "--sigma", "0.1", "--seed", "21"])
 
 wstar = os.path.join(work, "wstar.txt")
-sh(["margin", "--dataset", data, "--norm", "ew:2", "--out", wstar,
+solved = sh(["margin", "--dataset", data, "--norm", "ew:2", "--out", wstar,
     "--tol", "1e-3", "--max-iters", "60000"])
 
 config = {
@@ -46,6 +52,7 @@ config = {
     "dataset_path": data,
     "w0": "zeros",
     "out_csv": os.path.join(work, "trace.csv"),
+    "gamma": json.loads(solved)["gamma"],  # wstar_path needs the gamma solved with it
     "wstar_path": wstar,
     "log_every": 10,
 }

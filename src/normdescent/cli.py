@@ -2,8 +2,8 @@
 
 Subcommands: gen-data, margin, train, sweep, persample, fit-rate.
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 non-convergence.
-Output flags, like a run's out_csv, must name a writable file in an existing directory
-that is none of the command's inputs.
+Flags are accepted only by their full names. Output flags, like a run's out_csv, must
+name a writable file in an existing directory that is none of the command's inputs.
 """
 
 from __future__ import annotations
@@ -104,18 +104,18 @@ def _cmd_fit_rate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="normdescent", description=__doc__)
+    parser = argparse.ArgumentParser(prog="normdescent", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="write a synthetic dataset file")
+    p = sub.add_parser("gen-data", help="write a synthetic dataset file", allow_abbrev=False)
     p.set_defaults(func=_cmd_gen_data)
     families = p.add_subparsers(dest="family", required=True)
-    gaussian = families.add_parser("gaussian", help="separable Gaussian clouds")
+    gaussian = families.add_parser("gaussian", help="separable Gaussian clouds", allow_abbrev=False)
     gaussian.add_argument("--k", type=int, default=10)
     gaussian.add_argument("--per-class", type=int, default=20)
     gaussian.add_argument("--d", type=int, default=5)
     gaussian.add_argument("--sigma", type=float, default=0.1)
-    skewed = families.add_parser("skewed", help="orthogonal scale-skewed data")
+    skewed = families.add_parser("skewed", help="orthogonal scale-skewed data", allow_abbrev=False)
     skewed.add_argument(
         "--counts", type=_parse_counts, default="6,3,3,2,1", help="per-class sample counts, comma separated"
     )
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         family.add_argument("--out", required=True)
         family.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("margin", help="solve the norm-induced max-margin problem")
+    p = sub.add_parser("margin", help="solve the norm-induced max-margin problem", allow_abbrev=False)
     p.add_argument("--dataset", required=True)
     p.add_argument("--norm", required=True, help="norm spec, e.g. ew:2, ew:inf, sch:inf")
     p.add_argument("--out", required=True, help="where to write W* (text matrix)")
@@ -137,20 +137,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     p.set_defaults(func=_cmd_margin)
 
-    p = sub.add_parser("train", help="run one config and write its metric CSV")
+    p = sub.add_parser("train", help="run one config and write its metric CSV", allow_abbrev=False)
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("sweep", help="run every config in a directory")
+    p = sub.add_parser("sweep", help="run every config in a directory", allow_abbrev=False)
     p.add_argument("--config-dir", required=True)
     p.add_argument("--out-summary", default=None)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("persample", help="batch-size-one bias protocol")
+    p = sub.add_parser("persample", help="batch-size-one bias protocol", allow_abbrev=False)
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_persample)
 
-    p = sub.add_parser("fit-rate", help="log-log slope of the margin gap")
+    p = sub.add_parser("fit-rate", help="log-log slope of the margin gap", allow_abbrev=False)
     p.add_argument("--csv", required=True)
     p.add_argument("--t-lo", type=int, required=True)
     p.add_argument("--t-hi", type=int, required=True)

@@ -5,13 +5,13 @@ A run config is a JSON object. ``_KEYS`` below lists its keys with their
 JSON types and defaults, and the README gives the rules ``load_config``
 checks on their values: ``norm`` and ``wbar_norm`` take a norm spec
 (``ew:p``, ``sch:p``) and ``loss`` one of ``model.LOSS_KINDS``, spelled
-exactly. All of them are checked before any reference solve. A run then
-computes the bias matrix W-bar, rejecting a zero one, deletes the previous
-run's outputs and only then solves. Every output (``out_csv``, persample's
-``<out_csv>.verdict.json``, ``sweep_cmd``'s summary, the CLI's output
-flags) passes ``_check_out`` before anything is deleted or run: it must
-name a file in an existing directory, within that directory's file-name
-limit, and none of its command's inputs.
+exactly, and ``wstar_path`` needs ``gamma``, all before any solve. A run
+then computes W-bar, rejecting a zero one, deletes the previous outputs,
+and takes gamma and W* from the config or both from one solve with a
+margin. Every output (``out_csv``, persample's ``<out_csv>.verdict.json``,
+``sweep_cmd``'s summary, the CLI's output flags) passes ``_check_out``
+before anything is deleted or run: a file in an existing directory, within
+its file-name limit, and none of its command's inputs.
 The CSV schema is fixed:
 
     t,epoch,eta,loss,proxy_g,min_margin,weight_norm,norm_margin,gap_to_gamma,cos_wstar,cos_wbar,dualnorm_signal
@@ -250,6 +250,8 @@ def load_config(path: str) -> RunConfig:
         wstar = None if raw["wstar_path"] is None else _kd_matrix("wstar_path", raw["wstar_path"], ds)
         if wstar is not None and not wstar.any():  # it has no direction to take a cosine to
             raise ValueError(f"wstar_path {raw['wstar_path']!r} is the zero matrix")
+        if wstar is not None and raw["gamma"] is None:  # one source for the pair
+            raise ValueError("wstar_path needs gamma: give both, gamma alone, or neither to solve both")
 
         if raw["log_every"] < 1:
             raise ValueError("log_every must be >= 1")
@@ -283,14 +285,14 @@ def load_config(path: str) -> RunConfig:
         )
 
 
-def _drive(cfg: RunConfig, wbar_norm: NormSpec | None, outputs=(), check=None):
+def _drive(cfg: RunConfig, outputs=(), check=None):
     """Fix the run's references, then run the configured optimizer and
     stream a metric row to the CSV every log_every steps; returns the final
     TrainState, gamma, W* and W-bar. W-bar is ``bias_matrix`` at
-    ``wbar_norm`` (none for None), and a zero one is a ConfigError; only
-    then are ``out_csv`` and the other ``outputs`` of the previous run
-    deleted and gamma and W* taken from the config or else the solver. A run
-    that fails leaves the header and the rows logged before the failure.
+    ``cfg.wbar_norm`` (none for None), a zero one a ConfigError; only then
+    are ``out_csv`` and ``outputs`` deleted, and gamma and W* come from the
+    config or both from one solve, where finding no margin is a ConfigError.
+    A run that fails leaves the header and the rows logged before the failure.
 
     ``check(h, delta)``, if given, sees every step's signal and the
     direction the step applied. A row with a non-finite cell aborts the run
@@ -299,16 +301,19 @@ def _drive(cfg: RunConfig, wbar_norm: NormSpec | None, outputs=(), check=None):
     and whose cosine cells are left empty.
     """
     ds = cfg.dataset
-    wbar = None if wbar_norm is None else bias_matrix(ds, wbar_norm)
+    wbar = None if cfg.wbar_norm is None else bias_matrix(ds, cfg.wbar_norm)
     if wbar is not None and not wbar.any():  # it has no direction to take a cosine to
-        raise ConfigError(f"{cfg.path}: wbar_norm {wbar_norm} gives the zero bias matrix")
+        raise ConfigError(f"{cfg.path}: wbar_norm {cfg.wbar_norm} gives the zero bias matrix")
     for path in (cfg.out_csv, *outputs):
         with contextlib.suppress(FileNotFoundError):
             os.remove(path)
     gamma, wstar = cfg.gamma, cfg.wstar
     if gamma is None:
         sol = max_margin(ds, cfg.opt.norm, tol=cfg.margin_tol, max_iters=cfg.margin_iters)
-        gamma, wstar = sol.gamma, sol.w_star if wstar is None else wstar
+        if not sol.separable:
+            raise ConfigError(f"{cfg.path}: no margin at norm {cfg.opt.norm}: max_margin gives gamma "
+                              f"{sol.gamma!r}, not above margin_tol {cfg.margin_tol!r}")
+        gamma, wstar = sol.gamma, sol.w_star
     m = ds.n // cfg.opt.batch_size
     with open(cfg.out_csv, "w", encoding="ascii", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
@@ -347,7 +352,7 @@ def _drive(cfg: RunConfig, wbar_norm: NormSpec | None, outputs=(), check=None):
 def train_cmd(config_path: str) -> str:
     """Run one config and stream its metric CSV; returns the CSV path."""
     cfg = load_config(config_path)
-    _drive(cfg, cfg.wbar_norm)
+    _drive(cfg)
     return cfg.out_csv
 
 
@@ -516,7 +521,7 @@ def persample_cmd(config_path: str) -> tuple[str, dict]:
         if filled == _CHECK_CHUNK:
             flush()
 
-    state, gamma, wstar, wbar = _drive(cfg, norm, (verdict_path,), check)
+    state, gamma, wstar, wbar = _drive(replace(cfg, wbar_norm=norm), (verdict_path,), check)
     flush()
     verdict = {
         "final_loss": loss_fn(state.w, ds, cfg.opt.loss),

@@ -375,8 +375,17 @@ def _labelled(label):
         raise ValueError(f"{label}: {exc}") from exc
 
 
+def _parsed(convert, parts: list[str]) -> list:
+    """``convert`` of each token, rejecting the digit separator ``_`` that
+    int() and float() accept but repr() never writes."""
+    for t in parts:
+        if "_" in t:
+            raise ValueError(f"digit separator '_' in {t!r}")
+    return [convert(t) for t in parts]
+
+
 def _sizes(parts: list[str]) -> list[int]:
-    vals = [int(t) for t in parts]
+    vals = _parsed(int, parts)
     for t, v in zip(parts, vals):
         if v < 0:
             raise ValueError(f"negative size {t!r}")
@@ -384,7 +393,7 @@ def _sizes(parts: list[str]) -> list[int]:
 
 
 def _finites(parts: list[str]) -> list[float]:
-    vals = [float(t) for t in parts]
+    vals = _parsed(float, parts)
     for t, v in zip(parts, vals):
         if not math.isfinite(v):
             raise ValueError(f"non-finite value {t!r}")
@@ -392,7 +401,7 @@ def _finites(parts: list[str]) -> list[float]:
 
 
 def _label(token: str, k: int) -> int:
-    y = int(token)
+    (y,) = _parsed(int, [token])
     if not 0 <= y < k:
         raise ValueError(f"label {token!r} does not lie in [0, k) = [0, {k})")
     return y

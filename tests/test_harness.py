@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -48,6 +49,15 @@ def skewed_dataset_file(tmp_path):
     ds = Dataset(x, y, 3)
     path = tmp_path / "skew.txt"
     save_dataset(ds, path)
+    return str(path)
+
+
+def cancel_dataset_file(tmp_path):
+    """Each class holds x and -x (d n k = 2 4 2): no W separates it, and its
+    canonical terms cancel, so W-bar is zero."""
+    x = np.array([[1.0, -1.0, 0.3, -0.3], [0.5, -0.5, 1.0, -1.0]])
+    path = tmp_path / "cancel.txt"
+    save_dataset(Dataset(x, np.array([0, 0, 1, 1]), 2), path)
     return str(path)
 
 
@@ -309,6 +319,7 @@ class TestTrainCmd:
                                     "out_csv 'MATRIX/new/x.csv': directory 'MATRIX/new' does not exist"),
         "wstar_shape": ({"wstar_path": "MATRIX"}, "wstar_path 'MATRIX' has shape (2, 3)"),
         "wstar_zero": ({"wstar_path": "ZERO"}, "wstar_path 'ZERO' is the zero matrix"),
+        "wstar_without_gamma": ({"wstar_path": "WSTAR"}, "wstar_path needs gamma"),
         "margin_tol_zero": ({"margin_tol": 0}, "margin_tol must be positive"),
         "margin_tol_negative": ({"margin_tol": -1e-3}, "margin_tol must be positive"),
         "seed_negative": ({"seed": -1}, "seed must be non-negative"),
@@ -332,10 +343,14 @@ class TestTrainCmd:
         matrix.write_text("2 3\n0 0 0\n0 0 0\n")  # (k, d) = (2, 2)
         zero = tmp_path / "zero.txt"
         zero.write_text("2 2\n0 -0\n0 0\n")
+        wstar = tmp_path / "wstar.txt"
+        wstar.write_text("2 2\n0.6 0\n-0.6 0\n")
         overrides, named = self._BEFORE_SOLVE_CASES[case]
 
         def fill(text):
-            return text.replace("MATRIX", str(matrix)).replace("ZERO", str(zero)).replace("TMP", str(tmp_path))
+            for word, path in (("MATRIX", matrix), ("ZERO", zero), ("WSTAR", wstar), ("TMP", tmp_path)):
+                text = text.replace(word, str(path))
+            return text
 
         overrides = {key: fill(v) if isinstance(v, str) else v for key, v in overrides.items()}
         named = fill(named)
@@ -395,10 +410,7 @@ class TestTrainCmd:
             fit_rate(out, 1, 10)
 
     def test_zero_bias_matrix_exits_2_before_any_output_is_deleted(self, tmp_path, capsys, monkeypatch):
-        # each class holds x and -x, so its canonical terms cancel and W-bar is zero
-        x = np.array([[1.0, -1.0, 0.3, -0.3], [0.5, -0.5, 1.0, -1.0]])
-        save_dataset(Dataset(x, np.array([0, 0, 1, 1]), 2), tmp_path / "cancel.txt")
-        cfg = write_config(tmp_path, dataset_path=str(tmp_path / "cancel.txt"), batch_size=1, wbar_norm="ew:2")
+        cfg = write_config(tmp_path, dataset_path=cancel_dataset_file(tmp_path), batch_size=1, wbar_norm="ew:2")
         (tmp_path / "out.csv").write_text("previous run\n")
         work = []
         for name in ("max_margin", "run"):
@@ -409,6 +421,17 @@ class TestTrainCmd:
         assert capsys.readouterr().err == f"error: {cfg}: wbar_norm ew:2 gives the zero bias matrix\n"
         assert (tmp_path / "out.csv").read_text() == "previous run\n"
         assert work == []
+
+    @pytest.mark.parametrize("norm", ["ew:2", "sch:inf"])
+    def test_solve_that_finds_no_margin_exits_2(self, tmp_path, capsys, norm):
+        data = cancel_dataset_file(tmp_path)
+        assert cli_main(["margin", "--dataset", data, "--norm", norm, "--out", str(tmp_path / "w.txt")]) == EXIT_OK
+        assert '"gamma": -1.0' in capsys.readouterr().out  # the solver's no-margin sentinel
+        cfg = write_config(tmp_path, norm=norm, dataset_path=data, batch_size=1)
+        assert cli_main(["train", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"error: {cfg}: no margin at norm {norm}: max_margin gives gamma "
+                                           "-1.0, not above margin_tol 0.02\n")
+        assert not (tmp_path / "out.csv").exists()  # no row is measured against the sentinel
 
     def test_wbar_norm_need_not_be_the_runs_norm(self, tmp_path):
         cols = read_csv(train_cmd(write_config(tmp_path, norm="ew:2", wbar_norm="sch:inf", gamma=0.5)))
@@ -481,6 +504,18 @@ class TestSweep:
         # rerunning the healthy config alone produces the same bytes
         train_cmd(write_config(tmp_path, name="solo.json", out_csv=str(tmp_path / "solo.csv")))
         assert open(tmp_path / "solo.csv", "rb").read() == good_bytes
+
+    def test_data_with_no_margin_is_an_error_entry(self, tmp_path):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        write_config(tmp_path, name="cfgs/cancel.json", dataset_path=cancel_dataset_file(tmp_path),
+                     batch_size=1, out_csv=str(tmp_path / "cancel.csv"))
+        write_config(tmp_path, name="cfgs/good.json", out_csv=str(tmp_path / "good.csv"))
+        summary = sweep_cmd(str(cfg_dir))
+        error = summary["cancel.json"]["error"]
+        assert error.startswith(f"ConfigError: {cfg_dir / 'cancel.json'}: no margin at norm ew:2")
+        assert not (tmp_path / "cancel.csv").exists()
+        assert "final_gap" in summary["good.json"] and (tmp_path / "good.csv").exists()
 
     def test_run_that_would_log_no_row_is_a_config_error(self, tmp_path):
         cfg_dir = tmp_path / "cfgs"
@@ -1147,8 +1182,9 @@ class TestCli:
             # the header sizes no array: the short file fails on its lines
             ("w0", "1000000000000000 2\n1 2\n", "{bad}: row 1 has 0 fields, expected 2"),
             ("w0", "-2 2\n", "{bad}: header 'rows cols': negative size '-2'"),
+            ("w0", "2 2\n1_5 2\n1 2\n", "{bad}: row 0: digit separator '_' in '1_5'"),
         ],
-        ids=["dataset_path", "w0", "w0-oversized", "w0-negative"],
+        ids=["dataset_path", "w0", "w0-oversized", "w0-negative", "w0-separator"],
     )
     def test_loader_errors_name_the_config(self, tmp_path, capsys, key, text, reason):
         bad = tmp_path / "bad.txt"
@@ -1174,9 +1210,13 @@ class TestCli:
              "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11]"),
             ("2 -1 2\n", "header 'd n k': negative size '-1'"),
             ("-2 2 2\n0 1.0 0.2\n1 -1.0 0.1\n", "header 'd n k': negative size '-2'"),
+            # int() and float() read 0_2 as 2, 0_0 as 0 and 1_0 as 10; repr() never writes '_'
+            ("2 2 0_2\n0 1.0 0.2\n1 -1.0 0.1\n", "header 'd n k': digit separator '_' in '0_2'"),
+            ("2 2 2\n0_0 1.0 0.2\n1 -1.0 0.1\n", "sample line 0: digit separator '_' in '0_0'"),
+            ("2 2 2\n0 1_0 0.2\n1 -1.0 0.1\n", "sample line 0: digit separator '_' in '1_0'"),
         ],
         ids=["header", "label", "value", "nan", "overflow", "missing-class", "oversized-n", "oversized-d",
-             "oversized-k", "negative-n", "negative-d"],
+             "oversized-k", "negative-n", "negative-d", "header-separator", "label-separator", "value-separator"],
     )
     def test_dataset_errors_name_the_file_and_line(self, tmp_path, capsys, text, reason):
         data = tmp_path / "data.txt"
@@ -1296,6 +1336,58 @@ class TestCli:
 
     def test_bad_flags_exit_config(self):
         assert cli_main(["train"]) == EXIT_CONFIG
+
+    # command -> its argv with one flag abbreviated, and that flag's full name
+    _ABBREVIATED = {
+        "gen-data-gaussian": (["gen-data", "gaussian", "--per", "3", "--k", "2", "--out", "OUT"], "--per-class"),
+        "gen-data-skewed": (["gen-data", "skewed", "--count", "3,2", "--alpha-ranges", "1:2,1:2", "--out", "OUT"],
+                            "--counts"),
+        "margin": (["margin", "--dataset", "DATA", "--norm", "ew:2", "--out", "OUT", "--tol", "0.02", "--max", "5000"],
+                   "--max-iters"),
+        "train": (["train", "--conf", "CFG"], "--config"),
+        "persample": (["persample", "--conf", "PSCFG"], "--config"),
+        "sweep": (["sweep", "--config-d", "CFGS"], "--config-dir"),
+        "fit-rate": (["fit-rate", "--csv", "CSV", "--t-l", "1", "--t-hi", "30"], "--t-lo"),
+    }
+
+    @pytest.mark.parametrize("command", list(_ABBREVIATED))
+    def test_a_flag_is_accepted_only_by_its_full_name(self, tmp_path, capsys, command):
+        cfgs = tmp_path / "cfgs"
+        cfgs.mkdir()
+        words = {
+            "OUT": str(tmp_path / "out.txt"),
+            "DATA": toy_dataset_file(tmp_path),
+            "CFG": write_config(tmp_path),
+            "PSCFG": write_config(tmp_path, name="ps.json", dataset_path=skewed_dataset_file(tmp_path), batch_size=1,
+                                  epochs=6, out_csv=str(tmp_path / "ps.csv"), margin_tol=0.05),
+            "CFGS": os.path.dirname(write_config(tmp_path, name="cfgs/a.json", out_csv=str(tmp_path / "a.csv"))),
+            "CSV": str(tmp_path / "rate.csv"),
+        }
+        rows = (f"{t},0,0.1,0.1,0.1,0.0,1.0,0.0,{1.0 / t!r},,,0.0\n" for t in range(1, 31))
+        (tmp_path / "rate.csv").write_text(CSV_HEADER + "\n" + "".join(rows))
+        argv, full = self._ABBREVIATED[command]
+        argv = [words.get(arg, arg) for arg in argv]
+        before = sorted(os.listdir(tmp_path))
+        assert cli_main(argv) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: normdescent")
+        assert sorted(os.listdir(tmp_path)) == before
+        # the same argv with the flag's full name runs
+        abbreviated = next(arg for arg in argv if arg.startswith("--") and full.startswith(arg))
+        assert cli_main([full if arg == abbreviated else arg for arg in argv]) == EXIT_OK
+
+    def test_every_parser_rejects_abbreviated_flags(self):
+        def walk(parser):
+            yield parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for child in action.choices.values():
+                        yield from walk(child)
+
+        parsers = list(walk(cli.build_parser()))
+        # the top level, its six subcommands and gen-data's two families
+        assert len(parsers) == 9
+        assert [p.prog for p in parsers if p.allow_abbrev] == []
 
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
         # a far-off init overflows the exponential loss on the first
