@@ -9,7 +9,9 @@ Runs the four regimes on the same data, same norm, same schedule:
   4. small batch + variance reduction-> recovers it exactly, any momentum
 
 Set STEPS = 20_000 to reproduce the full-length behavior; the short runs
-already separate the regimes clearly.
+already separate the regimes clearly. It ends with the closed-form
+thresholds of effective_margin_thresholds on this data, and why the batch
+threshold gives no usable batch size on any data.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from normdescent import (
     NormSpec,
     OptimizerConfig,
     Schedule,
+    effective_margin_thresholds,
     frobenius_cosine,
     gen_gaussian,
     margin_report,
@@ -63,6 +66,9 @@ experiment("mini-batch + vr + momentum 0.99", 20, beta1=0.99, vr=True)
 
 print(f"\nplain mini-batch gap is {gap_mini / gap_full:.1f}x the full-batch gap;")
 print("momentum closes most of it, variance reduction all of it.")
-print("\nThe batch-size threshold below which plain mini-batches cannot track")
-print("the full margin, and the momentum trade-off, are available in closed")
-print("form via normdescent.effective_margin_thresholds(...).")
+
+thr = {beta1: effective_margin_thresholds(sol.gamma, ds.r_bound, ds.n, 100, beta1) for beta1 in (0.99, 0.999)}
+print(f"\neffective_margin_thresholds: b_min = {thr[0.99].b_min:.1f} of n = {ds.n}; at b = 100,")
+print(f"rho_nomom = {thr[0.99].rho_nomom:.3f}, rho_mom = {thr[0.99].rho_mom:.3f} (beta1 = 0.99)"
+      f" and {thr[0.999].rho_mom:.3f} (beta1 = 0.999).")
+print("The batch threshold is vacuous on any data: gamma <= 2R, so rho_nomom < 0 for every b < n and b_min >= 2n/3.")

@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, margin, train, sweep, persample, fit-rate.
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 non-convergence.
-Flags are accepted only by their full names. Output flags, like a run's out_csv, must
+Flags are accepted only by their full names, and a number on a flag by the data files' token
+rule (``model._parsed``: ASCII digits, no ``_``). Output flags, like a run's out_csv, must
 name a writable file in an existing directory that is none of the command's inputs.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 from .data import GaussianSpec, SeparabilityError, SkewedSpec, gen_gaussian, gen_skewed
 from .harness import _check_out, fit_rate, persample_cmd, sweep_cmd, train_cmd
 from .linalg import NormSpec
-from .model import load_dataset, save_dataset, save_matrix
+from .model import _parsed, load_dataset, save_dataset, save_matrix
 from .optimizer import TrainingError
 from .reference import DEFAULT_MAX_ITERS, DEFAULT_TOL, MaxMarginNonConvergence, max_margin
 
@@ -28,19 +29,21 @@ EXIT_NUMERIC = 3
 EXIT_NONCONVERGENCE = 4
 
 
-def _parse_counts(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+def _flag(parse, what: str):
+    """argparse ``type`` that reports a ValueError of ``parse`` as ``expected <what>, got <text>: <reason>``."""
+    def read(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:  # argparse shows only an ArgumentTypeError's text
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}: {exc}") from None
+    return read
 
 
-def _parse_ranges(text: str) -> tuple[tuple[float, float], ...]:
-    try:
-        pairs = [part.split(":") for part in text.split(",")]
-        return tuple((float(lo), float(hi)) for lo, hi in pairs)
-    except ValueError:  # also a part without exactly one ':'
-        raise argparse.ArgumentTypeError(f"expected comma-separated lo:hi pairs, got {text!r}") from None
+_INT = _flag(lambda text: _parsed(int, [text])[0], "an integer")
+_FLOAT = _flag(lambda text: _parsed(float, [text])[0], "a number")
+_COUNTS = _flag(lambda text: tuple(_parsed(int, text.split(","))), "comma-separated integers")
+_RANGES = _flag(lambda text: tuple((lo, hi) for lo, hi in (_parsed(float, p.split(":")) for p in text.split(","))),
+                "comma-separated lo:hi pairs")  # the unpacking rejects a part without exactly one ':'
 
 
 def _cmd_gen_data(args) -> int:
@@ -111,30 +114,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_data)
     families = p.add_subparsers(dest="family", required=True)
     gaussian = families.add_parser("gaussian", help="separable Gaussian clouds", allow_abbrev=False)
-    gaussian.add_argument("--k", type=int, default=10)
-    gaussian.add_argument("--per-class", type=int, default=20)
-    gaussian.add_argument("--d", type=int, default=5)
-    gaussian.add_argument("--sigma", type=float, default=0.1)
+    gaussian.add_argument("--k", type=_INT, default=10)
+    gaussian.add_argument("--per-class", type=_INT, default=20)
+    gaussian.add_argument("--d", type=_INT, default=5)
+    gaussian.add_argument("--sigma", type=_FLOAT, default=0.1)
     skewed = families.add_parser("skewed", help="orthogonal scale-skewed data", allow_abbrev=False)
     skewed.add_argument(
-        "--counts", type=_parse_counts, default="6,3,3,2,1", help="per-class sample counts, comma separated"
+        "--counts", type=_COUNTS, default="6,3,3,2,1", help="per-class sample counts, comma separated"
     )
     skewed.add_argument(
         "--alpha-ranges",
-        type=_parse_ranges,
+        type=_RANGES,
         default="0.8:1.2,0.5:1.5,1.0:2.0,0.6:0.9,1.5:2.5",
         help="per-class lo:hi scale ranges, comma separated",
     )
     for family in (gaussian, skewed):
         family.add_argument("--out", required=True)
-        family.add_argument("--seed", type=int, default=0)
+        family.add_argument("--seed", type=_INT, default=0)
 
     p = sub.add_parser("margin", help="solve the norm-induced max-margin problem", allow_abbrev=False)
     p.add_argument("--dataset", required=True)
     p.add_argument("--norm", required=True, help="norm spec, e.g. ew:2, ew:inf, sch:inf")
     p.add_argument("--out", required=True, help="where to write W* (text matrix)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
+    p.add_argument("--tol", type=_FLOAT, default=DEFAULT_TOL)
+    p.add_argument("--max-iters", type=_INT, default=DEFAULT_MAX_ITERS)
     p.set_defaults(func=_cmd_margin)
 
     p = sub.add_parser("train", help="run one config and write its metric CSV", allow_abbrev=False)
@@ -152,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-rate", help="log-log slope of the margin gap", allow_abbrev=False)
     p.add_argument("--csv", required=True)
-    p.add_argument("--t-lo", type=int, required=True)
-    p.add_argument("--t-hi", type=int, required=True)
+    p.add_argument("--t-lo", type=_INT, required=True)
+    p.add_argument("--t-hi", type=_INT, required=True)
     p.set_defaults(func=_cmd_fit_rate)
 
     return parser

@@ -51,7 +51,7 @@ from .model import (
     margin_report,
     proxy_g,
 )
-from .optimizer import OptimizerConfig, Schedule, TrainingError, run
+from .optimizer import OptimizerConfig, Schedule, run
 from .reference import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
@@ -295,10 +295,10 @@ def _drive(cfg: RunConfig, outputs=(), check=None):
     A run that fails leaves the header and the rows logged before the failure.
 
     ``check(h, delta)``, if given, sees every step's signal and the
-    direction the step applied. A row with a non-finite cell aborts the run
-    with a TrainingError instead of being written; the one exception is a
-    zero W, whose norm_margin is -inf and gap_to_gamma inf by definition,
-    and whose cosine cells are left empty.
+    direction the step applied. A row with a non-finite cell raises a
+    FloatingPointError (a TrainingError once ``run`` names the step) instead
+    of being written; the one exception is a zero W, whose norm_margin is
+    -inf and gap_to_gamma inf by definition, and whose cosine cells are empty.
     """
     ds = cfg.dataset
     wbar = None if cfg.wbar_norm is None else bias_matrix(ds, cfg.wbar_norm)
@@ -341,7 +341,7 @@ def _drive(cfg: RunConfig, outputs=(), check=None):
             bad = [f"{name} {float(v)!r}" for name, v in zip(_METRIC_COLUMNS, cells)
                    if v is not None and name not in exempt and not math.isfinite(v)]
             if bad:
-                raise TrainingError(t, FloatingPointError(f"non-finite metric row: {', '.join(bad)}"))
+                raise FloatingPointError(f"non-finite metric row: {', '.join(bad)}")
             floats = ("" if v is None else repr(float(v)) for v in cells)
             fh.write(",".join((str(t), str((t - 1) // m), *floats)) + "\n")
 

@@ -376,11 +376,13 @@ def _labelled(label):
 
 
 def _parsed(convert, parts: list[str]) -> list:
-    """``convert`` of each token, rejecting the digit separator ``_`` that
-    int() and float() accept but repr() never writes."""
+    """``convert`` of each token of a data file or numeric CLI flag, rejecting the digit
+    separator ``_`` and the non-ASCII digits that int() and float() accept but repr() never writes."""
     for t in parts:
         if "_" in t:
             raise ValueError(f"digit separator '_' in {t!r}")
+        if not t.isascii():
+            raise ValueError(f"non-ASCII character in {t!r}")
     return [convert(t) for t in parts]
 
 

@@ -24,12 +24,12 @@ VR's snapshot gradient of the step's sample included, is the rank-one
 kernel of ``model.grad``. The momentum buffer is never reset across epochs.
 A zero signal skips the weight update but still advances the step counter
 so the learning-rate schedule stays aligned. A non-finite signal or
-iterate, or a zero direction for a nonzero signal, aborts the run with a
-``TrainingError`` naming the step. ``run`` enters one
-``np.errstate(over="ignore")`` for its whole loop, metrics hook included,
-rather than one per step: an overflow shows as a non-finite iterate, which
-``step`` rejects, or as a non-finite value the hook checks for (the
-harness's metric row does).
+iterate, or a zero direction for a nonzero signal, is a FloatingPointError.
+``run`` turns every ArithmeticError of a run (VR snapshot gradient, step or
+metrics hook) into a ``TrainingError`` naming the completed steps, and
+enters one ``np.errstate(over="ignore")`` for its whole loop: an overflow
+shows as a non-finite iterate, which ``step`` rejects, or as a non-finite
+value the hook checks for (the harness's metric row does).
 
 Reproducibility: the PRNG is numpy's PCG64, seeded from the config. Each
 reshuffle draws its n-1 Fisher-Yates swap indices in one
@@ -169,8 +169,8 @@ def step(state: TrainState, cfg: OptimizerConfig, ds: Dataset, batch) -> tuple[n
     W <- W - eta * delta.
     Raises FloatingPointError for a non-finite signal (``NonFiniteError``
     from ``steepest_map``) or iterate, and for a zero direction of a nonzero
-    signal; ``run`` reports these as a ``TrainingError``. Outside ``run``'s
-    errstate an update that overflows also warns.
+    signal; ``run`` reports it, like any ArithmeticError, as a TrainingError
+    naming the completed steps. Outside ``run``'s errstate an overflow warns.
     """
     g = grad(state.w, ds, batch, cfg.loss)
     if cfg.vr_on:
@@ -204,25 +204,26 @@ def run(cfg: OptimizerConfig, ds: Dataset, w0, metrics_hook=None) -> TrainState:
     (W <- W - eta * delta; zero when the signal was zero).
     Fully deterministic given (cfg.seed, w0, ds). A full-batch run draws
     nothing from the generator: each epoch is one step on ``ds.full``.
-    Overflow warnings are off for the whole loop (see the module notes).
+    Every ArithmeticError of the loop (VR snapshot, step or hook) becomes a
+    TrainingError naming the completed steps; overflows do not warn (module notes).
     """
     state = init_state(cfg, ds, w0)
     with np.errstate(over="ignore"):  # step's iterate check reports an overflow
-        for _ in range(cfg.epochs):
-            if cfg.batch_size == ds.n:
-                batches = (ds.full,)
-            else:
-                batches = gather_batches(ds, reshuffle(state, ds.n, cfg.batch_size))
-            if cfg.vr_on:
-                state.snapshot_w = state.w.copy()
-                state.snapshot_full_grad = grad(state.w, ds, ALL, cfg.loss)
-            for batch in batches:
-                try:
+        try:
+            for _ in range(cfg.epochs):
+                if cfg.batch_size == ds.n:
+                    batches = (ds.full,)
+                else:
+                    batches = gather_batches(ds, reshuffle(state, ds.n, cfg.batch_size))
+                if cfg.vr_on:
+                    state.snapshot_w = state.w.copy()
+                    state.snapshot_full_grad = grad(state.w, ds, ALL, cfg.loss)
+                for batch in batches:
                     applied = step(state, cfg, ds, batch)
-                except ArithmeticError as exc:
-                    raise TrainingError(state.t, exc) from exc
-                if metrics_hook is not None:
-                    metrics_hook(state.t, state.w, *applied)
+                    if metrics_hook is not None:
+                        metrics_hook(state.t, state.w, *applied)
+        except ArithmeticError as exc:
+            raise TrainingError(state.t, exc) from exc
     return state
 
 

@@ -106,6 +106,19 @@ def fail_step_at(monkeypatch, t_fail):
     monkeypatch.setattr(optimizer, "step", step)
 
 
+def all_parsers() -> list[argparse.ArgumentParser]:
+    """``cli.build_parser()`` and every subparser nested in it."""
+
+    def walk(parser):
+        yield parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for child in action.choices.values():
+                    yield from walk(child)
+
+    return list(walk(cli.build_parser()))
+
+
 # the JSON types each typed config key accepts
 _ACCEPTED_TYPES = {
     **dict.fromkeys(("momentum", "vr"), (bool,)),
@@ -1377,17 +1390,50 @@ class TestCli:
         assert cli_main([full if arg == abbreviated else arg for arg in argv]) == EXIT_OK
 
     def test_every_parser_rejects_abbreviated_flags(self):
-        def walk(parser):
-            yield parser
-            for action in parser._actions:
-                if isinstance(action, argparse._SubParsersAction):
-                    for child in action.choices.values():
-                        yield from walk(child)
-
-        parsers = list(walk(cli.build_parser()))
+        parsers = all_parsers()
         # the top level, its six subcommands and gen-data's two families
         assert len(parsers) == 9
         assert [p.prog for p in parsers if p.allow_abbrev] == []
+
+    def test_no_flag_is_read_by_a_bare_int_or_float(self):
+        # a numeric flag reads its text through the data files' token rule
+        bare = [(p.prog, a.dest) for p in all_parsers() for a in p._actions if a.type in (int, float)]
+        assert bare == []
+
+    # argv -> the numeric flag whose text the token is put in ({} marks it)
+    _NUMERIC_FLAGS = {
+        "gaussian-k": (["gen-data", "gaussian", "--out", "OUT", "--k", "{}"], "--k"),
+        "gaussian-per-class": (["gen-data", "gaussian", "--out", "OUT", "--per-class", "{}"], "--per-class"),
+        "gaussian-d": (["gen-data", "gaussian", "--out", "OUT", "--d", "{}"], "--d"),
+        "gaussian-sigma": (["gen-data", "gaussian", "--out", "OUT", "--sigma", "0.{}"], "--sigma"),
+        "gaussian-seed": (["gen-data", "gaussian", "--out", "OUT", "--seed", "{}"], "--seed"),
+        "skewed-seed": (["gen-data", "skewed", "--out", "OUT", "--seed", "{}"], "--seed"),
+        "skewed-counts": (["gen-data", "skewed", "--out", "OUT", "--counts", "{},1", "--alpha-ranges", "1:2,1:2"],
+                          "--counts"),
+        "skewed-alpha-ranges": (["gen-data", "skewed", "--out", "OUT", "--counts", "3,2", "--alpha-ranges",
+                                 "1:{},1:2"], "--alpha-ranges"),
+        "margin-tol": (["margin", "--dataset", "DATA", "--norm", "ew:2", "--out", "OUT", "--tol", "{}e-3"], "--tol"),
+        "margin-max-iters": (["margin", "--dataset", "DATA", "--norm", "ew:2", "--out", "OUT", "--max-iters", "{}"],
+                             "--max-iters"),
+        "fit-rate-t-lo": (["fit-rate", "--csv", "CSV", "--t-lo", "{}", "--t-hi", "300"], "--t-lo"),
+        "fit-rate-t-hi": (["fit-rate", "--csv", "CSV", "--t-lo", "1", "--t-hi", "{}"], "--t-hi"),
+    }
+
+    @pytest.mark.parametrize("token", ["1_0", "\uff14"], ids=["separator", "full-width"])
+    @pytest.mark.parametrize("case", list(_NUMERIC_FLAGS))
+    def test_numeric_flag_follows_the_data_files_token_rule(self, tmp_path, capsys, case, token):
+        # int() and float() read '1_0' as 10 and the full-width '4' as 4;
+        # the data loaders reject both, and so does every numeric flag
+        argv, flag = self._NUMERIC_FLAGS[case]
+        rows = (f"{t},0,0.1,0.1,0.1,0.0,1.0,0.0,{1.0 / t!r},,,0.0\n" for t in range(1, 31))
+        (tmp_path / "rate.csv").write_text(CSV_HEADER + "\n" + "".join(rows))
+        words = {"OUT": str(tmp_path / "out.txt"), "DATA": toy_dataset_file(tmp_path), "CSV": str(tmp_path / "rate.csv")}
+        before = sorted(os.listdir(tmp_path))
+        rc = cli_main([words.get(arg, arg.replace("{}", token)) for arg in argv])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert out == "" and f"error: argument {flag}: " in err
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
         # a far-off init overflows the exponential loss on the first
@@ -1439,6 +1485,35 @@ class TestCli:
         assert lines[0] == CSV_HEADER
         assert [line.split(",")[0] for line in lines[1:]] == ["1"]
         assert all(math.isfinite(float(v)) for v in lines[1].split(",") if v)
+
+    def _exponential_overflow_run(self, tmp_path, capsys, **overrides):
+        """exit code, stderr and CSV lines of an exponential-loss run with
+        gamma 0.1 on k = 3, d = 2, n = 12 standard-normal data."""
+        data = tmp_path / "normal.txt"
+        x = np.random.default_rng(0).standard_normal((2, 12))
+        save_dataset(Dataset(x, np.arange(12) % 3, 3), data)
+        cfg = write_config(tmp_path, loss="exponential", gamma=0.1, dataset_path=str(data), **overrides)
+        rc = cli_main(["train", "--config", cfg])
+        return rc, capsys.readouterr().err, (tmp_path / "out.csv").read_text().splitlines()
+
+    def test_overflow_in_the_vr_snapshot_names_the_step(self, tmp_path, capsys):
+        # the first epoch's snapshot gradient at W far from zero overflows
+        # before any step
+        w0 = tmp_path / "w0.txt"
+        save_matrix(1e3 * np.arange(3.0)[:, None] * np.ones((3, 2)), w0)
+        rc, err, lines = self._exponential_overflow_run(tmp_path, capsys, vr=True, batch_size=4, w0=str(w0))
+        assert rc == EXIT_NUMERIC
+        assert err.startswith("error: training aborted at step 0: exponential loss overflow at sample 2")
+        assert lines == [CSV_HEADER]
+
+    def test_overflow_in_a_metric_rows_loss_names_the_step(self, tmp_path, capsys):
+        # the first full-batch step of size 2000 is finite, but the loss of
+        # its metric row overflows
+        rc, err, lines = self._exponential_overflow_run(tmp_path, capsys, batch_size=12, c=2000.0, eta0=2000.0,
+                                                        epochs=2, log_every=1)
+        assert rc == EXIT_NUMERIC
+        assert err.startswith("error: training aborted at step 1: exponential loss overflow")
+        assert lines == [CSV_HEADER]
 
     @pytest.mark.parametrize("tol", ["0", "-1e-3", "nan", "inf"])
     def test_margin_tol_out_of_range_exits_2(self, tmp_path, tol):
