@@ -3,7 +3,7 @@
 Subcommands: gen-data, margin, train, sweep, persample, fit-rate.
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 non-convergence.
 Flags are accepted only by their full names, and a number on a flag by the data files' token
-rule (``model._parsed``: ASCII digits, no ``_``). Output flags, like a run's out_csv, must
+rule (``model._parsed``: ASCII, no ``_``, no whitespace). Output flags, like a run's out_csv, must
 name a writable file in an existing directory that is none of the command's inputs.
 """
 

@@ -21,10 +21,10 @@ the CSV every log_every steps, so a run that fails keeps the header and
 the rows logged before the failure. The gap column is gamma minus the
 normalized margin in every run; ``persample`` adds a per-step check of
 the applied direction.
-Optional fields serialize as empty strings. Floats are written with
-repr(), so reruns of the same config are byte-identical. A row with a
+Optional fields serialize as empty strings, floats with ``model._fmt``
+(repr()), so reruns of the same config are byte-identical. A row with a
 non-finite cell (other than the -inf margin and inf gap of a zero W, whose
-cosine cells are empty) aborts the run instead of being written.
+cosine cells are empty) aborts the run; ``read_csv`` reads nothing else.
 
 Runs are fully independent (each owns its state and output file); the
 sweep executes them one after another and a per-config failure is recorded
@@ -44,7 +44,9 @@ import numpy as np
 from .linalg import NormSpec, dual_norm, frobenius_cosine
 from .model import (
     Dataset,
+    _fmt,
     _labelled,
+    _parsed,
     load_dataset,
     load_matrix,
     loss as loss_fn,
@@ -68,6 +70,8 @@ CSV_HEADER = (
 
 _COLUMNS = CSV_HEADER.split(",")
 _METRIC_COLUMNS = _COLUMNS[2:]  # the cells after t and epoch
+_ZERO_W_INFINITE = ("norm_margin", "gap_to_gamma")  # -inf and inf for a zero W, the only non-finite cells
+_MAY_BE_EMPTY = ("cos_wstar", "cos_wbar")  # no W* or W-bar, or a zero W: no cosine
 
 _REQUIRED = object()  # default of a key the config must set
 
@@ -136,7 +140,7 @@ class RunConfig:
 def _finite_float(text: str) -> float:
     """JSON number parser that rejects NaN, Infinity, -Infinity and
     literals that overflow to infinity."""
-    v = float(text)
+    (v,) = _parsed(float, [text])
     if not math.isfinite(v):
         raise ValueError(f"non-finite JSON number {text}")
     return v
@@ -337,12 +341,12 @@ def _drive(cfg: RunConfig, outputs=(), check=None):
                 None if wbar is None or zero else frobenius_cosine(w, wbar),
                 dual_norm(h, cfg.opt.norm),
             )
-            exempt = ("norm_margin", "gap_to_gamma") if zero else ()
+            exempt = _ZERO_W_INFINITE if zero else ()
             bad = [f"{name} {float(v)!r}" for name, v in zip(_METRIC_COLUMNS, cells)
                    if v is not None and name not in exempt and not math.isfinite(v)]
             if bad:
                 raise FloatingPointError(f"non-finite metric row: {', '.join(bad)}")
-            floats = ("" if v is None else repr(float(v)) for v in cells)
+            floats = ("" if v is None else _fmt(v) for v in cells)
             fh.write(",".join((str(t), str((t - 1) // m), *floats)) + "\n")
 
         state = run(cfg.opt, ds, cfg.w0, metrics_hook=hook)
@@ -357,23 +361,32 @@ def train_cmd(config_path: str) -> str:
 
 
 def read_csv(path: str) -> dict[str, np.ndarray]:
-    """Metric CSV columns as float arrays (empty optional cells become NaN).
+    """Metric CSV columns as float arrays (empty cells become NaN).
 
-    Raises ValueError, naming the file and line, for a header other than
-    CSV_HEADER, a row whose field count differs from the header's, or a
-    cell that is not a number.
+    Reads only what a run writes: raises ValueError, naming the file and
+    line, for a header line other than CSV_HEADER, a row without one cell
+    per column or its line end (a killed run's last), or a cell off the data
+    files' token rule (``model._parsed``), empty outside the cosines
+    (``_MAY_BE_EMPTY``) or non-finite outside ``_ZERO_W_INFINITE``.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        if fh.readline().strip() != CSV_HEADER:
-            raise ValueError(f"{path}: line 1 is not the metric CSV header {CSV_HEADER!r}")
+    with _labelled(path), open(path, "r", encoding="ascii") as fh:  # a non-ASCII byte's error names the file too
+        if fh.readline() != CSV_HEADER + "\n":
+            raise ValueError(f"line 1 is not the metric CSV header {CSV_HEADER!r}")
         cols: dict[str, list[float]] = {h: [] for h in _COLUMNS}
         for lineno, line in enumerate(fh, start=2):
-            cells = line.strip().split(",")
+            cells = line.rstrip("\n").split(",")
             if len(cells) != len(_COLUMNS):
-                raise ValueError(f"{path}: line {lineno} has {len(cells)} fields, expected {len(_COLUMNS)}")
-            with _labelled(f"{path}: line {lineno}"):
+                raise ValueError(f"line {lineno} has {len(cells)} fields, expected {len(_COLUMNS)}")
+            if not line.endswith("\n"):  # cut inside its last cell, which would read as another number
+                raise ValueError(f"line {lineno} has no line end")
+            with _labelled(f"line {lineno}"):
                 for h, tok in zip(_COLUMNS, cells):
-                    cols[h].append(float(tok) if tok else math.nan)
+                    if not tok and h not in _MAY_BE_EMPTY:
+                        raise ValueError(f"empty {h} cell")
+                    v = _parsed(float, [tok])[0] if tok else math.nan
+                    if tok and not (math.isfinite(v) or (math.isinf(v) and h in _ZERO_W_INFINITE)):
+                        raise ValueError(f"non-finite {h} {tok!r}")
+                    cols[h].append(v)
     return {h: np.asarray(v) for h, v in cols.items()}
 
 

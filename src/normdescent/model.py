@@ -376,13 +376,15 @@ def _labelled(label):
 
 
 def _parsed(convert, parts: list[str]) -> list:
-    """``convert`` of each token of a data file or numeric CLI flag, rejecting the digit
-    separator ``_`` and the non-ASCII digits that int() and float() accept but repr() never writes."""
+    """``convert`` of each token of a data file, metric CSV cell or numeric CLI flag, rejecting what int()
+    and float() accept but repr() never writes: ``_``, non-ASCII digits and whitespace (never in a data file's)."""
     for t in parts:
         if "_" in t:
             raise ValueError(f"digit separator '_' in {t!r}")
         if not t.isascii():
             raise ValueError(f"non-ASCII character in {t!r}")
+        if t != "".join(t.split()):
+            raise ValueError(f"whitespace in {t!r}")
     return [convert(t) for t in parts]
 
 

@@ -151,6 +151,8 @@ def reshuffle(state: TrainState, n: int, b: int) -> np.ndarray:
     vectorised call (the stream of one scalar draw per swap), then applies
     the swaps in that order.
     """
+    if b < 1 or n < 1:
+        raise ValueError(f"batch size {b} and n = {n} must be positive")
     if n % b != 0:
         raise ValueError(f"batch size {b} must divide n = {n}")
     swaps = state.rng.integers(0, np.arange(n, 1, -1)).tolist()
@@ -297,6 +299,8 @@ def effective_margin_thresholds(gamma: float, r: float, n: int, b: int, beta1: f
         raise ValueError("gamma must be positive")
     if not (r > 0.0):
         raise ValueError("r must be positive")
+    if b < 1 or n < 1:
+        raise ValueError(f"batch size {b} and n = {n} must be positive")
     if n % b != 0:
         raise ValueError(f"batch size {b} must divide n = {n}")
     if not (0.0 <= beta1 < 1.0):

@@ -418,6 +418,10 @@ class TestTrainCmd:
         assert [row[0] for row in rows] == [str(t) for t in range(1, 11)]
         assert rows[0][7:11] == ["-inf", "inf", "", ""]
         assert all(cell != "" for row in rows[1:] for cell in row[9:11])
+        # the reader takes the row back: the only infinite cells and the only empty ones a run writes
+        cols = read_csv(out)
+        assert (cols["norm_margin"][0], cols["gap_to_gamma"][0]) == (-np.inf, np.inf)
+        assert np.isnan([cols["cos_wstar"][0], cols["cos_wbar"][0]]).all()
         # the zero-W row's infinite gap is not a fit point
         with pytest.raises(ValueError, match="only 9 positive-gap rows"):
             fit_rate(out, 1, 10)
@@ -1009,10 +1013,12 @@ class TestCli:
             ("skewed", ["--seed", "-1"], "seed must be non-negative"),
             ("gaussian", ["--sigma", "nan"], "sigma must be finite"),
             ("skewed", ["--counts", "3,x"], "argument --counts: "),
+            ("skewed", ["--counts", "2, 1", "--alpha-ranges", "1:2, 1:2"], "argument --counts: "),
             ("skewed", ["--alpha-ranges", "1:2:3"], "argument --alpha-ranges: "),
             ("skewed", ["--alpha-ranges", "0.8:1.2,0.5:1.5,1.0:inf,0.6:0.9,1.5:2.5"], "alpha ranges must satisfy"),
         ],
-        ids=["gaussian-seed", "skewed-seed", "sigma-nan", "counts", "alpha-ranges-split", "alpha-ranges-inf"],
+        ids=["gaussian-seed", "skewed-seed", "sigma-nan", "counts", "counts-spaced", "alpha-ranges-split",
+             "alpha-ranges-inf"],
     )
     def test_gen_data_bad_flag_is_named(self, tmp_path, capsys, monkeypatch, family, flags, named):
         probes = []
@@ -1419,11 +1425,11 @@ class TestCli:
         "fit-rate-t-hi": (["fit-rate", "--csv", "CSV", "--t-lo", "1", "--t-hi", "{}"], "--t-hi"),
     }
 
-    @pytest.mark.parametrize("token", ["1_0", "\uff14"], ids=["separator", "full-width"])
+    @pytest.mark.parametrize("token", ["1_0", "\uff14", " 3 "], ids=["separator", "full-width", "whitespace"])
     @pytest.mark.parametrize("case", list(_NUMERIC_FLAGS))
     def test_numeric_flag_follows_the_data_files_token_rule(self, tmp_path, capsys, case, token):
-        # int() and float() read '1_0' as 10 and the full-width '4' as 4;
-        # the data loaders reject both, and so does every numeric flag
+        # int() and float() read '1_0' as 10, the full-width '4' as 4 and ' 3 '
+        # as 3; the data loaders reject all three, and so does every numeric flag
         argv, flag = self._NUMERIC_FLAGS[case]
         rows = (f"{t},0,0.1,0.1,0.1,0.0,1.0,0.0,{1.0 / t!r},,,0.0\n" for t in range(1, 31))
         (tmp_path / "rate.csv").write_text(CSV_HEADER + "\n" + "".join(rows))
@@ -1560,26 +1566,56 @@ class TestCli:
         header = CSV_HEADER.split(",")
         assert first_row[header.index("cos_wbar")] == ""
 
+    # case -> the error after "line <n>"
+    # case -> the error after the file name; {} is the case's line
+    _MALFORMED = {
+        "foreign_header": "line {} is not the metric CSV header " + repr(CSV_HEADER),
+        "padded_header": "line {} is not the metric CSV header " + repr(CSV_HEADER),
+        "byte_order_mark": "'ascii' codec can't decode byte 0xef in position 0: ordinal not in range(128)",
+        "cut_last_row": "line {} has 3 fields, expected 12",
+        "cut_in_last_cell": "line {} has no line end",
+        "extra_field": "line {} has 13 fields, expected 12",
+        "empty_loss": "line {}: empty loss cell",
+        "infinite_loss": "line {}: non-finite loss 'inf'",
+    }
+
     @pytest.mark.parametrize(
         "case,line",
-        [("foreign_header", 1), ("cut_last_row", 31), ("extra_field", 5)],
+        [("foreign_header", 1), ("cut_last_row", 31), ("extra_field", 5), ("padded_header", 1),
+         ("byte_order_mark", 1), ("cut_in_last_cell", 31), ("empty_loss", 4), ("infinite_loss", 7)],
     )
     def test_fit_rate_rejects_a_malformed_csv(self, tmp_path, capsys, case, line):
-        rows = [f"{t},0,0.1,0.1,0.1,0.0,1.0,0.0,{t ** -0.5!r},,,0.0" for t in range(10, 310, 10)]
+        rows = [f"{t},0,0.1,0.1,0.1,0.0,1.0,0.0,{t ** -0.5!r},,,0.0".split(",") for t in range(10, 310, 10)]
+        header, end = CSV_HEADER, "\n"
         if case == "foreign_header":
-            text = "a,b\n1,2\n"
+            header, rows = "a,b", [["1", "2"]]
+        elif case == "padded_header":
+            header = f" {CSV_HEADER} "
+        elif case == "byte_order_mark":  # as a spreadsheet may save it
+            header = "\ufeff" + CSV_HEADER
         elif case == "cut_last_row":  # a killed run's last line
-            text = "\n".join([CSV_HEADER, *rows[:-1], rows[-1][:9]]) + "\n"
-        else:
-            rows[3] += ",7.0"
-            text = "\n".join([CSV_HEADER, *rows]) + "\n"
+            rows[-1] = rows[-1][:3]
+        elif case == "cut_in_last_cell":  # a killed run's last line, cut after its last comma
+            rows[-1][-1], end = "0.", ""
+        elif case == "extra_field":
+            rows[3].append("7.0")
+        else:  # a run writes a loss cell neither empty nor infinite
+            rows[line - 2][CSV_HEADER.split(",").index("loss")] = "" if case == "empty_loss" else "inf"
         path = tmp_path / "r.csv"
-        path.write_text(text)
+        path.write_text("\n".join([header, *(",".join(r) for r in rows)]) + end, encoding="utf-8")
         rc = cli_main(["fit-rate", "--csv", str(path), "--t-lo", "10", "--t-hi", "300"])
         assert rc == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"error: {path}: line {line} ")
+        assert capsys.readouterr().err == f"error: {path}: {self._MALFORMED[case].format(line)}\n"
 
-    @pytest.mark.parametrize("column,token,line", [("eta", "x", 2), ("t", "q", 5)])
+    # token -> its error, where it is not float()'s own
+    _BAD_CELLS = {
+        "5_0": "digit separator '_' in '5_0'",
+        " 0.1": "whitespace in ' 0.1'",
+        "nan": "non-finite gap_to_gamma 'nan'",
+    }
+
+    @pytest.mark.parametrize("column,token,line", [("eta", "x", 2), ("t", "q", 5), ("t", "5_0", 6), ("eta", " 0.1", 3),
+                                                   ("gap_to_gamma", "nan", 8)])
     def test_fit_rate_names_a_bad_cell(self, tmp_path, capsys, column, token, line):
         rows = [f"{t},0,0.1,0.1,0.1,0.0,1.0,0.0,{t ** -0.5!r},,,0.0".split(",") for t in range(10, 310, 10)]
         rows[line - 2][CSV_HEADER.split(",").index(column)] = token
@@ -1587,7 +1623,8 @@ class TestCli:
         path.write_text("\n".join([CSV_HEADER, *(",".join(r) for r in rows)]) + "\n")
         rc = cli_main(["fit-rate", "--csv", str(path), "--t-lo", "10", "--t-hi", "300"])
         assert rc == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: {path}: line {line}: could not convert string to float: {token!r}\n"
+        reason = self._BAD_CELLS.get(token, f"could not convert string to float: {token!r}")
+        assert capsys.readouterr().err == f"error: {path}: line {line}: {reason}\n"
 
     def test_fit_rate_cli(self, tmp_path, capsys):
         ts = np.arange(10, 3000, 10)

@@ -83,6 +83,14 @@ class TestReshuffle:
             union = np.concatenate(batches)
             assert sorted(union.tolist()) == list(range(6))
 
+    @pytest.mark.parametrize("n,b", [(4, 0), (4, -2), (0, 2), (-4, 2), (4, 3)])
+    def test_rejects_a_batch_size_that_does_not_split_n(self, n, b):
+        state = seeded_state(0)
+        before = state.rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"batch size {b} .*n = {n}"):
+            reshuffle(state, n, b)
+        assert state.rng.bit_generator.state == before  # rejected before any draw
+
 
 def scalar_reshuffle(rng, n):
     """Reference: one scalar integers(0, i+1) draw per Fisher-Yates swap."""
@@ -441,3 +449,8 @@ class TestEffectiveMarginThresholds:
     def test_beta_one_rejected(self):
         with pytest.raises(ValueError):
             effective_margin_thresholds(1.0, 1.0, 10, 5, 1.0)
+
+    @pytest.mark.parametrize("n,b", [(200, 0), (200, -100), (0, 5), (-200, 5), (200, 30)])
+    def test_rejects_a_batch_size_that_does_not_split_n(self, n, b):
+        with pytest.raises(ValueError, match=f"batch size {b} .*n = {n}"):
+            effective_margin_thresholds(1.0, 1.0, n, b, 0.5)

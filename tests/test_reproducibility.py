@@ -14,7 +14,10 @@ at its own norm) on a small orthogonal scale-skewed instance, and three
 batch-size-one ``train`` runs on a Gaussian instance with k = 10 (so each
 per-sample gradient's target entry sums nine off-target terms): on
 cross-entropy, on the exponential loss, and with momentum and variance
-reduction; gamma is given, so no reference solve runs. The bytes do not depend on the memory
+reduction; gamma is given, so no reference solve runs. Each of these CSVs, and that
+of a run whose first row has a zero W, must read back through ``read_csv``
+to its own bytes when written back by the writer's rule, so the reader and
+the writer cannot drift apart. The bytes do not depend on the memory
 layout of the arrays a Dataset is built from: ``TestCallerLayout`` pins
 that for the solver and a training run. The digests were recorded
 with numpy 2.4.6 and OpenBLAS 0.3.31; a numpy upgrade that changes the
@@ -25,6 +28,7 @@ upgrade means the contract's inputs moved: check the runs, then re-record.
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -46,6 +50,7 @@ from normdescent import (
     save_dataset,
 )
 from normdescent.cli import EXIT_OK, main as cli_main
+from normdescent.model import _fmt
 
 PINNED_SHA256 = {
     "ew:2": "9575048e6a1c7009e0cc006dffb519912bf4b6e18a53b36366636e50a64b1c80",
@@ -124,6 +129,16 @@ def k10_path(tmp_path_factory):
     return str(path)
 
 
+def _read_back(path) -> bytes:
+    """The metric CSV at ``path`` as ``read_csv`` reads it, written back by the
+    writer's rule: t and epoch as integers, ``_fmt`` for a float, "" for NaN."""
+    cols = harness.read_csv(str(path))
+    rows = zip(*(cols[h] for h in harness.CSV_HEADER.split(",")))
+    lines = [",".join((str(int(t)), str(int(epoch)), *("" if math.isnan(v) else _fmt(v) for v in cells)))
+             for t, epoch, *cells in rows]
+    return "".join(line + "\n" for line in [harness.CSV_HEADER, *lines]).encode("ascii")
+
+
 def _train_csv(tmp_path, **cfg) -> str:
     out_csv = tmp_path / "run.csv"
     cfg = {
@@ -134,6 +149,7 @@ def _train_csv(tmp_path, **cfg) -> str:
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert cli_main(["train", "--config", str(cfg_path)]) == EXIT_OK
+    assert _read_back(out_csv) == out_csv.read_bytes()
     return _sha256(out_csv)
 
 
@@ -159,6 +175,17 @@ def test_persample_bytes_pinned(tmp_path, skewed_path, norm, capsys):
     capsys.readouterr()
     verdict = tmp_path / "ps.csv.verdict.json"
     assert (_sha256(out_csv), _sha256(verdict)) == PINNED_PERSAMPLE_SHA256[norm]
+    assert _read_back(out_csv) == out_csv.read_bytes()
+
+
+def test_zero_w_csv_reads_back_to_its_bytes(tmp_path, dataset_path, capsys):
+    # eta0 = 0 leaves W at zero after the first step: row t = 1 holds the
+    # -inf margin, inf gap and empty cosines, the cells only a zero W writes
+    _train_csv(tmp_path, norm="ew:2", batch_size=12, epochs=3, eta0=0.0, wbar_norm="ew:inf",
+               dataset_path=dataset_path)
+    capsys.readouterr()
+    first = (tmp_path / "run.csv").read_text().splitlines()[1].split(",")
+    assert first[7:11] == ["-inf", "inf", "", ""]
 
 
 def test_full_batch_full_rank_schatten_csv_bytes_pinned(tmp_path, full_rank_path, capsys):
